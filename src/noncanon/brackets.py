@@ -24,10 +24,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .expressions import (
+# ``parse`` stays bound here: perfbench/tracing.py wraps it under this name
+from .expressions import (  # noqa: F401
     Const,
     Expression,
     Unary,
+    as_expression,
     evaluate,
     free_names,
     gradient,
@@ -66,14 +68,6 @@ def phase_variable_names(n: int) -> tuple[str, ...]:
     return tuple(f"q{i}" for i in range(1, n + 1)) + tuple(
         f"p{i}" for i in range(1, n + 1)
     )
-
-
-def _as_expression(src) -> Expression:
-    if isinstance(src, str):
-        return parse(src)
-    if isinstance(src, (int, float)):
-        return Const(float(src))
-    return src
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,8 +177,8 @@ class PoissonStructure:
 
     def bracket(self, a_expr, b_expr, x) -> float:
         """{A, B}(x) = Theta_ab dA/dx_a dB/dx_b."""
-        a_expr = _as_expression(a_expr)
-        b_expr = _as_expression(b_expr)
+        a_expr = as_expression(a_expr)
+        b_expr = as_expression(b_expr)
         env = self.env_at(x)
         names = self.variable_names
         ga = np.array(gradient(a_expr, names, env))
@@ -384,7 +378,7 @@ def _field_entries(n, offset, fields, label):
                 f"{label} entries must be given for i < j only (antisymmetry "
                 f"is structural); got {key}"
             )
-        entries[(offset + i - 1, offset + j - 1)] = _as_expression(src)
+        entries[(offset + i - 1, offset + j - 1)] = as_expression(src)
     return entries
 
 
@@ -407,12 +401,12 @@ def general_planar(
 ) -> PoissonStructure:
     """Planar structure with all six bracket functions user-supplied."""
     entries = {
-        (0, 1): _as_expression(theta),
-        (2, 3): _as_expression(f),
-        (0, 2): _as_expression(g11),
-        (0, 3): _as_expression(g12),
-        (1, 2): _as_expression(g21),
-        (1, 3): _as_expression(g22),
+        (0, 1): as_expression(theta),
+        (2, 3): as_expression(f),
+        (0, 2): as_expression(g11),
+        (0, 3): as_expression(g12),
+        (1, 2): as_expression(g21),
+        (1, 3): as_expression(g22),
     }
     entries = {k: e for k, e in entries.items() if e != Const(0.0)}
     return PoissonStructure(2, "general-planar", entries, dict(parameters or {}))
@@ -430,7 +424,7 @@ def custom(
             raise StructureError(
                 f"custom entry ({a},{b}) must satisfy 1 <= a < b <= {2*n}"
             )
-        converted[(a - 1, b - 1)] = _as_expression(src)
+        converted[(a - 1, b - 1)] = as_expression(src)
     return PoissonStructure(n, "custom", converted, dict(parameters or {}))
 
 
@@ -471,7 +465,7 @@ def d_operator_values(structure: PoissonStructure, expr, x) -> np.ndarray:
     """
     if structure.n != 2:
         raise StructureError("the D operators are defined for planar structures")
-    expr = _as_expression(expr)
+    expr = as_expression(expr)
     env = structure.env_at(x)
     theta = evaluate(structure.entry_expression(0, 1), env)
     f = evaluate(structure.entry_expression(2, 3), env)

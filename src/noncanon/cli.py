@@ -79,6 +79,26 @@ def _require(obj: dict, key: str, kind, path: str):
     return value
 
 
+def _scalar(raw: dict, key: str, convert, default):
+    """``convert`` applied to an optional top-level value, as a config error
+    when it does not apply."""
+    value = raw.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"$.{key}", f"cannot read {value!r} as {convert.__name__}") from None
+
+
+def _check_integrator(dt: float, t_end: float, method) -> None:
+    """The step settings a flow accepts, checked against the config."""
+    if not dt > 0:
+        raise ConfigError("$.integrator.dt", "dt must be positive")
+    if not t_end > dt:
+        raise ConfigError("$.integrator.t_end", "t_end must exceed dt")
+    if method not in ("rk4", "midpoint"):
+        raise ConfigError("$.integrator.method", f"unknown method {method!r}")
+
+
 def _parse_expr(source, path: str):
     if not isinstance(source, str):
         raise ConfigError(path, f"expected an expression string, got {type(source).__name__}")
@@ -193,14 +213,17 @@ def load_config(path) -> RunConfig:
     for i, flt in enumerate(raw.get("cloud", {}).get("filters", [])):
         _parse_expr(flt.get("expr", ""), f"$.cloud.filters[{i}].expr")
 
+    seed = _scalar(raw, "seed", int, 0)
+    if seed < 0:
+        raise ConfigError("$.seed", "seed must be non-negative")
     cfg = RunConfig(
         raw=raw,
         path=path,
         n=n,
         parameters=parameters,
         structure=structure,
-        tol=float(raw.get("tolerance", 1e-9)),
-        seed=int(raw.get("seed", 0)),
+        tol=_scalar(raw, "tolerance", float, 1e-9),
+        seed=seed,
     )
     return cfg
 
@@ -380,13 +403,17 @@ def _cmd_integrate(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
     ham = _require(cfg.raw, "hamiltonian", str, "$")
     integ = _require(cfg.raw, "integrator", dict, "$")
     x0 = _require(cfg.raw, "initial_state", list, "$")
+    dt = _require(integ, "dt", float, "$.integrator")
+    t_end = _require(integ, "t_end", float, "$.integrator")
+    method = integ.get("method", "rk4")
+    _check_integrator(dt, t_end, method)
     problem = FlowProblem(
         structure,
         _parse_expr(ham, "$.hamiltonian"),
         [float(v) for v in x0],
-        _require(integ, "dt", float, "$.integrator"),
-        _require(integ, "t_end", float, "$.integrator"),
-        integ.get("method", "rk4"),
+        dt,
+        t_end,
+        method,
     )
     extra = {
         name: _parse_expr(src, f"$.monitors.{name}")
@@ -493,14 +520,18 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     ham = _require(cfg.raw, "hamiltonian", str, "$")
     x0 = [float(v) for v in _require(cfg.raw, "initial_state", list, "$")]
     integ = cfg.raw.get("integrator", {})
+    dt = float(integ.get("dt", 1e-3))
+    t_end = float(integ.get("t_end", 10.0))
+    method = integ.get("method", "rk4")
+    _check_integrator(dt, t_end, method)
     sweep = red.epsilon_sweep(
         theta,
         _parse_expr(ham, "$.hamiltonian"),
         x0,
         epsilons,
-        dt=float(integ.get("dt", 1e-3)),
-        t_end=float(integ.get("t_end", 10.0)),
-        method=integ.get("method", "rk4"),
+        dt=dt,
+        t_end=t_end,
+        method=method,
     )
     results = sweep.to_json_dict()
     results["slope_error_from_unity"] = abs(sweep.fitted_slope - 1.0)
@@ -513,12 +544,19 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     return results, ["epsilon_sweep.csv"]
 
 
+def _grid_axis(grid_cfg: dict, key: str, path: str) -> tuple[float, float, int]:
+    axis = _require(grid_cfg, key, list, path)
+    try:
+        lo, hi, count = axis
+        return float(lo), float(hi), int(count)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}.{key}", "expected [low, high, count]") from None
+
+
 def _grid_from_config(block: dict, kind: str, path: str) -> hg.Grid2D:
-    grid_cfg = block.get("grid")
-    if grid_cfg is None:
-        raise ConfigError(f"{path}.grid", "missing required key")
-    x_lo, x_hi, nx = grid_cfg["x"]
-    y_lo, y_hi, ny = grid_cfg["y"]
+    grid_cfg = _require(block, "grid", dict, path)
+    x_lo, x_hi, nx = _grid_axis(grid_cfg, "x", f"{path}.grid")
+    y_lo, y_hi, ny = _grid_axis(grid_cfg, "y", f"{path}.grid")
     filters = list(hg.default_filters(kind, band=float(grid_cfg.get("band", 1e-3))))
     for i, flt in enumerate(grid_cfg.get("filters", [])):
         filters.append(
@@ -528,13 +566,7 @@ def _grid_from_config(block: dict, kind: str, path: str) -> hg.Grid2D:
                 minimum=flt.get("min"),
             )
         )
-    return hg.Grid2D(
-        (float(x_lo), float(x_hi)),
-        (float(y_lo), float(y_hi)),
-        int(nx),
-        int(ny),
-        tuple(filters),
-    )
+    return hg.Grid2D((x_lo, x_hi), (y_lo, y_hi), nx, ny, tuple(filters))
 
 
 # physical-dimension tags per family parameter; report labels only, the

@@ -18,12 +18,16 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .brackets import DELTA_KINDS, PoissonStructure, StructureError, d_operator_values
-from .expressions import (
+# ``parse`` stays bound here: perfbench/tracing.py wraps it under this name
+from .expressions import (  # noqa: F401
+    EVALUATION_ERRORS,
     Const,
     Dual,
     Expression,
     Name,
     _eval,
+    as_expression,
+    compile,
     free_names,
     parse,
 )
@@ -45,18 +49,16 @@ __all__ = [
 ]
 
 DEGENERACY_WARNING_CUTOFF = 1e-8
+_DET_BLOCK = 256
 
 
 class IntegrationError(RuntimeError):
     pass
 
 
-def _as_expression(src) -> Expression:
-    return parse(src) if isinstance(src, str) else src
-
-
 class _Velocity:
-    """Callable Theta(x) grad H(x) with a reused evaluation environment."""
+    """Callable Theta(x) grad H(x) by tree walking, with a reused
+    evaluation environment; the reference for :class:`_CompiledVelocity`."""
 
     def __init__(self, structure: PoissonStructure, hamiltonian: Expression):
         self.structure = structure
@@ -94,9 +96,36 @@ class _Velocity:
         return out
 
 
+class _CompiledVelocity:
+    """Theta(x) grad H(x) from generated code, accumulated in the order of
+    :class:`_Velocity`.  A call whose generated code raises is rerun by
+    ``_Velocity``, so errors, and which of them wins, are the tree walker's."""
+
+    def __init__(self, structure: PoissonStructure, hamiltonian: Expression):
+        self.reference = _Velocity(structure, hamiltonian)
+        self.names = structure.variable_names
+        self.env = dict(structure.parameters)
+        self.hamiltonian = compile(hamiltonian, self.names)
+        self.entries = [(a, b, compile(e)) for (a, b), e in structure.entries.items()]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        env = self.env
+        env.update(zip(self.names, x.tolist()))
+        try:
+            grad = self.hamiltonian(env)[1]
+            out = [0.0] * len(grad)
+            for a, b, entry in self.entries:
+                v = entry(env)[0]
+                out[a] += v * grad[b]
+                out[b] -= v * grad[a]
+        except EVALUATION_ERRORS:
+            return self.reference(x)
+        return np.array(out)
+
+
 def velocity(structure: PoissonStructure, hamiltonian, x) -> np.ndarray:
     """Phase-space velocity Theta_ab dH/dx_b at a point."""
-    h = _as_expression(hamiltonian)
+    h = as_expression(hamiltonian)
     x = np.asarray(x, dtype=float)
     if x.shape != (structure.dim,):
         raise StructureError(f"phase point must have length {structure.dim}")
@@ -113,7 +142,7 @@ class FlowProblem:
     method: str = "rk4"
 
     def __post_init__(self):
-        object.__setattr__(self, "hamiltonian", _as_expression(self.hamiltonian))
+        object.__setattr__(self, "hamiltonian", as_expression(self.hamiltonian))
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_end <= self.dt:
@@ -195,6 +224,54 @@ def default_monitors(structure: PoissonStructure) -> dict[str, Expression]:
     return monitors
 
 
+def _reference_row(structure: PoissonStructure, exprs, x: np.ndarray) -> tuple[list, list]:
+    """Monitor values and stored entry values at one state, by tree walking."""
+    env = dict(structure.parameters)
+    env.update(zip(structure.variable_names, x))
+    monitors = [_eval(expr, env) for expr in exprs]
+    theta = structure.theta_matrix(x)
+    return monitors, [theta[a, b] for a, b in structure.entries]
+
+
+def _monitor_pass(
+    structure: PoissonStructure, monitor_exprs: Mapping[str, Expression], states: np.ndarray
+) -> tuple[dict[str, np.ndarray], float]:
+    """Monitor series over the stored states, and min |det Theta| along them.
+
+    Monitors and bracket entries run as generated code; a state whose
+    generated code raises is redone by :func:`_reference_row`, so errors are
+    the tree walker's, in its order: monitors first, then ``theta_matrix``.
+    ``det Theta`` is taken over stacked blocks of states, which keeps the
+    extra memory to one block.
+    """
+    exprs = list(monitor_exprs.values())
+    monitor_fns = [compile(e) for e in exprs]
+    entry_fns = [compile(e) for e in structure.entries.values()]
+    names = structure.variable_names
+    env = dict(structure.parameters)
+    monitors = np.empty((len(exprs), len(states)))
+    entries = np.empty((len(entry_fns), _DET_BLOCK))
+    theta = np.zeros((_DET_BLOCK, structure.dim, structure.dim))
+    min_abs_det = np.inf
+    for start in range(0, len(states), _DET_BLOCK):
+        block = states[start : start + _DET_BLOCK]
+        for j, x in enumerate(block):
+            env.update(zip(names, x.tolist()))
+            try:
+                monitors[:, start + j] = [fn(env)[0] for fn in monitor_fns]
+                entries[:, j] = [fn(env)[0] for fn in entry_fns]
+            except EVALUATION_ERRORS:
+                monitors[:, start + j], entries[:, j] = _reference_row(structure, exprs, x)
+        size = len(block)
+        for row, (a, b) in zip(entries, structure.entries):
+            theta[:size, a, b] = row[:size]
+            theta[:size, b, a] = -row[:size]
+        # a NaN determinant never lowers the minimum, as in a running min()
+        dets = np.abs(np.linalg.det(theta[:size]))
+        min_abs_det = np.fmin.reduce(dets, initial=min_abs_det)
+    return dict(zip(monitor_exprs, monitors)), min_abs_det
+
+
 def integrate(
     problem: FlowProblem,
     extra_monitors: Mapping[str, Expression] | None = None,
@@ -204,7 +281,6 @@ def integrate(
     The step is adjusted by at most half a step so that an integer number
     of equal steps lands exactly on t_end."""
     structure = problem.structure
-    v = _Velocity(structure, problem.hamiltonian)
     n_steps = max(1, int(round(problem.t_end / problem.dt)))
     dt = problem.t_end / n_steps
     step = _rk4_step if problem.method == "rk4" else _midpoint_step
@@ -214,6 +290,7 @@ def integrate(
     if x.shape != (structure.dim,):
         raise ValueError(f"x0 must have length {structure.dim}")
     states[0] = x
+    v = _CompiledVelocity(structure, problem.hamiltonian)
     truncated = False
     count = n_steps + 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -231,21 +308,10 @@ def integrate(
     monitor_exprs.update(default_monitors(structure))
     if extra_monitors:
         monitor_exprs.update(
-            {name: _as_expression(e) for name, e in extra_monitors.items()}
+            {name: as_expression(e) for name, e in extra_monitors.items()}
         )
 
-    env = dict(structure.parameters)
-    names = structure.variable_names
-    series = {name: np.empty(count) for name in monitor_exprs}
-    min_abs_det = np.inf
-    for k in range(count):
-        for name, xi in zip(names, states[k]):
-            env[name] = xi
-        for name, expr in monitor_exprs.items():
-            out = _eval(expr, env)
-            series[name][k] = out.value if isinstance(out, Dual) else out
-        det = np.linalg.det(structure.theta_matrix(states[k]))
-        min_abs_det = min(min_abs_det, abs(det))
+    series, min_abs_det = _monitor_pass(structure, monitor_exprs, states)
 
     warnings = []
     if truncated:
@@ -293,7 +359,7 @@ def evolution_residuals(structure: PoissonStructure, hamiltonian, x) -> Evolutio
             "evolution residuals are defined for structures with canonical "
             "mixed brackets"
         )
-    h = _as_expression(hamiltonian)
+    h = as_expression(hamiltonian)
     n = structure.n
     env = structure.env_at(x)
     names = structure.variable_names
@@ -356,7 +422,7 @@ def vanishing_combinations(structure: PoissonStructure, hamiltonian, x) -> dict[
     p'_m - f_mn q'_n; for the general planar kind, the four combinations
     tied to the null-determinant condition.
     """
-    h = _as_expression(hamiltonian)
+    h = as_expression(hamiltonian)
     xdot = velocity(structure, h, x)
     n = structure.n
     out: dict[str, float] = {}
@@ -394,8 +460,8 @@ def time_derivative_split(
     """d f/dt along the flow, computed two ways for planar structures:
     directly as grad f . xdot, and through the D-operator combination
     H_q1 D1 f - H_q2 D2 f + H_p1 D3 f + H_p2 D4 f."""
-    h = _as_expression(hamiltonian)
-    f_expr = _as_expression(f_expr)
+    h = as_expression(hamiltonian)
+    f_expr = as_expression(f_expr)
     from .expressions import gradient
 
     env = structure.env_at(x)

@@ -6,6 +6,14 @@ trees, and are evaluated or differentiated pointwise.  Derivatives come
 from dual-number propagation and are exact up to floating point; finite
 differences appear only as an independent cross-check in the test suite.
 
+Two evaluators apply the same dual-number rules.  The tree walker
+(``evaluate``, ``derivative``, ``gradient``) allocates a ``Dual`` per node
+and walks the tree once per variable; it is the reference and the error
+reporter.  ``compile`` unrolls those rules into generated straight-line
+code that returns the value and every partial in one pass, bit for bit
+equal to the tree walker; the flow hot paths (velocity, monitor pass,
+reduced flow) run it and rerun the tree walker whenever it raises.
+
 Grammar::
 
     expr   := term (('+'|'-') term)*
@@ -21,10 +29,12 @@ reserved for phase-space variables; any other name is a parameter.
 
 from __future__ import annotations
 
+import builtins
+import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "ExpressionError",
@@ -44,6 +54,9 @@ __all__ = [
     "evaluate",
     "derivative",
     "gradient",
+    "as_expression",
+    "compile",
+    "EVALUATION_ERRORS",
     "to_source",
     "free_names",
     "substitute",
@@ -513,6 +526,257 @@ def gradient(
     """Partial derivatives of ``e`` with respect to each name, in order."""
     used = free_names(e)
     return [derivative(e, nm, values) if nm in used else 0.0 for nm in names]
+
+
+def as_expression(src) -> Expression:
+    """Parse text, wrap a number as a constant, pass a tree through."""
+    if isinstance(src, str):
+        return parse(src)
+    if isinstance(src, (int, float)):
+        return Const(float(src))
+    return src
+
+
+# ---------------------------------------------------------------------------
+# Generated forward-mode code
+#
+# ``compile`` unrolls the rules of ``_eval`` and ``Dual`` at generation
+# time (source transformation in the sense of Griewank & Walther,
+# *Evaluating Derivatives*).  Whether a node carries a dual part for
+# variable v is fixed by ``v in free_names(node)``, so each node becomes one
+# value line plus one line per variable it depends on, with the operand
+# order of the ``Dual`` method the tree walker would call.  Names are read
+# as floats, so every intermediate is a Python float, and float division,
+# math.log and math.sqrt raise exactly where ``_eval`` checks for a zero
+# divisor, a non-positive logarithm or a negative root.  The helpers below
+# hold the remaining rules that branch on runtime values.
+
+#: exceptions the tree walker (and so generated code) can raise
+EVALUATION_ERRORS = (ExpressionError, ArithmeticError, LookupError, TypeError, ValueError)
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _sqrt_partial(x: float, root: float, dx: float, node: Unary) -> float:
+    if x == 0.0 and dx != 0.0:
+        raise DomainError("sqrt derivative at zero", to_source(node))
+    return 0.0 if dx == 0.0 else dx / (2.0 * root)
+
+
+def _pow_checked(lv: float, rv: float, node: Binary) -> float:
+    # the checks ``_pow`` applies in every pass, then the value
+    if lv < 0.0 and rv != round(rv):
+        raise DomainError("negative base with non-integer exponent", to_source(node))
+    if lv == 0.0 and rv < 0.0:
+        raise DomainError("zero raised to a negative power", to_source(node))
+    return _pow_value(lv, rv, node)
+
+
+def _pow_partial(lv: float, rv: float, value: float, ld: float, rd: float, node: Binary) -> float:
+    # the dual part ``_pow`` computes for one variable; an operand that does
+    # not depend on the variable enters with a zero dual part
+    if lv < 0.0 and rd != 0.0:
+        raise DomainError("negative base with non-integer exponent", to_source(node))
+    deriv = 0.0
+    if ld != 0.0:
+        if lv == 0.0:
+            if rv == 1.0:
+                deriv += ld
+            elif rv > 1.0:
+                pass
+            else:
+                raise DomainError(
+                    "derivative of power undefined at zero base", to_source(node)
+                )
+        else:
+            deriv += rv * _pow_value(lv, rv - 1.0, node) * ld
+    if rd != 0.0:
+        if lv <= 0.0:
+            raise DomainError(
+                "variable exponent requires positive base", to_source(node)
+            )
+        deriv += value * math.log(lv) * rd
+    return deriv
+
+
+_GENERATED_GLOBALS = {
+    "_float": float,
+    "_errors": EVALUATION_ERRORS,
+    "_exp": _exp,
+    "_log": math.log,
+    "_sqrt": math.sqrt,
+    "_sqrt_partial": _sqrt_partial,
+    "_sin": math.sin,
+    "_cos": math.cos,
+    "_pow_value": _pow_value,
+    "_pow_checked": _pow_checked,
+    "_pow_partial": _pow_partial,
+}
+
+
+class _Codegen:
+    """Straight-line source for one tree and one set of variables."""
+
+    def __init__(self, variables: tuple[str, ...]):
+        self.variables = variables
+        self.lines: list[str] = []
+        self.namespace: dict[str, object] = {}
+        self.loads: dict[str, str] = {}
+        self.count = 0
+
+    def bind(self, obj) -> str:
+        """A global name for an object the source cannot spell."""
+        name = f"_g{len(self.namespace)}"
+        self.namespace[name] = obj
+        return name
+
+    def assign(self, text: str) -> str:
+        self.count += 1
+        local = f"t{self.count}"
+        self.lines.append(f"{local} = {text}")
+        return local
+
+    def emit(self, e: Expression) -> tuple[str, dict[str, str]]:
+        """Emit ``e``; return the atom holding its value and, per variable
+        it depends on, the atom holding its dual part."""
+        if isinstance(e, Const):
+            if not math.isfinite(e.value):
+                return self.bind(e.value), {}
+            return f"({e.value!r})", {}
+        if isinstance(e, Name):
+            local = self.loads.get(e.name)
+            if local is None:
+                local = self.loads[e.name] = self.assign(f"_float(env[{e.name!r}])")
+            return local, ({e.name: "1.0"} if e.name in self.variables else {})
+        if isinstance(e, Unary):
+            return self._unary(e)
+        return self._binary(e)
+
+    def _unary(self, e: Unary) -> tuple[str, dict[str, str]]:
+        a, da = self.emit(e.arg)
+        op = e.op
+        if op == "neg":
+            return self.assign(f"-{a}"), {n: self.assign(f"-{d}") for n, d in da.items()}
+        if op == "exp":
+            v = self.assign(f"_exp({a})")
+            return v, {n: self.assign(f"{v} * {d} if {d} != 0.0 else 0.0") for n, d in da.items()}
+        if op in ("sin", "cos"):
+            v = self.assign(f"_{op}({a})")
+            if not da:
+                return v, {}
+            slope = self.assign(f"_cos({a})" if op == "sin" else f"-_sin({a})")
+            return v, {n: self.assign(f"{slope} * {d}") for n, d in da.items()}
+        if op == "log":
+            v = self.assign(f"_log({a})")
+            return v, {n: self.assign(f"{d} / {a}") for n, d in da.items()}
+        if op == "sqrt":
+            v = self.assign(f"_sqrt({a})")
+            node = self.bind(e)
+            return v, {
+                n: self.assign(f"_sqrt_partial({a}, {v}, {d}, {node})")
+                for n, d in da.items()
+            }
+        raise ExpressionError(f"unknown unary operator '{op}'")
+
+    def _binary(self, e: Binary) -> tuple[str, dict[str, str]]:
+        l, dl = self.emit(e.left)
+        r, dr = self.emit(e.right)
+        op = e.op
+        if op not in ("+", "-", "*", "/"):  # ``_eval`` treats the rest as '^'
+            node = self.bind(e)
+            c = e.right.value if isinstance(e.right, Const) else math.nan
+            if math.isfinite(c) and c == round(c):
+                # a fixed integer exponent settles _pow's exponent tests now,
+                # and math.pow raises a ValueError for a zero base when c < 0
+                v = self.assign(f"_pow_value({l}, {r}, {node})")
+                if c > 1.0:
+                    lower = f"({c - 1.0!r})"
+                    return v, {
+                        n: self.assign(
+                            f"0.0 + {r} * _pow_value({l}, {lower}, {node}) * {d} "
+                            f"if {d} != 0.0 and {l} != 0.0 else 0.0"
+                        )
+                        for n, d in dl.items()
+                    }
+                return v, {
+                    n: self.assign(f"_pow_partial({l}, {r}, {v}, {d}, 0.0, {node})")
+                    for n, d in dl.items()
+                }
+            v = self.assign(f"_pow_checked({l}, {r}, {node})")
+            return v, {
+                n: self.assign(
+                    f"_pow_partial({l}, {r}, {v}, {dl.get(n, '0.0')}, "
+                    f"{dr.get(n, '0.0')}, {node})"
+                )
+                for n in self.variables
+                if n in dl or n in dr
+            }
+        v = self.assign(f"{l} {op} {r}")
+        derivs = {}
+        for n in self.variables:
+            # the formulas of the Dual method that handles this operand mix
+            if n in dl and n in dr:
+                text = {
+                    "+": "{ld} + {rd}",
+                    "-": "{ld} - {rd}",
+                    "*": "{l} * {rd} + {ld} * {r}",
+                    "/": "({ld} * {r} - {l} * {rd}) / ({r} * {r})",
+                }[op]
+            elif n in dl:
+                text = {"+": "{ld}", "-": "{ld}", "*": "{ld} * {r}", "/": "{ld} / {r}"}[op]
+            elif n in dr:
+                text = {
+                    "+": "{rd}",
+                    "-": "-{rd}",
+                    "*": "{rd} * {l}",
+                    "/": "-{l} * {rd} / ({r} * {r})",
+                }[op]
+            else:
+                continue
+            text = text.format(l=l, r=r, ld=dl.get(n), rd=dr.get(n))
+            derivs[n] = text if text in (dl.get(n), dr.get(n)) else self.assign(text)
+        return v, derivs
+
+
+def _reference(e: Expression, variables: tuple[str, ...], env: Mapping[str, float]):
+    return evaluate(e, env), tuple(gradient(e, variables, env))
+
+
+def compile(e: Expression, variables: Sequence[str] = ()) -> Callable:
+    """Generate one straight-line function for the value of ``e`` and its
+    partials with respect to ``variables``.
+
+    The result is ``fn(env) -> (value, partials)`` and equals
+    ``(evaluate(e, env), tuple(gradient(e, variables, env)))`` bit for bit,
+    signed zeros included (NaN payloads aside); with no variables it only
+    evaluates.  Names are read from ``env`` as floats.  Whenever the
+    generated code raises, ``fn`` reruns the tree walker, so the error and
+    its message are exactly the tree walker's.
+    """
+    variables = tuple(variables)
+    gen = _Codegen(tuple(dict.fromkeys(variables)))
+    value, derivs = gen.emit(e)
+    partials = "".join(f"{derivs.get(n, '0.0')}, " for n in variables)
+    body = "".join(f"        {line}\n" for line in gen.lines)
+    source = (
+        "def _compiled(env):\n"
+        "    try:\n"
+        f"{body}"
+        f"        return {value}, ({partials})\n"
+        "    except _errors:\n"
+        "        return _fallback(env)\n"
+    )
+    namespace = dict(_GENERATED_GLOBALS, **gen.namespace)
+    namespace["_fallback"] = functools.partial(_reference, e, variables)
+    exec(builtins.compile(source, "<noncanon.expressions.compile>", "exec"), namespace)
+    # popped, so the function and its globals form no cycle and are freed
+    # by reference counting as soon as the caller drops the function
+    return namespace.pop("_compiled")
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .expressions import (
     DomainError,
     Expression,
     Name,
+    as_expression,
     derivative,
     evaluate,
     parse,
@@ -214,8 +215,8 @@ def build_family(
     if kind == "custom-fg":
         if f is None or g is None:
             raise HodographError("custom-fg needs generator expressions f and g")
-        f_expr = parse(f) if isinstance(f, str) else f
-        g_expr = parse(g) if isinstance(g, str) else g
+        f_expr = as_expression(f)
+        g_expr = as_expression(g)
         family = HodographFamily(
             kind,
             params,
@@ -343,8 +344,8 @@ def inverse_map_from_generators(f, g, parameters=None, quad_tol: float = 1e-10):
 
     Returns ``(x_expr, y_fn)``: the exact expression x = f(u) + g(v) over
     the names u, v, and a callable for y(u, v) evaluated by quadrature."""
-    f_expr = parse(f) if isinstance(f, str) else f
-    g_expr = parse(g) if isinstance(g, str) else g
+    f_expr = as_expression(f)
+    g_expr = as_expression(g)
     x_expr = substitute(f_expr, {"s": Name("u")}) + substitute(g_expr, {"s": Name("v")})
     family = HodographFamily(
         "custom-fg", dict(parameters or {}), f_expr=f_expr, g_expr=g_expr, quad_tol=quad_tol

@@ -23,12 +23,16 @@ from .brackets import (
     StructureError,
     constant_theta_f,
 )
-from .dynamics import FlowProblem, integrate
-from .expressions import (
+from .dynamics import FlowProblem, _rk4_step, integrate
+# ``parse`` stays bound here: perfbench/tracing.py wraps it under this name
+from .expressions import (  # noqa: F401
+    EVALUATION_ERRORS,
     Const,
     DomainError,
     Expression,
     Name,
+    as_expression,
+    compile,
     derivative,
     evaluate,
     free_names,
@@ -70,10 +74,6 @@ class FixedPointError(ReductionError):
     def __init__(self, message: str, last_iterate):
         super().__init__(f"{message}; last iterate {last_iterate!r}")
         self.last_iterate = last_iterate
-
-
-def _as_expression(src) -> Expression:
-    return parse(src) if isinstance(src, str) else src
 
 
 def _require_delta_kind(structure: PoissonStructure, what: str):
@@ -191,7 +191,7 @@ def leaf_cloud(
     x = np.asarray(reference, dtype=float)
     collected = [x]
     for h in hamiltonians:
-        problem = FlowProblem(structure, _as_expression(h), x, dt, segment_time)
+        problem = FlowProblem(structure, as_expression(h), x, dt, segment_time)
         traj = integrate(problem)
         stride = max(1, len(traj.states) // samples_per_segment)
         collected.extend(traj.states[stride::stride])
@@ -238,8 +238,8 @@ class ReductionReport:
         return out
 
 
-def _point_condition(structure: PoissonStructure, x) -> float:
-    report = structure.degeneracy(x)
+def _point_condition(structure: PoissonStructure, report) -> float:
+    """The kind's degeneracy measure from a :class:`DegeneracyReport`."""
     if structure.kind in DELTA_KINDS:
         return report.inverse_pairing_residual
     if structure.kind == "general-planar":
@@ -273,9 +273,10 @@ def check_reduction(
     det_max = 0.0
     admissible = []
     for x in points:
-        c = _point_condition(structure, x)
+        report = structure.degeneracy(x)
+        c = _point_condition(structure, report)
         condition_max = max(condition_max, c)
-        det_max = max(det_max, abs(structure.degeneracy(x).det))
+        det_max = max(det_max, abs(report.det))
         if c <= tol:
             admissible.append(x)
 
@@ -466,7 +467,7 @@ def build_reduced(
     if reference is None:
         raise ReductionError("a reference point on the degenerate locus is required")
     reference = np.asarray(reference, dtype=float)
-    condition = _point_condition(structure, reference)
+    condition = _point_condition(structure, structure.degeneracy(reference))
     if condition > tol:
         raise ReductionError(
             f"degeneracy condition fails at the reference point "
@@ -486,7 +487,7 @@ def build_reduced(
         ) from None
     # p = theta^{-1} (c - q)
     replacements = {}
-    h = _as_expression(hamiltonian)
+    h = as_expression(hamiltonian)
     for k in range(n):
         terms = []
         for m in range(n):
@@ -525,17 +526,28 @@ def reduced_velocity(system: ReducedSystem, q) -> np.ndarray:
 def integrate_reduced(
     system: ReducedSystem, q0, dt: float, t_end: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 on the reduced coordinates."""
+    """Fixed-step RK4 on the reduced coordinates.
+
+    The gradient of the reduced Hamiltonian runs as generated code; a call
+    whose generated code raises is redone by :func:`reduced_velocity`."""
+    names = tuple(f"q{i + 1}" for i in range(system.n))
+    hamiltonian = compile(system.hamiltonian, names)
+    env = dict(system.parameters)
+
+    def velocity(q: np.ndarray) -> np.ndarray:
+        env.update(zip(names, q.tolist()))
+        try:
+            grad = hamiltonian(env)[1]
+        except EVALUATION_ERRORS:
+            return reduced_velocity(system, q)
+        return system.theta_matrix @ np.array(grad)
+
     n_steps = max(1, int(round(t_end / dt)))
     qs = np.empty((n_steps + 1, system.n))
     q = np.asarray(q0, dtype=float)
     qs[0] = q
     for k in range(1, n_steps + 1):
-        k1 = reduced_velocity(system, q)
-        k2 = reduced_velocity(system, q + 0.5 * dt * k1)
-        k3 = reduced_velocity(system, q + 0.5 * dt * k2)
-        k4 = reduced_velocity(system, q + dt * k3)
-        q = q + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        q = _rk4_step(velocity, q, dt)
         qs[k] = q
     return dt * np.arange(n_steps + 1), qs
 
@@ -638,7 +650,7 @@ def implicit_theta(
     ``phi`` is an expression in the surface labels c1, c2.  Divergence
     triggers a damped retry; persistent failure raises with the last
     iterate attached."""
-    phi = _as_expression(phi)
+    phi = as_expression(phi)
     q1, q2, p1, p2 = (float(v) for v in np.asarray(x, dtype=float))
     env = dict(parameters or {})
 
@@ -716,7 +728,7 @@ def epsilon_sweep(
     At eps = 0 the combinations are exact invariants; their drift over a
     fixed horizon is expected to scale linearly with eps, and the log-log
     slope of max drift against eps is reported."""
-    h = _as_expression(hamiltonian)
+    h = as_expression(hamiltonian)
     rows = []
     for eps in epsilons:
         structure = constant_theta_f(theta, (1.0 - eps) / theta)
