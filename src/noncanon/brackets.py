@@ -18,7 +18,9 @@ Supported kinds:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Mapping
 
@@ -30,6 +32,7 @@ from .expressions import (  # noqa: F401
     Expression,
     Unary,
     as_expression,
+    compile,
     evaluate,
     free_names,
     gradient,
@@ -51,6 +54,7 @@ __all__ = [
     "general_planar",
     "custom",
     "omega_matrix",
+    "planar_entries",
     "d_operator_values",
 ]
 
@@ -58,6 +62,16 @@ __all__ = [
 DELTA_KINDS = frozenset({"canonical", "constant-theta-f", "theta-f-field"})
 
 _ZERO = Const(0.0)
+
+#: the six planar bracket functions and the upper-triangle entry of each
+_PLANAR_ENTRIES = (
+    ("theta", (0, 1)),
+    ("f", (2, 3)),
+    ("g11", (0, 2)),
+    ("g12", (0, 3)),
+    ("g21", (1, 2)),
+    ("g22", (1, 3)),
+)
 
 
 class StructureError(ValueError):
@@ -123,7 +137,7 @@ class PoissonStructure:
     def dim(self) -> int:
         return 2 * self.n
 
-    @property
+    @cached_property
     def variable_names(self) -> tuple[str, ...]:
         return phase_variable_names(self.n)
 
@@ -133,13 +147,13 @@ class PoissonStructure:
             raise StructureError(
                 f"phase point must have length {self.dim}, got shape {x.shape}"
             )
-        if not np.all(np.isfinite(x)):
+        values = x.tolist()
+        if not all(map(math.isfinite, values)):
             raise StructureError("phase point has non-finite entries")
         env = dict(self.parameters)
         if extra:
             env.update(extra)
-        for name, value in zip(self.variable_names, x):
-            env[name] = float(value)
+        env.update(zip(self.variable_names, values))
         return env
 
     def entry_expression(self, a: int, b: int) -> Expression:
@@ -152,13 +166,29 @@ class PoissonStructure:
         return _ZERO if expr is _ZERO else Unary("neg", expr)
 
     # -- evaluation ----------------------------------------------------------
+    #
+    # Every point runs generated code (``expressions.compile``), built once
+    # per structure on first use.  Entries run in the tree walker's order
+    # and each falls back to the tree walker when its code raises, so
+    # errors, and which of them wins, are the tree walker's.
+
+    @cached_property
+    def _entry_values(self) -> list:
+        """Generated value code for each stored entry, in entry order."""
+        return [compile(expr) for expr in self.entries.values()]
+
+    @cached_property
+    def _entry_duals(self) -> list:
+        """Generated value-and-gradient code for each stored entry."""
+        names = self.variable_names
+        return [compile(expr, names) for expr in self.entries.values()]
 
     def theta_matrix(self, x) -> np.ndarray:
         """Numeric antisymmetric matrix Theta_ab(x)."""
         env = self.env_at(x)
+        values = [fn(env)[0] for fn in self._entry_values]
         m = np.zeros((self.dim, self.dim))
-        for (a, b), expr in self.entries.items():
-            v = evaluate(expr, env)
+        for (a, b), v in zip(self.entries, values):
             m[a, b] = v
             m[b, a] = -v
         return m
@@ -170,10 +200,6 @@ class PoissonStructure:
     def f_block(self, x) -> np.ndarray:
         """The n x n momentum-momentum block {p_i, p_j}."""
         return self.theta_matrix(x)[self.n :, self.n :]
-
-    def g_block(self, x) -> np.ndarray:
-        """The n x n mixed block {q_i, p_j}."""
-        return self.theta_matrix(x)[: self.n, self.n :]
 
     def bracket(self, a_expr, b_expr, x) -> float:
         """{A, B}(x) = Theta_ab dA/dx_a dB/dx_b."""
@@ -190,15 +216,14 @@ class PoissonStructure:
     def _entry_gradients(self, x):
         """Values and gradients of every Theta_ab at x, with antisymmetry."""
         env = self.env_at(x)
-        names = self.variable_names
+        duals = [fn(env) for fn in self._entry_duals]
         dim = self.dim
         m = np.zeros((dim, dim))
         grads = np.zeros((dim, dim, dim))
-        for (a, b), expr in self.entries.items():
-            v = evaluate(expr, env)
+        for (a, b), (v, g) in zip(self.entries, duals):
             m[a, b] = v
             m[b, a] = -v
-            g = np.array(gradient(expr, names, env))
+            g = np.array(g)
             grads[a, b] = g
             grads[b, a] = -g
         return m, grads
@@ -219,7 +244,7 @@ class PoissonStructure:
         if self.kind in DELTA_KINDS:
             identities = self._delta_kind_identities(x, m, grads)
         elif self.kind == "general-planar":
-            identities = self._planar_identities(x)
+            identities = _planar_identities(m, grads)
         return JacobiReport(generic_max=generic, identities=identities)
 
     def _delta_kind_identities(self, x, m, grads) -> dict[str, float]:
@@ -275,49 +300,21 @@ class PoissonStructure:
             ids["f_cyclic"] = f_cyc
         return ids
 
-    def _planar_identities(self, x) -> dict[str, float]:
-        th = self.entry_expression(0, 1)
-        f = self.entry_expression(2, 3)
-        g11 = self.entry_expression(0, 2)
-        g12 = self.entry_expression(0, 3)
-        g21 = self.entry_expression(1, 2)
-        g22 = self.entry_expression(1, 3)
-        d = {
-            name: d_operator_values(self, expr, x)
-            for name, expr in (
-                ("theta", th),
-                ("f", f),
-                ("g11", g11),
-                ("g12", g12),
-                ("g21", g21),
-                ("g22", g22),
-            )
-        }
-        return {
-            "theta_d3": abs(d["theta"][2] + d["g21"][0] + d["g11"][1]),
-            "theta_d4": abs(d["theta"][3] + d["g22"][0] + d["g12"][1]),
-            "f_d1": abs(d["f"][0] - d["g12"][2] + d["g11"][3]),
-            "f_d2": abs(d["f"][1] - d["g22"][2] + d["g21"][3]),
-        }
-
     def degeneracy(self, x) -> DegeneracyReport:
         """det Theta plus the kind-specific degeneracy measure."""
-        det = float(np.linalg.det(self.theta_matrix(x)))
+        return self.degeneracy_of(self.theta_matrix(x))
+
+    def degeneracy_of(self, m: np.ndarray) -> DegeneracyReport:
+        """:meth:`degeneracy` from a Theta matrix already built at the point."""
+        det = float(np.linalg.det(m))
         pairing = None
         planar = None
         if self.kind in DELTA_KINDS:
-            t = self.theta_block(x)
-            f = self.f_block(x)
-            pairing = float(np.max(np.abs(t @ f + np.eye(self.n))))
+            n = self.n
+            pairing = float(np.max(np.abs(m[:n, :n] @ m[n:, n:] + np.eye(n))))
         elif self.kind == "general-planar":
-            env = self.env_at(x)
-            theta = evaluate(self.entry_expression(0, 1), env)
-            field = evaluate(self.entry_expression(2, 3), env)
-            g = [
-                [evaluate(self.entry_expression(i, 2 + j), env) for j in (0, 1)]
-                for i in (0, 1)
-            ]
-            planar = theta * field - g[0][0] * g[1][1] + g[0][1] * g[1][0]
+            theta, field, g11, g12, g21, g22 = planar_entries(m)
+            planar = theta * field - g11 * g22 + g12 * g21
         return DegeneracyReport(
             det=det, inverse_pairing_residual=pairing, planar_condition=planar
         )
@@ -449,6 +446,40 @@ def omega_matrix(theta: float, f: float) -> np.ndarray:
     )
 
 
+def planar_entries(m: np.ndarray) -> tuple[float, ...]:
+    """(theta, f, g11, g12, g21, g22) read from a planar Theta matrix."""
+    return tuple(m.item(key) for _, key in _PLANAR_ENTRIES)
+
+
+def _d_operators(theta, f, g11, g12, g21, g22, partials) -> tuple[float, ...]:
+    """D1..D4 (see :func:`d_operator_values`) from the entry values and the
+    partials (d/dq1, d/dq2, d/dp1, d/dp2) of the target function."""
+    eq1, eq2, ep1, ep2 = partials
+    return (
+        -theta * eq2 - g11 * ep1 - g12 * ep2,
+        -theta * eq1 + g21 * ep1 + g22 * ep2,
+        -f * ep2 + g11 * eq1 + g21 * eq2,
+        f * ep1 + g12 * eq1 + g22 * eq2,
+    )
+
+
+def _planar_identities(m: np.ndarray, grads: np.ndarray) -> dict[str, float]:
+    """The four general-planar Jacobi identities, each a sum of D operators
+    applied to the bracket functions, from the values and gradients of
+    :meth:`PoissonStructure._entry_gradients`."""
+    values = planar_entries(m)
+    d = {
+        name: _d_operators(*values, grads[key].tolist())
+        for name, key in _PLANAR_ENTRIES
+    }
+    return {
+        "theta_d3": abs(d["theta"][2] + d["g21"][0] + d["g11"][1]),
+        "theta_d4": abs(d["theta"][3] + d["g22"][0] + d["g12"][1]),
+        "f_d1": abs(d["f"][0] - d["g12"][2] + d["g11"][3]),
+        "f_d2": abs(d["f"][1] - d["g22"][2] + d["g21"][3]),
+    }
+
+
 def d_operator_values(structure: PoissonStructure, expr, x) -> np.ndarray:
     """Values of the four planar first-order operators applied to ``expr``.
 
@@ -467,18 +498,8 @@ def d_operator_values(structure: PoissonStructure, expr, x) -> np.ndarray:
         raise StructureError("the D operators are defined for planar structures")
     expr = as_expression(expr)
     env = structure.env_at(x)
-    theta = evaluate(structure.entry_expression(0, 1), env)
-    f = evaluate(structure.entry_expression(2, 3), env)
-    g11 = evaluate(structure.entry_expression(0, 2), env)
-    g12 = evaluate(structure.entry_expression(0, 3), env)
-    g21 = evaluate(structure.entry_expression(1, 2), env)
-    g22 = evaluate(structure.entry_expression(1, 3), env)
-    eq1, eq2, ep1, ep2 = gradient(expr, structure.variable_names, env)
-    return np.array(
-        [
-            -theta * eq2 - g11 * ep1 - g12 * ep2,
-            -theta * eq1 + g21 * ep1 + g22 * ep2,
-            -f * ep2 + g11 * eq1 + g21 * eq2,
-            f * ep1 + g12 * eq1 + g22 * eq2,
-        ]
-    )
+    values = [
+        evaluate(structure.entry_expression(a, b), env) for _, (a, b) in _PLANAR_ENTRIES
+    ]
+    partials = gradient(expr, structure.variable_names, env)
+    return np.array(_d_operators(*values, partials))

@@ -79,14 +79,32 @@ def _require(obj: dict, key: str, kind, path: str):
     return value
 
 
-def _scalar(raw: dict, key: str, convert, default):
-    """``convert`` applied to an optional top-level value, as a config error
-    when it does not apply."""
-    value = raw.get(key, default)
+def _convert(value, convert, path: str):
+    """``convert(value)``, as a config error at ``path`` when it does not apply."""
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"$.{key}", f"cannot read {value!r} as {convert.__name__}") from None
+        raise ConfigError(path, f"cannot read {value!r} as {convert.__name__}") from None
+
+
+def _scalar(block: dict, key: str, convert, default, path: str = "$"):
+    """``convert`` applied to an optional value of a config block."""
+    return _convert(block.get(key, default), convert, f"{path}.{key}")
+
+
+def _numbers(values, path: str) -> list[float]:
+    """A config list read as floats."""
+    if not isinstance(values, list):
+        raise ConfigError(path, f"expected a list, got {type(values).__name__}")
+    return [_convert(v, float, f"{path}[{i}]") for i, v in enumerate(values)]
+
+
+def _state(block: dict, key: str, dim: int, path: str) -> list[float]:
+    """A required phase-space point of length ``dim``."""
+    values = _numbers(_require(block, key, list, path), f"{path}.{key}")
+    if len(values) != dim:
+        raise ConfigError(f"{path}.{key}", f"expected {dim} numbers, got {len(values)}")
+    return values
 
 
 def _check_integrator(dt: float, t_end: float, method) -> None:
@@ -210,8 +228,7 @@ def load_config(path) -> RunConfig:
     # eager checks of the remaining expression-bearing blocks
     if "hamiltonian" in raw:
         _parse_expr(raw["hamiltonian"], "$.hamiltonian")
-    for i, flt in enumerate(raw.get("cloud", {}).get("filters", [])):
-        _parse_expr(flt.get("expr", ""), f"$.cloud.filters[{i}].expr")
+    _filters_from_config(raw.get("cloud", {}), "$.cloud")
 
     seed = _scalar(raw, "seed", int, 0)
     if seed < 0:
@@ -232,34 +249,31 @@ def load_config(path) -> RunConfig:
 # Clouds and filters
 
 
-def _cloud_filters(cfg_block: dict, path: str):
+def _filters_from_config(block: dict, path: str) -> list[hg.DomainFilter]:
+    """The ``filters`` list of a cloud or grid block: each entry an
+    ``expr`` with an optional ``min_abs`` and ``min`` bound."""
+    entries = block.get("filters", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"{path}.filters", "expected a list of filters")
     filters = []
-    for i, flt in enumerate(cfg_block.get("filters", [])):
-        expr = _parse_expr(flt.get("expr"), f"{path}.filters[{i}].expr")
-        filters.append((expr, flt.get("min_abs"), flt.get("min")))
+    for i, flt in enumerate(entries):
+        where = f"{path}.filters[{i}]"
+        if not isinstance(flt, dict):
+            raise ConfigError(where, "expected an object with an expr")
+        expr = _parse_expr(flt.get("expr"), f"{where}.expr")
+        min_abs, minimum = (
+            None if flt.get(key) is None else _require(flt, key, float, where)
+            for key in ("min_abs", "min")
+        )
+        filters.append(hg.DomainFilter(expr, min_abs=min_abs, minimum=minimum))
     return filters
-
-
-def _admits(filters, env) -> bool:
-    from .expressions import evaluate
-
-    for expr, min_abs, minimum in filters:
-        try:
-            v = evaluate(expr, env)
-        except DomainError:
-            return False
-        if min_abs is not None and abs(v) < min_abs:
-            return False
-        if minimum is not None and v < minimum:
-            return False
-    return True
 
 
 def sample_cloud(cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
     """Seeded random phase-space cloud honoring the config's ranges and
     domain filters."""
     block = cfg.raw.get("cloud", {})
-    count = int(block.get("count", 100))
+    count = _scalar(block, "count", int, 100, "$.cloud")
     ranges = block.get("ranges", {})
     names = cfg.structure.variable_names
     lo = np.empty(len(names))
@@ -267,7 +281,7 @@ def sample_cloud(cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
     for i, name in enumerate(names):
         pair = ranges.get(name, (-1.5, 1.5))
         lo[i], hi[i] = float(pair[0]), float(pair[1])
-    filters = _cloud_filters(block, "$.cloud")
+    filters = _filters_from_config(block, "$.cloud")
     points = []
     attempts = 0
     env = dict(cfg.parameters)
@@ -280,7 +294,7 @@ def sample_cloud(cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
         x = lo + (hi - lo) * rng.random(len(names))
         for name, v in zip(names, x):
             env[name] = float(v)
-        if _admits(filters, env):
+        if all(f.admits(env) for f in filters):
             points.append(x)
     return np.array(points)
 
@@ -402,7 +416,7 @@ def _cmd_integrate(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
         raise ConfigError("$.structure", "integrate needs a structure")
     ham = _require(cfg.raw, "hamiltonian", str, "$")
     integ = _require(cfg.raw, "integrator", dict, "$")
-    x0 = _require(cfg.raw, "initial_state", list, "$")
+    x0 = _state(cfg.raw, "initial_state", structure.dim, "$")
     dt = _require(integ, "dt", float, "$.integrator")
     t_end = _require(integ, "t_end", float, "$.integrator")
     method = integ.get("method", "rk4")
@@ -410,7 +424,7 @@ def _cmd_integrate(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
     problem = FlowProblem(
         structure,
         _parse_expr(ham, "$.hamiltonian"),
-        [float(v) for v in x0],
+        x0,
         dt,
         t_end,
         method,
@@ -442,13 +456,10 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
         raise ConfigError("$.structure", "reduce needs a structure")
     block = cfg.raw.get("reduction", {})
     n = structure.n
-    reference = block.get("reference_point")
-    if reference is None:
-        raise ConfigError("$.reduction.reference_point", "missing required key")
-    reference = np.array([float(v) for v in reference])
+    reference = np.array(_state(block, "reference_point", structure.dim, "$.reduction"))
 
     if structure.kind in ("canonical", "constant-theta-f", "theta-f-field"):
-        count = int(block.get("surface_points", 200))
+        count = _scalar(block, "surface_points", int, 200, "$.reduction")
         ranges = block.get("surface_parameter_ranges", {})
         p_pts = np.empty((count, n))
         for j in range(n):
@@ -515,13 +526,14 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
 
 def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     block = cfg.raw.get("sweep", {})
-    theta = float(block.get("theta", 1.0))
-    epsilons = [float(e) for e in block.get("epsilons", [1e-1, 1e-2, 1e-3, 1e-4])]
+    theta = _scalar(block, "theta", float, 1.0, "$.sweep")
+    epsilons = _numbers(block.get("epsilons", [1e-1, 1e-2, 1e-3, 1e-4]), "$.sweep.epsilons")
     ham = _require(cfg.raw, "hamiltonian", str, "$")
-    x0 = [float(v) for v in _require(cfg.raw, "initial_state", list, "$")]
+    # the swept structures are planar
+    x0 = _state(cfg.raw, "initial_state", 4, "$")
     integ = cfg.raw.get("integrator", {})
-    dt = float(integ.get("dt", 1e-3))
-    t_end = float(integ.get("t_end", 10.0))
+    dt = _scalar(integ, "dt", float, 1e-3, "$.integrator")
+    t_end = _scalar(integ, "t_end", float, 10.0, "$.integrator")
     method = integ.get("method", "rk4")
     _check_integrator(dt, t_end, method)
     sweep = red.epsilon_sweep(
@@ -557,16 +569,11 @@ def _grid_from_config(block: dict, kind: str, path: str) -> hg.Grid2D:
     grid_cfg = _require(block, "grid", dict, path)
     x_lo, x_hi, nx = _grid_axis(grid_cfg, "x", f"{path}.grid")
     y_lo, y_hi, ny = _grid_axis(grid_cfg, "y", f"{path}.grid")
-    filters = list(hg.default_filters(kind, band=float(grid_cfg.get("band", 1e-3))))
-    for i, flt in enumerate(grid_cfg.get("filters", [])):
-        filters.append(
-            hg.DomainFilter(
-                _parse_expr(flt.get("expr"), f"{path}.grid.filters[{i}].expr"),
-                min_abs=flt.get("min_abs"),
-                minimum=flt.get("min"),
-            )
-        )
-    return hg.Grid2D((x_lo, x_hi), (y_lo, y_hi), nx, ny, tuple(filters))
+    filters = (
+        *hg.default_filters(kind, band=float(grid_cfg.get("band", 1e-3))),
+        *_filters_from_config(grid_cfg, f"{path}.grid"),
+    )
+    return hg.Grid2D((x_lo, x_hi), (y_lo, y_hi), nx, ny, filters)
 
 
 # physical-dimension tags per family parameter; report labels only, the
@@ -655,7 +662,10 @@ def run(command: str, cfg: RunConfig, out_dir, seed=None, tol=None) -> RunReport
     if command not in _COMMAND_TABLE:
         raise ConfigError("$", f"unknown command {command!r}")
     if seed is not None:
-        cfg.seed = int(seed)
+        seed = int(seed)
+        if seed < 0:
+            raise ConfigError("--seed", "seed must be non-negative")
+        cfg.seed = seed
     if tol is not None:
         cfg.tol = float(tol)
     out_dir = Path(out_dir)

@@ -17,7 +17,13 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .brackets import DELTA_KINDS, PoissonStructure, StructureError, d_operator_values
+from .brackets import (
+    DELTA_KINDS,
+    PoissonStructure,
+    StructureError,
+    d_operator_values,
+    planar_entries,
+)
 # ``parse`` stays bound here: perfbench/tracing.py wraps it under this name
 from .expressions import (  # noqa: F401
     EVALUATION_ERRORS,
@@ -427,8 +433,9 @@ def vanishing_combinations(structure: PoissonStructure, hamiltonian, x) -> dict[
     n = structure.n
     out: dict[str, float] = {}
     if structure.kind in DELTA_KINDS:
-        t = structure.theta_block(x)
-        f = structure.f_block(x)
+        theta = structure.theta_matrix(x)
+        t = theta[:n, :n]
+        f = theta[n:, n:]
         qdot = xdot[:n]
         pdot = xdot[n:]
         for m in range(n):
@@ -436,15 +443,7 @@ def vanishing_combinations(structure: PoissonStructure, hamiltonian, x) -> dict[
             out[f"pdot_minus_f_qdot_{m + 1}"] = float(pdot[m] - f[m] @ qdot)
         return out
     if structure.kind == "general-planar":
-        env = structure.env_at(x)
-        from .expressions import evaluate
-
-        theta = evaluate(structure.entry_expression(0, 1), env)
-        fv = evaluate(structure.entry_expression(2, 3), env)
-        g11 = evaluate(structure.entry_expression(0, 2), env)
-        g12 = evaluate(structure.entry_expression(0, 3), env)
-        g21 = evaluate(structure.entry_expression(1, 2), env)
-        g22 = evaluate(structure.entry_expression(1, 3), env)
+        theta, fv, g11, g12, g21, g22 = planar_entries(structure.theta_matrix(x))
         dq1, dq2, dp1, dp2 = xdot
         out["f_q1"] = fv * dq1 - g12 * dp1 + g11 * dp2
         out["f_q2"] = fv * dq2 - g22 * dp1 + g21 * dp2

@@ -11,8 +11,11 @@ Two evaluators apply the same dual-number rules.  The tree walker
 and walks the tree once per variable; it is the reference and the error
 reporter.  ``compile`` unrolls those rules into generated straight-line
 code that returns the value and every partial in one pass, bit for bit
-equal to the tree walker; the flow hot paths (velocity, monitor pass,
-reduced flow) run it and rerun the tree walker whenever it raises.
+equal to the tree walker.  The hot paths run it, compiled once per
+structure, family, filter or flow, and rerun the tree walker whenever it
+raises: the flow (velocity, monitor pass, reduced flow) and the survey
+(bracket matrices, Jacobi and degeneracy checks, surface solves, domain
+filters, hodograph families and generators).
 
 Grammar::
 

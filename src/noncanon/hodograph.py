@@ -19,15 +19,18 @@ f = 1/theta = -p2/q1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .expressions import (
+    EVALUATION_ERRORS,
     DomainError,
     Expression,
     Name,
     as_expression,
+    compile,
     derivative,
     evaluate,
     parse,
@@ -52,6 +55,16 @@ __all__ = [
 
 FAMILY_KINDS = ("linear", "log", "loglog", "custom-fg")
 
+# Grid points, families and generators run generated code
+# (``expressions.compile``), built once per filter or family on first use.
+# Generated code falls back to the tree walker when it raises; where the
+# tree walker would take values and partials in another order, the point
+# is redone on the tree path, so errors, and which of them wins, are the
+# tree walker's.
+
+_XY = ("x", "y")
+_S = ("s",)
+
 
 class HodographError(RuntimeError):
     pass
@@ -69,9 +82,14 @@ class DomainFilter:
     min_abs: float | None = None
     minimum: float | None = None
 
+    @cached_property
+    def _value(self) -> Callable:
+        """Generated value code for ``expr``."""
+        return compile(self.expr)
+
     def admits(self, env: Mapping[str, float]) -> bool:
         try:
-            v = evaluate(self.expr, env)
+            v = self._value(env)[0]
         except DomainError:
             return False
         if self.min_abs is not None and abs(v) < self.min_abs:
@@ -145,17 +163,29 @@ class HodographFamily:
     g_expr: Expression | None = None
     quad_tol: float = 1e-10
     _solver: Callable | None = field(default=None, repr=False)
+    # (field name, variables) -> (the tree it was built from, generated code)
+    _code: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def closed_form(self) -> bool:
         return self.u_expr is not None
+
+    def _compiled(self, name: str, variables: tuple[str, ...] = ()) -> Callable:
+        """Generated code for the expression in field ``name``, built on
+        first use and rebuilt whenever the field is reassigned."""
+        expr = getattr(self, name)
+        built = self._code.get((name, variables))
+        if built is None or built[0] is not expr:
+            built = (expr, compile(expr, variables))
+            self._code[(name, variables)] = built
+        return built[1]
 
     def evaluate_uv(self, x: float, y: float) -> tuple[float, float]:
         if self.closed_form:
             env = dict(self.parameters)
             env["x"] = float(x)
             env["y"] = float(y)
-            return evaluate(self.u_expr, env), evaluate(self.v_expr, env)
+            return self._compiled("u_expr")(env)[0], self._compiled("v_expr")(env)[0]
         return self._solver(float(x), float(y))
 
 
@@ -274,30 +304,32 @@ class _GeneratorSolver:
         self.family = family
         self.env = dict(family.parameters)
 
-    def _gen(self, expr, s):
+    # generators are named by their family field, "f_expr" or "g_expr"
+
+    def _gen(self, name, s):
         env = self.env
         env["s"] = s
-        return evaluate(expr, env)
+        return self.family._compiled(name)(env)[0]
 
-    def _gen_prime(self, expr, s):
+    def _gen_prime(self, name, s):
         env = self.env
         env["s"] = s
-        return derivative(expr, "s", env)
+        try:
+            return self.family._compiled(name, _S)(env)[1][0]
+        except EVALUATION_ERRORS:
+            # the generated code takes the value first; the tree walker
+            # takes only the slope, and its error wins
+            return derivative(getattr(self.family, name), "s", env)
 
-    def _antiderivative(self, expr, upper):
-        # int_0^upper s * d(expr)/ds ds
+    def _antiderivative(self, name, upper):
+        # int_0^upper s * d(generator)/ds ds
         return adaptive_simpson(
-            lambda s: s * self._gen_prime(expr, s), 0.0, upper, self.family.quad_tol
+            lambda s: s * self._gen_prime(name, s), 0.0, upper, self.family.quad_tol
         )
 
     def residual(self, u, v, x, y):
-        fam = self.family
-        rx = self._gen(fam.f_expr, u) + self._gen(fam.g_expr, v) - x
-        ry = (
-            -self._antiderivative(fam.f_expr, u)
-            - self._antiderivative(fam.g_expr, v)
-            - y
-        )
+        rx = self._gen("f_expr", u) + self._gen("g_expr", v) - x
+        ry = -self._antiderivative("f_expr", u) - self._antiderivative("g_expr", v) - y
         return rx, ry
 
     def __call__(self, x: float, y: float) -> tuple[float, float]:
@@ -319,13 +351,12 @@ class _GeneratorSolver:
         )
 
     def _newton(self, u, v, x, y, tol=1e-11, max_iter=60):
-        fam = self.family
         for _ in range(max_iter):
             rx, ry = self.residual(u, v, x, y)
             if abs(rx) <= tol and abs(ry) <= tol:
                 return u, v
-            fu = self._gen_prime(fam.f_expr, u)
-            gv = self._gen_prime(fam.g_expr, v)
+            fu = self._gen_prime("f_expr", u)
+            gv = self._gen_prime("g_expr", v)
             # jacobian of (rx, ry) with respect to (u, v)
             j11, j12 = fu, gv
             j21, j22 = -u * fu, -v * gv
@@ -353,7 +384,7 @@ def inverse_map_from_generators(f, g, parameters=None, quad_tol: float = 1e-10):
     solver = _GeneratorSolver(family)
 
     def y_fn(u: float, v: float) -> float:
-        return -solver._antiderivative(f_expr, u) - solver._antiderivative(g_expr, v)
+        return -solver._antiderivative("f_expr", u) - solver._antiderivative("g_expr", v)
 
     return x_expr, y_fn
 
@@ -369,12 +400,17 @@ def _field_partials(family: HodographFamily, x: float, y: float, h: float = 1e-6
         env = dict(family.parameters)
         env["x"] = x
         env["y"] = y
-        u = evaluate(family.u_expr, env)
-        v = evaluate(family.v_expr, env)
-        ux = derivative(family.u_expr, "x", env)
-        uy = derivative(family.u_expr, "y", env)
-        vx = derivative(family.v_expr, "x", env)
-        vy = derivative(family.v_expr, "y", env)
+        try:
+            u, (ux, uy) = family._compiled("u_expr", _XY)(env)
+            v, (vx, vy) = family._compiled("v_expr", _XY)(env)
+        except EVALUATION_ERRORS:
+            # the tree walker takes both values before any partial
+            u = evaluate(family.u_expr, env)
+            v = evaluate(family.v_expr, env)
+            ux = derivative(family.u_expr, "x", env)
+            uy = derivative(family.u_expr, "y", env)
+            vx = derivative(family.v_expr, "x", env)
+            vy = derivative(family.v_expr, "y", env)
         return u, v, ux, uy, vx, vy
     hx = h * max(1.0, abs(x))
     hy = h * max(1.0, abs(y))

@@ -22,6 +22,8 @@ from .brackets import (
     PoissonStructure,
     StructureError,
     constant_theta_f,
+    entry_label,
+    planar_entries,
 )
 from .dynamics import FlowProblem, _rk4_step, integrate
 # ``parse`` stays bound here: perfbench/tracing.py wraps it under this name
@@ -36,6 +38,7 @@ from .expressions import (  # noqa: F401
     derivative,
     evaluate,
     free_names,
+    gradient,
     parse,
     substitute,
 )
@@ -272,13 +275,17 @@ def check_reduction(
     condition_max = 0.0
     det_max = 0.0
     admissible = []
+    # the bracket matrix at each admissible point, read by the checks below
+    thetas = []
     for x in points:
-        report = structure.degeneracy(x)
+        m = structure.theta_matrix(x)
+        report = structure.degeneracy_of(m)
         c = _point_condition(structure, report)
         condition_max = max(condition_max, c)
         det_max = max(det_max, abs(report.det))
         if c <= tol:
             admissible.append(x)
+            thetas.append(m)
 
     key = (
         "inverse_pairing"
@@ -300,12 +307,8 @@ def check_reduction(
                 "nonconstant; only the product ratio theta*f/(g11*g22) is checked"
             )
             ratio_max = 0.0
-            for x in admissible:
-                env = structure.env_at(x)
-                theta = evaluate(structure.entry_expression(0, 1), env)
-                fv = evaluate(structure.entry_expression(2, 3), env)
-                g11 = evaluate(structure.entry_expression(0, 2), env)
-                g22 = evaluate(structure.entry_expression(1, 3), env)
+            for m in thetas:
+                theta, fv, g11, _, _, g22 = planar_entries(m)
                 ratio_max = max(ratio_max, abs(theta * fv / (g11 * g22) - 1.0))
             condition_residuals["product_ratio_minus_one"] = ratio_max
 
@@ -324,29 +327,23 @@ def check_reduction(
     reference = sample.reference if sample is not None else admissible[0]
 
     entry_spreads: dict[str, float] = {}
-    names = structure.variable_names
-    from .brackets import entry_label
+    names = set(structure.variable_names)
 
     theta_red = None
     spread = None
     check_spread = constancy_implied is not False
     if check_spread:
         for (a, b), expr in sorted(structure.entries.items()):
-            if free_names(expr) & set(names):
-                values = [evaluate(expr, structure.env_at(x)) for x in admissible]
-            else:
-                values = [evaluate(expr, structure.env_at(admissible[0]))]
+            varying = thetas if free_names(expr) & names else thetas[:1]
+            values = [m[a, b] for m in varying]
             entry_spreads[entry_label(structure.n, a, b)] = float(
                 max(values) - min(values)
             )
         if structure.n >= 2 and (
             (0, 1) in structure.entries or structure.kind in DELTA_KINDS
         ):
-            theta_expr = structure.entry_expression(0, 1)
-            theta_red = float(evaluate(theta_expr, structure.env_at(reference)))
-            theta_values = [
-                evaluate(theta_expr, structure.env_at(x)) for x in admissible
-            ]
+            theta_red = float(structure.theta_matrix(reference)[0, 1])
+            theta_values = [m[0, 1] for m in thetas]
             spread = float(max(theta_values) - min(theta_values))
 
     constants = None
@@ -393,13 +390,13 @@ def _exchange_relation_residuals(
                 jac[:, s] = (q_plus - q_minus) / (2.0 * h)
         except (FixedPointError, DomainError):
             continue
-        theta = structure.theta_block(x)
-        worst_theta = max(worst_theta, float(np.max(np.abs(jac + theta))))
+        theta = structure.theta_matrix(x)
+        worst_theta = max(worst_theta, float(np.max(np.abs(jac + theta[:n, :n]))))
         try:
             inv = np.linalg.inv(jac)
         except np.linalg.LinAlgError:
             continue
-        worst_f = max(worst_f, float(np.max(np.abs(inv - structure.f_block(x)))))
+        worst_f = max(worst_f, float(np.max(np.abs(inv - theta[n:, n:]))))
         count += 1
     if count == 0:
         return {"dq_dp_plus_theta": np.nan, "dp_dq_minus_f": np.nan}
@@ -414,21 +411,28 @@ def total_variation_residual(structure: PoissonStructure, x) -> dict[str, float]
     entries; all vanish at points where the transport constraints hold."""
     _require_delta_kind(structure, "total variation residuals")
     n = structure.n
-    env = structure.env_at(x)
-    names = structure.variable_names
-    fb = structure.f_block(x)
-    tb = structure.theta_block(x)
+    # the theta and f entries; the mixed ones are never differentiated
+    keys = [(a, b) for a, b in sorted(structure.entries) if (a < n) == (b < n)]
+    try:
+        theta, grads = structure._entry_gradients(x)
+        partials = [grads[key] for key in keys]
+    except EVALUATION_ERRORS:
+        # the tree walker's order: every entry value, then the partials
+        theta = structure.theta_matrix(x)
+        env = structure.env_at(x)
+        names = structure.variable_names
+        partials = [gradient(structure.entries[key], names, env) for key in keys]
+    tb = theta[:n, :n]
+    fb = theta[n:, n:]
     out: dict[str, float] = {}
-    for (a, b), expr in sorted(structure.entries.items()):
-        if a < n and b < n:
-            grads = [derivative(expr, nm, env) if nm in free_names(expr) else 0.0 for nm in names]
+    for (a, b), g in zip(keys, partials):
+        if a < n:
             for l in range(n):
-                r = grads[l] + sum(fb[s, l] * grads[n + s] for s in range(n))
+                r = g[l] + sum(fb[s, l] * g[n + s] for s in range(n))
                 out[f"theta_{a+1}{b+1}_dq{l+1}"] = abs(r)
-        elif a >= n and b >= n:
-            grads = [derivative(expr, nm, env) if nm in free_names(expr) else 0.0 for nm in names]
+        else:
             for l in range(n):
-                r = grads[n + l] - sum(tb[s, l] * grads[s] for s in range(n))
+                r = g[n + l] - sum(tb[s, l] * g[s] for s in range(n))
                 out[f"f_{a-n+1}{b-n+1}_dp{l+1}"] = abs(r)
     return out
 
