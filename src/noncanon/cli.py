@@ -107,14 +107,29 @@ def _state(block: dict, key: str, dim: int, path: str) -> list[float]:
     return values
 
 
-def _check_integrator(dt: float, t_end: float, method) -> None:
-    """The step settings a flow accepts, checked against the config."""
+def _check_integrator(dt: float, t_end: float, method="rk4", path="$.integrator") -> None:
+    """The step settings a flow accepts, checked against the config block
+    at ``path``."""
     if not dt > 0:
-        raise ConfigError("$.integrator.dt", "dt must be positive")
+        raise ConfigError(f"{path}.dt", "dt must be positive")
     if not t_end > dt:
-        raise ConfigError("$.integrator.t_end", "t_end must exceed dt")
+        raise ConfigError(f"{path}.t_end", "t_end must exceed dt")
     if method not in ("rk4", "midpoint"):
-        raise ConfigError("$.integrator.method", f"unknown method {method!r}")
+        raise ConfigError(f"{path}.method", f"unknown method {method!r}")
+
+
+def _ranges(block: dict, names, default: list, path: str) -> list[list[float]]:
+    """``[low, high]`` per name from an optional ``{name: [low, high]}``
+    block at ``path``, ``default`` where a name is missing."""
+    if not isinstance(block, dict):
+        raise ConfigError(path, f"expected an object, got {type(block).__name__}")
+    out = []
+    for name in names:
+        pair = _numbers(block.get(name, default), f"{path}.{name}")
+        if len(pair) != 2:
+            raise ConfigError(f"{path}.{name}", f"expected [low, high], got {len(pair)} numbers")
+        out.append(pair)
+    return out
 
 
 def _parse_expr(source, path: str):
@@ -274,13 +289,10 @@ def sample_cloud(cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
     domain filters."""
     block = cfg.raw.get("cloud", {})
     count = _scalar(block, "count", int, 100, "$.cloud")
-    ranges = block.get("ranges", {})
     names = cfg.structure.variable_names
-    lo = np.empty(len(names))
-    hi = np.empty(len(names))
-    for i, name in enumerate(names):
-        pair = ranges.get(name, (-1.5, 1.5))
-        lo[i], hi[i] = float(pair[0]), float(pair[1])
+    lo, hi = np.array(
+        _ranges(block.get("ranges", {}), names, [-1.5, 1.5], "$.cloud.ranges")
+    ).T
     filters = _filters_from_config(block, "$.cloud")
     points = []
     attempts = 0
@@ -458,13 +470,27 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     n = structure.n
     reference = np.array(_state(block, "reference_point", structure.dim, "$.reduction"))
 
+    spectrum = block.get("spectrum", False)
+    if spectrum:
+        n_max = _scalar(block, "n_max", int, 5, "$.reduction")
+        dt = _scalar(block, "dt", float, 1e-3, "$.reduction")
+        t_end = _scalar(block, "t_end", float, 10.0, "$.reduction")
+        _check_integrator(dt, t_end, path="$.reduction")
+        constants = block.get("constants")
+        if constants is not None:
+            constants = _numbers(constants, "$.reduction.constants")
+
     if structure.kind in ("canonical", "constant-theta-f", "theta-f-field"):
         count = _scalar(block, "surface_points", int, 200, "$.reduction")
-        ranges = block.get("surface_parameter_ranges", {})
+        ranges = _ranges(
+            block.get("surface_parameter_ranges", {}),
+            [f"p{j + 1}" for j in range(n)],
+            [0.8, 1.6],
+            "$.reduction.surface_parameter_ranges",
+        )
         p_pts = np.empty((count, n))
-        for j in range(n):
-            pair = ranges.get(f"p{j + 1}", (0.8, 1.6))
-            p_pts[:, j] = pair[0] + (pair[1] - pair[0]) * rng.random(count)
+        for j, (lo, hi) in enumerate(ranges):
+            p_pts[:, j] = lo + (hi - lo) * rng.random(count)
         cloud = red.surface_cloud(structure, reference, p_pts)
         points = cloud.points
     else:
@@ -495,19 +521,12 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
         )
         artifacts.append("surface_points.csv")
 
-    if report.reduced and "hamiltonian" in cfg.raw and block.get("spectrum", False):
+    if report.reduced and "hamiltonian" in cfg.raw and spectrum:
         ham = _parse_expr(cfg.raw["hamiltonian"], "$.hamiltonian")
-        constants = block.get("constants")
         system = red.build_reduced(
-            structure,
-            ham,
-            constants=None if constants is None else [float(c) for c in constants],
-            reference=reference,
-            tol=cfg.tol,
+            structure, ham, constants=constants, reference=reference, tol=cfg.tol
         )
-        spec_rep = red.spectrum_and_frequency(system, int(block.get("n_max", 5)))
-        dt = float(block.get("dt", 1e-3))
-        t_end = float(block.get("t_end", 10.0))
+        spec_rep = red.spectrum_and_frequency(system, n_max)
         times, qs = red.integrate_reduced(system, system.reference, dt, t_end)
         from .dynamics import zero_crossing_frequency
 
@@ -569,8 +588,9 @@ def _grid_from_config(block: dict, kind: str, path: str) -> hg.Grid2D:
     grid_cfg = _require(block, "grid", dict, path)
     x_lo, x_hi, nx = _grid_axis(grid_cfg, "x", f"{path}.grid")
     y_lo, y_hi, ny = _grid_axis(grid_cfg, "y", f"{path}.grid")
+    band = _scalar(grid_cfg, "band", float, 1e-3, f"{path}.grid")
     filters = (
-        *hg.default_filters(kind, band=float(grid_cfg.get("band", 1e-3))),
+        *hg.default_filters(kind, band=band),
         *_filters_from_config(grid_cfg, f"{path}.grid"),
     )
     return hg.Grid2D((x_lo, x_hi), (y_lo, y_hi), nx, ny, filters)
@@ -590,7 +610,12 @@ def _cmd_hodograph(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
     if block is None:
         raise ConfigError("$.hodograph", "missing required key")
     kind = _require(block, "kind", str, "$.hodograph")
-    params = {k: float(v) for k, v in block.get("parameters", {}).items()}
+    parameters = block.get("parameters", {})
+    if not isinstance(parameters, dict):
+        raise ConfigError("$.hodograph.parameters", "expected an object of name -> number")
+    params = {
+        k: _convert(v, float, f"$.hodograph.parameters.{k}") for k, v in parameters.items()
+    }
     branch = block.get("branch", "+")
     family = hg.build_family(
         kind,
@@ -633,7 +658,8 @@ def _cmd_hodograph(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
 
     alphas = block.get("alphas")
     if alphas:
-        sweep = hg.limit_sweep(kind, params, [float(a) for a in alphas], grid, branch)
+        alphas = _numbers(alphas, "$.hodograph.alphas")
+        sweep = hg.limit_sweep(kind, params, alphas, grid, branch)
         results["sweep"] = sweep.to_json_dict()
         header = ["alpha", "max_dev_u", "max_dev_v", "max_u_minus_v", "fitted_order"]
         rows = [

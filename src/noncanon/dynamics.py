@@ -8,10 +8,20 @@ combinations c_m = q_m + theta_mn p_n that freeze in the degenerate
 limit.  No inversion of Theta is ever needed, so exactly singular
 structures integrate like any other; a warning is attached when the
 trajectory runs through a numerically degenerate region.
+
+Each flow runs two pieces of code generated for it on Python floats: one
+straight-line step (four RK4 stages and their combination, or the velocity
+that the implicit midpoint iterates) and one monitor row (every monitor and
+every stored bracket entry at a state).  The tree walker (``_Velocity``,
+``_reference_row``) stays the reference: it redoes any step or row whose
+generated code raises, and is bit-identical where the generated code
+succeeds.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -31,6 +41,7 @@ from .expressions import (  # noqa: F401
     Dual,
     Expression,
     Name,
+    _Codegen,
     _eval,
     as_expression,
     compile,
@@ -64,7 +75,7 @@ class IntegrationError(RuntimeError):
 
 class _Velocity:
     """Callable Theta(x) grad H(x) by tree walking, with a reused
-    evaluation environment; the reference for :class:`_CompiledVelocity`."""
+    evaluation environment; the reference for :func:`_generate_step`."""
 
     def __init__(self, structure: PoissonStructure, hamiltonian: Expression):
         self.structure = structure
@@ -102,31 +113,59 @@ class _Velocity:
         return out
 
 
-class _CompiledVelocity:
-    """Theta(x) grad H(x) from generated code, accumulated in the order of
-    :class:`_Velocity`.  A call whose generated code raises is rerun by
-    ``_Velocity``, so errors, and which of them wins, are the tree walker's."""
+def _generate_step(
+    structure: PoissonStructure, hamiltonian: Expression, method: str
+) -> Callable:
+    """Generated code for one step of ``method`` on Python floats.
 
-    def __init__(self, structure: PoissonStructure, hamiltonian: Expression):
-        self.reference = _Velocity(structure, hamiltonian)
-        self.names = structure.variable_names
-        self.env = dict(structure.parameters)
-        self.hamiltonian = compile(hamiltonian, self.names)
-        self.entries = [(a, b, compile(e)) for (a, b), e in structure.entries.items()]
+    For ``"rk4"`` the result is ``step(x, dt) -> tuple``, one straight-line
+    function of four velocity stages and the RK4 combination; for
+    ``"midpoint"`` it is one velocity stage, ``velocity(x) -> tuple``, which
+    :func:`_midpoint_step` iterates.  Each stage binds the phase-space names
+    to its state's locals, and parameters are loaded once per call.  Every
+    float operation keeps the operands and their order of
+    :class:`_Velocity` (entries accumulated in ``structure.entries`` order,
+    ``0.0 + v*grad[b]`` then ``- v*grad[a]``) and of :func:`_rk4_step`, so
+    a call that succeeds is bit-identical to the tree walker.  The code
+    does not fall back: the caller redoes a raising step on the tree walker.
+    """
+    names = structure.variable_names
+    entries = list(structure.entries.items())
+    gen = _Codegen(names)
+    gen.namespace["env"] = structure.parameters
+    x = [f"x{i}" for i in range(len(names))]
+    gen.lines.append(f"{', '.join(x)}, = x")
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        env = self.env
-        env.update(zip(self.names, x.tolist()))
-        try:
-            grad = self.hamiltonian(env)[1]
-            out = [0.0] * len(grad)
-            for a, b, entry in self.entries:
-                v = entry(env)[0]
-                out[a] += v * grad[b]
-                out[b] -= v * grad[a]
-        except EVALUATION_ERRORS:
-            return self.reference(x)
-        return np.array(out)
+    def stage(state: list[str]) -> list[str]:
+        gen.loads.update(zip(names, state))
+        gen.variables = names
+        grad = gen.emit(hamiltonian)[1]
+        grad = [grad.get(name, "0.0") for name in names]
+        gen.variables = ()
+        out = ["0.0"] * len(names)
+        for (a, b), expr in entries:
+            v = gen.emit(expr)[0]
+            out[a] = gen.assign(f"{out[a]} + {v} * {grad[b]}")
+            out[b] = gen.assign(f"{out[b]} - {v} * {grad[a]}")
+        return out
+
+    if method == "midpoint":
+        result = f"({', '.join(stage(x))},)"
+        gen.prune(result)
+        return gen.function("x", result)
+    half = gen.assign("0.5 * dt")
+    k1 = stage(x)
+    k2 = stage([gen.assign(f"{a} + {half} * {k}") for a, k in zip(x, k1)])
+    k3 = stage([gen.assign(f"{a} + {half} * {k}") for a, k in zip(x, k2)])
+    k4 = stage([gen.assign(f"{a} + dt * {k}") for a, k in zip(x, k3)])
+    sixth = gen.assign("dt / 6.0")
+    combined = "".join(
+        f"{a} + {sixth} * ({p} + 2.0 * {q} + 2.0 * {r} + {t}), "
+        for a, p, q, r, t in zip(x, k1, k2, k3, k4)
+    )
+    result = f"({combined})"
+    gen.prune(result)
+    return gen.function("x, dt", result)
 
 
 def velocity(structure: PoissonStructure, hamiltonian, x) -> np.ndarray:
@@ -184,16 +223,48 @@ def _rk4_step(v: Callable, x: np.ndarray, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _midpoint_step(v: Callable, x: np.ndarray, dt: float) -> np.ndarray:
-    # implicit midpoint by fixed-point iteration on the step map
-    y = x + dt * v(x)
-    scale = np.max(np.abs(x)) + 1.0
+def _midpoint_step(v: Callable, x: Sequence, dt: float) -> list:
+    """Implicit midpoint by fixed-point iteration on the step map.
+
+    Runs element by element, so the same code serves generated velocities
+    on Python floats and :class:`_Velocity` on an array (numpy scalars)."""
+    y = [a + dt * b for a, b in zip(x, v(x))]
+    tol = 1e-14 * (max(map(abs, x)) + 1.0)
     for _ in range(100):
-        y_next = x + dt * v(0.5 * (x + y))
-        if np.max(np.abs(y_next - y)) <= 1e-14 * scale:
+        mid = [0.5 * (a + b) for a, b in zip(x, y)]
+        y_next = [a + dt * b for a, b in zip(x, v(mid))]
+        # all() fails on a NaN difference, as a NaN maximum does
+        if all(abs(a - b) <= tol for a, b in zip(y_next, y)):
             return y_next
         y = y_next
     raise IntegrationError("implicit midpoint iteration did not converge")
+
+
+def _flow_step(structure: PoissonStructure, hamiltonian: Expression, method: str) -> Callable:
+    """``step(x, dt)`` for :func:`integrate`: the next state, as Python floats.
+
+    Each step runs the code generated for this flow (:func:`_generate_step`).
+    A step whose generated code raises is redone from the same state by the
+    tree walker (:func:`_rk4_step` or :func:`_midpoint_step` over
+    :class:`_Velocity`), which is bit-identical where the generated code
+    succeeds, so values, errors and the error that wins are the tree
+    walker's."""
+    generated = _generate_step(structure, hamiltonian, method)
+    reference = _Velocity(structure, hamiltonian)
+    if method == "rk4":
+        fast, redo = generated, functools.partial(_rk4_step, reference)
+    else:
+        fast = functools.partial(_midpoint_step, generated)
+        redo = functools.partial(_midpoint_step, reference)
+
+    def step(x: Sequence[float], dt: float) -> Sequence[float]:
+        try:
+            return fast(x, dt)
+        except EVALUATION_ERRORS:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return list(map(float, redo(np.array(x), dt)))
+
+    return step
 
 
 def constant_combination_expressions(structure: PoissonStructure) -> dict[str, Expression]:
@@ -244,34 +315,38 @@ def _monitor_pass(
 ) -> tuple[dict[str, np.ndarray], float]:
     """Monitor series over the stored states, and min |det Theta| along them.
 
-    Monitors and bracket entries run as generated code; a state whose
-    generated code raises is redone by :func:`_reference_row`, so errors are
-    the tree walker's, in its order: monitors first, then ``theta_matrix``.
-    ``det Theta`` is taken over stacked blocks of states, which keeps the
-    extra memory to one block.
+    One generated function per flow computes a state's row, the monitors
+    and then the stored bracket entries; a state whose row raises is redone
+    by :func:`_reference_row`, so errors are the tree walker's, in its
+    order: monitors first, then ``theta_matrix``.  Rows are written block by
+    block, and ``det Theta`` is taken over the stacked block, which keeps
+    the extra memory to one block.
     """
     exprs = list(monitor_exprs.values())
-    monitor_fns = [compile(e) for e in exprs]
-    entry_fns = [compile(e) for e in structure.entries.values()]
+    row = compile([*exprs, *structure.entries.values()])
     names = structure.variable_names
     env = dict(structure.parameters)
-    monitors = np.empty((len(exprs), len(states)))
-    entries = np.empty((len(entry_fns), _DET_BLOCK))
+    width = len(exprs)
+    monitors = np.empty((width, len(states)))
+    rows = np.empty((_DET_BLOCK, width + len(structure.entries)))
     theta = np.zeros((_DET_BLOCK, structure.dim, structure.dim))
     min_abs_det = np.inf
     for start in range(0, len(states), _DET_BLOCK):
         block = states[start : start + _DET_BLOCK]
-        for j, x in enumerate(block):
-            env.update(zip(names, x.tolist()))
+        values = []
+        for j, x in enumerate(block.tolist()):
+            env.update(zip(names, x))
             try:
-                monitors[:, start + j] = [fn(env)[0] for fn in monitor_fns]
-                entries[:, j] = [fn(env)[0] for fn in entry_fns]
+                values.append(row(env)[0])
             except EVALUATION_ERRORS:
-                monitors[:, start + j], entries[:, j] = _reference_row(structure, exprs, x)
+                monitor_values, entry_values = _reference_row(structure, exprs, block[j])
+                values.append(monitor_values + entry_values)
         size = len(block)
-        for row, (a, b) in zip(entries, structure.entries):
-            theta[:size, a, b] = row[:size]
-            theta[:size, b, a] = -row[:size]
+        rows[:size] = values
+        monitors[:, start : start + size] = rows[:size, :width].T
+        for column, (a, b) in enumerate(structure.entries, width):
+            theta[:size, a, b] = rows[:size, column]
+            theta[:size, b, a] = -rows[:size, column]
         # a NaN determinant never lowers the minimum, as in a running min()
         dets = np.abs(np.linalg.det(theta[:size]))
         min_abs_det = np.fmin.reduce(dets, initial=min_abs_det)
@@ -289,24 +364,24 @@ def integrate(
     structure = problem.structure
     n_steps = max(1, int(round(problem.t_end / problem.dt)))
     dt = problem.t_end / n_steps
-    step = _rk4_step if problem.method == "rk4" else _midpoint_step
 
     states = np.empty((n_steps + 1, structure.dim))
     x = np.array(problem.x0, dtype=float)
     if x.shape != (structure.dim,):
         raise ValueError(f"x0 must have length {structure.dim}")
     states[0] = x
-    v = _CompiledVelocity(structure, problem.hamiltonian)
+    x = x.tolist()
+    step = _flow_step(structure, problem.hamiltonian, problem.method)
+    isfinite = math.isfinite
     truncated = False
     count = n_steps + 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_steps + 1):
-            x = step(v, x, dt)
-            if not np.all(np.isfinite(x)):
-                count = k
-                truncated = True
-                break
-            states[k] = x
+    for k in range(1, n_steps + 1):
+        x = step(x, dt)
+        if not all(map(isfinite, x)):
+            count = k
+            truncated = True
+            break
+        states[k] = x
     states = states[:count]
     times = dt * np.arange(count)
 

@@ -13,9 +13,10 @@ reporter.  ``compile`` unrolls those rules into generated straight-line
 code that returns the value and every partial in one pass, bit for bit
 equal to the tree walker.  The hot paths run it, compiled once per
 structure, family, filter or flow, and rerun the tree walker whenever it
-raises: the flow (velocity, monitor pass, reduced flow) and the survey
-(bracket matrices, Jacobi and degeneracy checks, surface solves, domain
-filters, hodograph families and generators).
+raises: the flow (monitor rows, reduced flow) and the survey (bracket
+matrices, Jacobi and degeneracy checks, surface solves, domain filters,
+hodograph families and generators).  The same emitter (``_Codegen``) also
+writes each flow's whole integration step (``dynamics._generate_step``).
 
 Grammar::
 
@@ -622,6 +623,9 @@ _GENERATED_GLOBALS = {
 }
 
 
+_LOCAL_RE = re.compile(r"\bt\d+\b")
+
+
 class _Codegen:
     """Straight-line source for one tree and one set of variables."""
 
@@ -631,6 +635,7 @@ class _Codegen:
         self.namespace: dict[str, object] = {}
         self.loads: dict[str, str] = {}
         self.count = 0
+        self.pure: set[str] = set()  # locals whose line cannot raise
 
     def bind(self, obj) -> str:
         """A global name for an object the source cannot spell."""
@@ -638,11 +643,49 @@ class _Codegen:
         self.namespace[name] = obj
         return name
 
-    def assign(self, text: str) -> str:
+    def assign(self, text: str, pure: bool = False) -> str:
+        """A new local holding ``text``; ``pure`` marks a line that cannot
+        raise, which is dropped when nothing uses its value."""
         self.count += 1
         local = f"t{self.count}"
         self.lines.append(f"{local} = {text}")
+        if pure:
+            self.pure.add(local)
         return local
+
+    def prune(self, result: str) -> None:
+        """Drop the pure lines whose value ``result`` never uses, e.g. the
+        value of a Hamiltonian when only its gradient is wanted."""
+        live = set(_LOCAL_RE.findall(result))
+        kept = []
+        for line in reversed(self.lines):
+            target, _, text = line.partition(" = ")
+            if target in live or target not in self.pure:
+                live.update(_LOCAL_RE.findall(text))
+                kept.append(line)
+        self.lines = kept[::-1]
+
+    def function(self, params: str, result: str, fallback: Callable | None = None) -> Callable:
+        """``def (params)`` running the emitted lines and returning ``result``.
+        With a ``fallback``, an evaluation error reruns it on the arguments."""
+        if fallback is None:
+            body = "".join(f"    {line}\n" for line in self.lines)
+            source = f"def _compiled({params}):\n{body}    return {result}\n"
+        else:
+            body = "".join(f"        {line}\n" for line in self.lines)
+            source = (
+                f"def _compiled({params}):\n"
+                "    try:\n"
+                f"{body}"
+                f"        return {result}\n"
+                "    except _errors:\n"
+                f"        return _fallback({params})\n"
+            )
+        namespace = dict(_GENERATED_GLOBALS, **self.namespace, _fallback=fallback)
+        exec(builtins.compile(source, "<noncanon.expressions.compile>", "exec"), namespace)
+        # popped, so the function and its globals form no cycle and are freed
+        # by reference counting as soon as the caller drops the function
+        return namespace.pop("_compiled")
 
     def emit(self, e: Expression) -> tuple[str, dict[str, str]]:
         """Emit ``e``; return the atom holding its value and, per variable
@@ -664,16 +707,21 @@ class _Codegen:
         a, da = self.emit(e.arg)
         op = e.op
         if op == "neg":
-            return self.assign(f"-{a}"), {n: self.assign(f"-{d}") for n, d in da.items()}
+            return self.assign(f"-{a}", True), {
+                n: self.assign(f"-{d}", True) for n, d in da.items()
+            }
         if op == "exp":
-            v = self.assign(f"_exp({a})")
-            return v, {n: self.assign(f"{v} * {d} if {d} != 0.0 else 0.0") for n, d in da.items()}
+            v = self.assign(f"_exp({a})", True)  # overflow is caught inside
+            return v, {
+                n: self.assign(f"{v} * {d} if {d} != 0.0 else 0.0", True)
+                for n, d in da.items()
+            }
         if op in ("sin", "cos"):
             v = self.assign(f"_{op}({a})")
             if not da:
                 return v, {}
             slope = self.assign(f"_cos({a})" if op == "sin" else f"-_sin({a})")
-            return v, {n: self.assign(f"{slope} * {d}") for n, d in da.items()}
+            return v, {n: self.assign(f"{slope} * {d}", True) for n, d in da.items()}
         if op == "log":
             v = self.assign(f"_log({a})")
             return v, {n: self.assign(f"{d} / {a}") for n, d in da.items()}
@@ -696,13 +744,14 @@ class _Codegen:
             if math.isfinite(c) and c == round(c):
                 # a fixed integer exponent settles _pow's exponent tests now,
                 # and math.pow raises a ValueError for a zero base when c < 0
-                v = self.assign(f"_pow_value({l}, {r}, {node})")
+                v = self.assign(f"_pow_value({l}, {r}, {node})", c >= 0.0)
                 if c > 1.0:
                     lower = f"({c - 1.0!r})"
                     return v, {
                         n: self.assign(
                             f"0.0 + {r} * _pow_value({l}, {lower}, {node}) * {d} "
-                            f"if {d} != 0.0 and {l} != 0.0 else 0.0"
+                            f"if {d} != 0.0 and {l} != 0.0 else 0.0",
+                            True,
                         )
                         for n, d in dl.items()
                     }
@@ -719,7 +768,9 @@ class _Codegen:
                 for n in self.variables
                 if n in dl or n in dr
             }
-        v = self.assign(f"{l} {op} {r}")
+        # only a division raises, and not by a nonzero constant
+        pure = op != "/" or (isinstance(e.right, Const) and e.right.value != 0.0)
+        v = self.assign(f"{l} {op} {r}", pure)
         derivs = {}
         for n in self.variables:
             # the formulas of the Dual method that handles this operand mix
@@ -742,7 +793,7 @@ class _Codegen:
             else:
                 continue
             text = text.format(l=l, r=r, ld=dl.get(n), rd=dr.get(n))
-            derivs[n] = text if text in (dl.get(n), dr.get(n)) else self.assign(text)
+            derivs[n] = text if text in (dl.get(n), dr.get(n)) else self.assign(text, pure)
         return v, derivs
 
 
@@ -750,7 +801,12 @@ def _reference(e: Expression, variables: tuple[str, ...], env: Mapping[str, floa
     return evaluate(e, env), tuple(gradient(e, variables, env))
 
 
-def compile(e: Expression, variables: Sequence[str] = ()) -> Callable:
+def _reference_all(exprs, variables: tuple[str, ...], env: Mapping[str, float]):
+    pairs = [_reference(e, variables, env) for e in exprs]
+    return tuple(v for v, _ in pairs), tuple(p for _, p in pairs)
+
+
+def compile(e, variables: Sequence[str] = ()) -> Callable:
     """Generate one straight-line function for the value of ``e`` and its
     partials with respect to ``variables``.
 
@@ -760,26 +816,29 @@ def compile(e: Expression, variables: Sequence[str] = ()) -> Callable:
     evaluates.  Names are read from ``env`` as floats.  Whenever the
     generated code raises, ``fn`` reruns the tree walker, so the error and
     its message are exactly the tree walker's.
+
+    ``e`` may also be a sequence of expressions, generated as one function
+    that loads each name once: ``fn(env)`` then returns ``(values,
+    partials)`` holding one entry per expression, and a failure reruns the
+    tree walker on the expressions in order.
     """
     variables = tuple(variables)
+    single = isinstance(e, Node)
+    exprs = (e,) if single else tuple(e)
     gen = _Codegen(tuple(dict.fromkeys(variables)))
-    value, derivs = gen.emit(e)
-    partials = "".join(f"{derivs.get(n, '0.0')}, " for n in variables)
-    body = "".join(f"        {line}\n" for line in gen.lines)
-    source = (
-        "def _compiled(env):\n"
-        "    try:\n"
-        f"{body}"
-        f"        return {value}, ({partials})\n"
-        "    except _errors:\n"
-        "        return _fallback(env)\n"
-    )
-    namespace = dict(_GENERATED_GLOBALS, **gen.namespace)
-    namespace["_fallback"] = functools.partial(_reference, e, variables)
-    exec(builtins.compile(source, "<noncanon.expressions.compile>", "exec"), namespace)
-    # popped, so the function and its globals form no cycle and are freed
-    # by reference counting as soon as the caller drops the function
-    return namespace.pop("_compiled")
+    outputs = [gen.emit(expr) for expr in exprs]
+    partials = [
+        "(" + "".join(f"{derivs.get(n, '0.0')}, " for n in variables) + ")"
+        for _, derivs in outputs
+    ]
+    if single:
+        result = f"{outputs[0][0]}, {partials[0]}"
+        fallback = functools.partial(_reference, e, variables)
+    else:
+        values = "".join(f"{value}, " for value, _ in outputs)
+        result = f"({values}), ({''.join(p + ', ' for p in partials)})"
+        fallback = functools.partial(_reference_all, exprs, variables)
+    return gen.function("env", result, fallback)
 
 
 # ---------------------------------------------------------------------------
