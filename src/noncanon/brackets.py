@@ -87,10 +87,13 @@ def phase_variable_names(n: int) -> tuple[str, ...]:
 @dataclass(frozen=True, eq=False)
 class JacobiReport:
     """Pointwise Jacobi residuals: the generic triple sum plus, where the
-    structure names its bracket functions, each constraint separately."""
+    structure names its bracket functions, each constraint separately.
+    ``theta`` is the bracket matrix the residuals were computed from, for
+    :meth:`PoissonStructure.degeneracy_of` at the same point."""
 
     generic_max: float
     identities: dict[str, float] = field(default_factory=dict)
+    theta: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def max_identity(self) -> float:
@@ -245,7 +248,7 @@ class PoissonStructure:
             identities = self._delta_kind_identities(x, m, grads)
         elif self.kind == "general-planar":
             identities = _planar_identities(m, grads)
-        return JacobiReport(generic_max=generic, identities=identities)
+        return JacobiReport(generic_max=generic, identities=identities, theta=m)
 
     def _delta_kind_identities(self, x, m, grads) -> dict[str, float]:
         n = self.n

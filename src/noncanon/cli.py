@@ -33,10 +33,11 @@ from .brackets import (
     constant_theta_f,
     custom,
     general_planar,
+    phase_variable_names,
     theta_f_field,
 )
-from .dynamics import FlowProblem, IntegrationError, integrate
-from .expressions import DomainError, ExpressionError, ParseError, parse
+from .dynamics import FlowProblem, IntegrationError, integrate, zero_crossing_frequency
+from .expressions import DomainError, ExpressionError, ParseError, free_names, parse
 
 CONFIG_VERSION = 1
 COMMANDS = ("check-jacobi", "integrate", "reduce", "sweep", "hodograph")
@@ -139,6 +140,16 @@ def _parse_expr(source, path: str):
         return parse(source)
     except ParseError as err:
         raise ConfigError(path, str(err)) from None
+
+
+def _hamiltonian(source, path: str, variables, parameters=()):
+    """A Hamiltonian at ``path`` that names nothing but the variables and
+    parameters of the structure it flows on."""
+    expr = _parse_expr(source, path)
+    unknown = free_names(expr) - {*variables, *parameters}
+    if unknown:
+        raise ConfigError(path, f"undeclared names {sorted(unknown)}")
+    return expr
 
 
 @dataclass(eq=False)
@@ -402,7 +413,7 @@ def _cmd_check_jacobi(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[st
         generic_max = max(generic_max, rep.generic_max)
         for k, v in rep.identities.items():
             identity_max[k] = max(identity_max.get(k, 0.0), v)
-        deg = structure.degeneracy(x)
+        deg = structure.degeneracy_of(rep.theta)
         det_min = min(det_min, deg.det)
         det_max = max(det_max, deg.det)
         if deg.inverse_pairing_residual is not None:
@@ -426,21 +437,19 @@ def _cmd_integrate(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
     structure = cfg.structure
     if structure is None:
         raise ConfigError("$.structure", "integrate needs a structure")
-    ham = _require(cfg.raw, "hamiltonian", str, "$")
+    ham = _hamiltonian(
+        _require(cfg.raw, "hamiltonian", str, "$"),
+        "$.hamiltonian",
+        structure.variable_names,
+        structure.parameters,
+    )
     integ = _require(cfg.raw, "integrator", dict, "$")
     x0 = _state(cfg.raw, "initial_state", structure.dim, "$")
     dt = _require(integ, "dt", float, "$.integrator")
     t_end = _require(integ, "t_end", float, "$.integrator")
     method = integ.get("method", "rk4")
     _check_integrator(dt, t_end, method)
-    problem = FlowProblem(
-        structure,
-        _parse_expr(ham, "$.hamiltonian"),
-        x0,
-        dt,
-        t_end,
-        method,
-    )
+    problem = FlowProblem(structure, ham, x0, dt, t_end, method)
     extra = {
         name: _parse_expr(src, f"$.monitors.{name}")
         for name, src in cfg.raw.get("monitors", {}).items()
@@ -471,6 +480,7 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     reference = np.array(_state(block, "reference_point", structure.dim, "$.reduction"))
 
     spectrum = block.get("spectrum", False)
+    ham = None
     if spectrum:
         n_max = _scalar(block, "n_max", int, 5, "$.reduction")
         dt = _scalar(block, "dt", float, 1e-3, "$.reduction")
@@ -479,6 +489,13 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
         constants = block.get("constants")
         if constants is not None:
             constants = _numbers(constants, "$.reduction.constants")
+        if "hamiltonian" in cfg.raw:
+            ham = _hamiltonian(
+                cfg.raw["hamiltonian"],
+                "$.hamiltonian",
+                structure.variable_names,
+                structure.parameters,
+            )
 
     if structure.kind in ("canonical", "constant-theta-f", "theta-f-field"):
         count = _scalar(block, "surface_points", int, 200, "$.reduction")
@@ -494,10 +511,17 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
         cloud = red.surface_cloud(structure, reference, p_pts)
         points = cloud.points
     else:
-        hams = block.get(
+        path = "$.reduction.leaf_hamiltonians"
+        sources = block.get(
             "leaf_hamiltonians",
             ["q1*p2 + q2^2/2", "p1*p2 + q1*q2/3", "q2*p1 - q1*p2/2"],
         )
+        if not isinstance(sources, list):
+            raise ConfigError(path, f"expected a list, got {type(sources).__name__}")
+        hams = [
+            _hamiltonian(src, f"{path}[{i}]", structure.variable_names, structure.parameters)
+            for i, src in enumerate(sources)
+        ]
         points = red.leaf_cloud(structure, reference, hams)
         cloud = points
 
@@ -521,15 +545,12 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
         )
         artifacts.append("surface_points.csv")
 
-    if report.reduced and "hamiltonian" in cfg.raw and spectrum:
-        ham = _parse_expr(cfg.raw["hamiltonian"], "$.hamiltonian")
+    if report.reduced and ham is not None:
         system = red.build_reduced(
             structure, ham, constants=constants, reference=reference, tol=cfg.tol
         )
         spec_rep = red.spectrum_and_frequency(system, n_max)
         times, qs = red.integrate_reduced(system, system.reference, dt, t_end)
-        from .dynamics import zero_crossing_frequency
-
         omega_measured = zero_crossing_frequency(times, qs[:, 0])
         results["spectrum"] = {
             "omega_red": spec_rep.omega_red,
@@ -547,8 +568,10 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     block = cfg.raw.get("sweep", {})
     theta = _scalar(block, "theta", float, 1.0, "$.sweep")
     epsilons = _numbers(block.get("epsilons", [1e-1, 1e-2, 1e-3, 1e-4]), "$.sweep.epsilons")
-    ham = _require(cfg.raw, "hamiltonian", str, "$")
-    # the swept structures are planar
+    # the swept structures are planar and take no parameters
+    ham = _hamiltonian(
+        _require(cfg.raw, "hamiltonian", str, "$"), "$.hamiltonian", phase_variable_names(2)
+    )
     x0 = _state(cfg.raw, "initial_state", 4, "$")
     integ = cfg.raw.get("integrator", {})
     dt = _scalar(integ, "dt", float, 1e-3, "$.integrator")
@@ -557,7 +580,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     _check_integrator(dt, t_end, method)
     sweep = red.epsilon_sweep(
         theta,
-        _parse_expr(ham, "$.hamiltonian"),
+        ham,
         x0,
         epsilons,
         dt=dt,
@@ -627,20 +650,20 @@ def _cmd_hodograph(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
     grid = _grid_from_config(block, kind, "$.hodograph")
     results: dict = {"kind": kind, "parameters": params, "branch": branch}
     results["parameter_units"] = _UNIT_TAGS.get(kind, {})
-    results["pde"] = pde = hg.pde_residual(family, grid)
+    checks = hg.grid_checks(family, grid)
+    results["pde"] = pde = checks.pde
     pde["max_res"] = max(pde["max_res_u"], pde["max_res_v"])
-    results["jacobian_min"] = hg.jacobian_minimum(family, grid)
+    results["jacobian_min"] = checks.jacobian_min
     artifacts = []
 
     if kind == "loglog":
         # both root assignments are reported, whichever one the config picked
-        pts = grid.points(params)
         results["branches"] = {}
         for label in ("+", "-"):
             fam_b = hg.build_family(kind, params, branch=label)
             min_uv = np.inf
             product_residual = 0.0
-            for x, y in pts:
+            for x, y in checks.points:
                 u, v = fam_b.evaluate_uv(x, y)
                 min_uv = min(min_uv, abs(u - v))
                 product_residual = max(

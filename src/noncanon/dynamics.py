@@ -45,7 +45,9 @@ from .expressions import (  # noqa: F401
     _eval,
     as_expression,
     compile,
+    evaluate,
     free_names,
+    gradient,
     parse,
 )
 
@@ -444,8 +446,6 @@ def evolution_residuals(structure: PoissonStructure, hamiltonian, x) -> Evolutio
     n = structure.n
     env = structure.env_at(x)
     names = structure.variable_names
-    from .expressions import gradient
-
     grad_h = gradient(h, names, env)
     hq = grad_h[:n]
     hp = grad_h[n:]
@@ -536,8 +536,6 @@ def time_derivative_split(
     H_q1 D1 f - H_q2 D2 f + H_p1 D3 f + H_p2 D4 f."""
     h = as_expression(hamiltonian)
     f_expr = as_expression(f_expr)
-    from .expressions import gradient
-
     env = structure.env_at(x)
     names = structure.variable_names
     direct = float(
@@ -557,8 +555,6 @@ def d_dependence_fit(
     since no closed form for it is published; the returned residual is the
     largest leftover after the fit.
     """
-    from .expressions import evaluate
-
     env = structure.env_at(x)
     g11 = evaluate(structure.entry_expression(0, 2), env)
     g12 = evaluate(structure.entry_expression(0, 3), env)

@@ -409,12 +409,17 @@ def _pow_value(lv: float, rv: float, node) -> float:
         raise DomainError(str(err), to_source(node)) from None
 
 
+def _is_integer(x: float) -> bool:
+    # round() raises on inf and nan, which are no integers either
+    return math.isfinite(x) and x == round(x)
+
+
 def _pow(left, right, node: Binary):
     lv = _real(left)
     rv = _real(right)
     exponent_varies = isinstance(right, Dual) and right.deriv != 0.0
     if lv < 0.0:
-        if exponent_varies or rv != round(rv):
+        if exponent_varies or not _is_integer(rv):
             raise DomainError(
                 "negative base with non-integer exponent", to_source(node)
             )
@@ -497,6 +502,10 @@ def _eval(e: Expression, env: Mapping[str, object]):
             root = math.sqrt(rv)
             return Dual(root, 0.0 if v.deriv == 0.0 else v.deriv / (2.0 * root))
         return math.sqrt(rv)
+    if op in ("sin", "cos") and math.isinf(rv):
+        # math.sin and math.cos raise a bare ValueError here; a NaN passes
+        # through, as in generated code
+        raise DomainError(f"{op} of infinite value", to_source(e))
     if op == "sin":
         if isinstance(v, Dual):
             return Dual(math.sin(rv), math.cos(rv) * v.deriv)
@@ -574,7 +583,7 @@ def _sqrt_partial(x: float, root: float, dx: float, node: Unary) -> float:
 
 def _pow_checked(lv: float, rv: float, node: Binary) -> float:
     # the checks ``_pow`` applies in every pass, then the value
-    if lv < 0.0 and rv != round(rv):
+    if lv < 0.0 and not _is_integer(rv):
         raise DomainError("negative base with non-integer exponent", to_source(node))
     if lv == 0.0 and rv < 0.0:
         raise DomainError("zero raised to a negative power", to_source(node))
@@ -741,7 +750,7 @@ class _Codegen:
         if op not in ("+", "-", "*", "/"):  # ``_eval`` treats the rest as '^'
             node = self.bind(e)
             c = e.right.value if isinstance(e.right, Const) else math.nan
-            if math.isfinite(c) and c == round(c):
+            if _is_integer(c):
                 # a fixed integer exponent settles _pow's exponent tests now,
                 # and math.pow raises a ValueError for a zero base when c < 0
                 v = self.assign(f"_pow_value({l}, {r}, {node})", c >= 0.0)

@@ -46,6 +46,8 @@ __all__ = [
     "build_family",
     "default_filters",
     "reduced_limit_family",
+    "GridChecks",
+    "grid_checks",
     "pde_residual",
     "jacobian_minimum",
     "limit_sweep",
@@ -429,31 +431,45 @@ def _field_partials(family: HodographFamily, x: float, y: float, h: float = 1e-6
     )
 
 
-def pde_residual(family: HodographFamily, grid: Grid2D) -> dict[str, float]:
-    """Largest residual of each transport equation over the grid."""
+@dataclass(frozen=True, eq=False)
+class GridChecks:
+    """The pointwise checks of one family over the admissible grid points."""
+
+    points: np.ndarray
+    pde: dict[str, float]  # largest residual of each transport equation
+    jacobian_min: float  # min |u_x v_y - u_y v_x|
+
+
+def grid_checks(family: HodographFamily, grid: Grid2D) -> GridChecks:
+    """Both transport residuals and the hodograph Jacobian minimum from one
+    pass over the grid, with the partials taken once per point."""
     points = grid.points(family.parameters)
     if len(points) == 0:
         raise HodographError("grid has no admissible points")
     res_u = 0.0
     res_v = 0.0
+    j_min = np.inf
     for x, y in points:
         u, v, ux, uy, vx, vy = _field_partials(family, x, y)
         res_u = max(res_u, abs(ux - v * uy))
         res_v = max(res_v, abs(vx - u * vy))
-    return {"max_res_u": float(res_u), "max_res_v": float(res_v)}
+        j_min = min(j_min, abs(ux * vy - uy * vx))
+    return GridChecks(
+        points=points,
+        pde={"max_res_u": float(res_u), "max_res_v": float(res_v)},
+        jacobian_min=float(j_min),
+    )
+
+
+def pde_residual(family: HodographFamily, grid: Grid2D) -> dict[str, float]:
+    """Largest residual of each transport equation over the grid."""
+    return grid_checks(family, grid).pde
 
 
 def jacobian_minimum(family: HodographFamily, grid: Grid2D) -> float:
     """min |u_x v_y - u_y v_x| over the grid; a vanishing value signals the
     u = v degeneracy where the variable swap loses invertibility."""
-    points = grid.points(family.parameters)
-    if len(points) == 0:
-        raise HodographError("grid has no admissible points")
-    j_min = np.inf
-    for x, y in points:
-        _, _, ux, uy, vx, vy = _field_partials(family, x, y)
-        j_min = min(j_min, abs(ux * vy - uy * vx))
-    return float(j_min)
+    return grid_checks(family, grid).jacobian_min
 
 
 @dataclass(eq=False)

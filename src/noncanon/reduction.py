@@ -116,27 +116,38 @@ class SurfaceSample:
     rejected: int = 0
 
 
-def _solve_surface_q(structure, constants, theta_ref, p, tol, max_iter):
-    """Solve q = c - theta(q, p) p by fixed-point iteration, seeded with the
-    reference bracket values so the iteration starts on the intended leaf.
-    A non-convergent plain iteration is retried once with damping 0.5."""
-    seed = constants - theta_ref @ p
-    q = seed
+def _damped_fixed_point(step: Callable, seed, tol: float, max_iter: int, message: str):
+    """Iterate x -> step(x) from ``seed`` until max |step(x) - x| <= tol and
+    return that last step(x).  A clearly diverging plain iteration is
+    retried once with damping 0.5; persistent failure raises with the last
+    iterate attached."""
+    x = seed
     for damping in (1.0, 0.5):
-        q = seed
+        x = seed
         delta0 = None
         for _ in range(max_iter):
-            x = np.concatenate([q, p])
-            target = constants - structure.theta_block(x) @ p
-            delta = np.max(np.abs(target - q))
+            target = step(x)
+            delta = np.max(np.abs(target - x))
             if delta <= tol:
                 return target
             if delta0 is None:
                 delta0 = delta
             if not np.isfinite(delta) or delta > 10.0 * delta0 + 1.0:
                 break  # clearly diverging under this damping
-            q = q + damping * (target - q)
-    raise FixedPointError("surface solve did not converge", q)
+            x = x + damping * (target - x)
+    raise FixedPointError(message, x)
+
+
+def _solve_surface_q(structure, constants, theta_ref, p, tol, max_iter):
+    """Solve q = c - theta(q, p) p by fixed-point iteration, seeded with the
+    reference bracket values so the iteration starts on the intended leaf."""
+
+    def step(q):
+        return constants - structure.theta_block(np.concatenate([q, p])) @ p
+
+    return _damped_fixed_point(
+        step, constants - theta_ref @ p, tol, max_iter, "surface solve did not converge"
+    )
 
 
 def surface_cloud(
@@ -663,21 +674,9 @@ def implicit_theta(
         env["c2"] = q2 - theta * p1
         return evaluate(phi, env)
 
-    theta = theta0
-    for damping in (1.0, 0.5):
-        theta = theta0
-        delta0 = None
-        for _ in range(max_iter):
-            target = step(theta)
-            delta = abs(target - theta)
-            if delta <= tol:
-                return target
-            if delta0 is None:
-                delta0 = delta
-            if not np.isfinite(delta) or delta > 10.0 * delta0 + 1.0:
-                break  # clearly diverging under this damping
-            theta = theta + damping * (target - theta)
-    raise FixedPointError("implicit bracket solve did not converge", theta)
+    return _damped_fixed_point(
+        step, theta0, tol, max_iter, "implicit bracket solve did not converge"
+    )
 
 
 def implicit_theta_constraint_residuals(
