@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -88,6 +89,14 @@ def _convert(value, convert, path: str):
         raise ConfigError(path, f"cannot read {value!r} as {convert.__name__}") from None
 
 
+def _block(obj: dict, key: str, path: str = "$") -> dict:
+    """The object at ``key`` of a config block, ``{}`` when absent."""
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}.{key}", f"expected an object, got {type(value).__name__}")
+    return value
+
+
 def _scalar(block: dict, key: str, convert, default, path: str = "$"):
     """``convert`` applied to an optional value of a config block."""
     return _convert(block.get(key, default), convert, f"{path}.{key}")
@@ -115,18 +124,21 @@ def _check_integrator(dt: float, t_end: float, method="rk4", path="$.integrator"
         raise ConfigError(f"{path}.dt", "dt must be positive")
     if not t_end > dt:
         raise ConfigError(f"{path}.t_end", "t_end must exceed dt")
+    if not math.isfinite(t_end / dt):
+        raise ConfigError(path, "t_end/dt is not a finite number of steps")
     if method not in ("rk4", "midpoint"):
         raise ConfigError(f"{path}.method", f"unknown method {method!r}")
 
 
-def _ranges(block: dict, names, default: list, path: str) -> list[list[float]]:
-    """``[low, high]`` per name from an optional ``{name: [low, high]}``
-    block at ``path``, ``default`` where a name is missing."""
-    if not isinstance(block, dict):
-        raise ConfigError(path, f"expected an object, got {type(block).__name__}")
+def _ranges(block: dict, key: str, names, default: list, path: str) -> list[list[float]]:
+    """``[low, high]`` per name from the optional ``{name: [low, high]}``
+    object at ``key`` of a block at ``path``, ``default`` where a name is
+    missing."""
+    ranges = _block(block, key, path)
+    path = f"{path}.{key}"
     out = []
     for name in names:
-        pair = _numbers(block.get(name, default), f"{path}.{name}")
+        pair = _numbers(ranges.get(name, default), f"{path}.{name}")
         if len(pair) != 2:
             raise ConfigError(f"{path}.{name}", f"expected [low, high], got {len(pair)} numbers")
         out.append(pair)
@@ -184,7 +196,7 @@ def _build_structure(cfg: dict, n: int, parameters: dict) -> PoissonStructure:
         if kind == "theta-f-field":
             def field_map(key):
                 out = {}
-                for idx, src in spec.get(key, {}).items():
+                for idx, src in _block(spec, key, path).items():
                     try:
                         i, j = (int(t) for t in idx.split(","))
                     except ValueError:
@@ -234,9 +246,7 @@ def load_config(path) -> RunConfig:
     if version != CONFIG_VERSION:
         raise ConfigError("$.version", f"unsupported config version {version}")
 
-    parameters = raw.get("parameters", {})
-    if not isinstance(parameters, dict):
-        raise ConfigError("$.parameters", "expected an object of name -> number")
+    parameters = _block(raw, "parameters")
     for name, value in parameters.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"$.parameters.{name}", "expected a number")
@@ -254,7 +264,7 @@ def load_config(path) -> RunConfig:
     # eager checks of the remaining expression-bearing blocks
     if "hamiltonian" in raw:
         _parse_expr(raw["hamiltonian"], "$.hamiltonian")
-    _filters_from_config(raw.get("cloud", {}), "$.cloud")
+    _filters_from_config(_block(raw, "cloud"), "$.cloud")
 
     seed = _scalar(raw, "seed", int, 0)
     if seed < 0:
@@ -298,12 +308,10 @@ def _filters_from_config(block: dict, path: str) -> list[hg.DomainFilter]:
 def sample_cloud(cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
     """Seeded random phase-space cloud honoring the config's ranges and
     domain filters."""
-    block = cfg.raw.get("cloud", {})
+    block = _block(cfg.raw, "cloud")
     count = _scalar(block, "count", int, 100, "$.cloud")
     names = cfg.structure.variable_names
-    lo, hi = np.array(
-        _ranges(block.get("ranges", {}), names, [-1.5, 1.5], "$.cloud.ranges")
-    ).T
+    lo, hi = np.array(_ranges(block, "ranges", names, [-1.5, 1.5], "$.cloud")).T
     filters = _filters_from_config(block, "$.cloud")
     points = []
     attempts = 0
@@ -379,7 +387,12 @@ def evaluate_assertions(cfg: RunConfig, results: dict) -> list[dict]:
             raise ConfigError(f"{path}.op", f"unknown comparison {op!r}")
         threshold = _require(spec, "threshold", float, path)
         observed = _resolve(results, value_path)
-        passed = bool(_OPS[op](observed, threshold))
+        # a value the run did not produce (null) fails the assertion
+        if observed is not None and not isinstance(observed, (int, float, np.number, np.bool_)):
+            raise ConfigError(
+                f"{path}.value", f"'{value_path}' is a {type(observed).__name__}, not a number"
+            )
+        passed = observed is not None and bool(_OPS[op](observed, threshold))
         out.append(
             {
                 "name": name,
@@ -452,7 +465,7 @@ def _cmd_integrate(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
     problem = FlowProblem(structure, ham, x0, dt, t_end, method)
     extra = {
         name: _parse_expr(src, f"$.monitors.{name}")
-        for name, src in cfg.raw.get("monitors", {}).items()
+        for name, src in _block(cfg.raw, "monitors").items()
     }
     traj = integrate(problem, extra_monitors=extra)
     monitors = {}
@@ -475,7 +488,7 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     structure = cfg.structure
     if structure is None:
         raise ConfigError("$.structure", "reduce needs a structure")
-    block = cfg.raw.get("reduction", {})
+    block = _block(cfg.raw, "reduction")
     n = structure.n
     reference = np.array(_state(block, "reference_point", structure.dim, "$.reduction"))
 
@@ -499,11 +512,15 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
 
     if structure.kind in ("canonical", "constant-theta-f", "theta-f-field"):
         count = _scalar(block, "surface_points", int, 200, "$.reduction")
+        limit = np.iinfo(np.intp).max
+        if not 0 <= count <= limit:
+            raise ConfigError("$.reduction.surface_points", f"expected a count from 0 to {limit}")
         ranges = _ranges(
-            block.get("surface_parameter_ranges", {}),
+            block,
+            "surface_parameter_ranges",
             [f"p{j + 1}" for j in range(n)],
             [0.8, 1.6],
-            "$.reduction.surface_parameter_ranges",
+            "$.reduction",
         )
         p_pts = np.empty((count, n))
         for j, (lo, hi) in enumerate(ranges):
@@ -565,15 +582,17 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
 
 
 def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
-    block = cfg.raw.get("sweep", {})
+    block = _block(cfg.raw, "sweep")
     theta = _scalar(block, "theta", float, 1.0, "$.sweep")
     epsilons = _numbers(block.get("epsilons", [1e-1, 1e-2, 1e-3, 1e-4]), "$.sweep.epsilons")
-    # the swept structures are planar and take no parameters
     ham = _hamiltonian(
-        _require(cfg.raw, "hamiltonian", str, "$"), "$.hamiltonian", phase_variable_names(2)
+        _require(cfg.raw, "hamiltonian", str, "$"),
+        "$.hamiltonian",
+        phase_variable_names(2),
+        cfg.parameters,
     )
     x0 = _state(cfg.raw, "initial_state", 4, "$")
-    integ = cfg.raw.get("integrator", {})
+    integ = _block(cfg.raw, "integrator")
     dt = _scalar(integ, "dt", float, 1e-3, "$.integrator")
     t_end = _scalar(integ, "t_end", float, 10.0, "$.integrator")
     method = integ.get("method", "rk4")
@@ -586,6 +605,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
         dt=dt,
         t_end=t_end,
         method=method,
+        parameters=cfg.parameters,
     )
     results = sweep.to_json_dict()
     results["slope_error_from_unity"] = abs(sweep.fitted_slope - 1.0)
@@ -602,9 +622,12 @@ def _grid_axis(grid_cfg: dict, key: str, path: str) -> tuple[float, float, int]:
     axis = _require(grid_cfg, key, list, path)
     try:
         lo, hi, count = axis
-        return float(lo), float(hi), int(count)
-    except (TypeError, ValueError):
+        lo, hi, count = float(lo), float(hi), int(count)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}.{key}", "expected [low, high, count]") from None
+    if count < 1:
+        raise ConfigError(f"{path}.{key}", "the point count must be at least 1")
+    return lo, hi, count
 
 
 def _grid_from_config(block: dict, kind: str, path: str) -> hg.Grid2D:
@@ -629,15 +652,11 @@ _UNIT_TAGS = {
 
 
 def _cmd_hodograph(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
-    block = cfg.raw.get("hodograph")
-    if block is None:
-        raise ConfigError("$.hodograph", "missing required key")
+    block = _require(cfg.raw, "hodograph", dict, "$")
     kind = _require(block, "kind", str, "$.hodograph")
-    parameters = block.get("parameters", {})
-    if not isinstance(parameters, dict):
-        raise ConfigError("$.hodograph.parameters", "expected an object of name -> number")
     params = {
-        k: _convert(v, float, f"$.hodograph.parameters.{k}") for k, v in parameters.items()
+        k: _convert(v, float, f"$.hodograph.parameters.{k}")
+        for k, v in _block(block, "parameters", "$.hodograph").items()
     }
     branch = block.get("branch", "+")
     family = hg.build_family(
@@ -804,9 +823,10 @@ def main(argv=None) -> int:
 
     for entry in report.assertions:
         status = "pass" if entry["passed"] else "FAIL"
+        observed = "null" if entry["observed"] is None else f"{entry['observed']:.6g}"
         print(
             f"[{status}] {entry['name']}: {entry['check']} {entry['op']} "
-            f"{entry['threshold']:g} (observed {entry['observed']:.6g})"
+            f"{entry['threshold']:g} (observed {observed})"
         )
     print(
         f"{report.command}: {len(report.assertions)} assertion(s), "

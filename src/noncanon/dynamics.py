@@ -15,7 +15,9 @@ that the implicit midpoint iterates) and one monitor row (every monitor and
 every stored bracket entry at a state).  The tree walker (``_Velocity``,
 ``_reference_row``) stays the reference: it redoes any step or row whose
 generated code raises, and is bit-identical where the generated code
-succeeds.
+succeeds.  The reduced flow of :mod:`reduction` is stepped by the same
+:func:`_flow_step`, its constant bracket on q1..qn read like any
+structure's, and has no monitor row.
 """
 
 from __future__ import annotations
@@ -243,7 +245,10 @@ def _midpoint_step(v: Callable, x: Sequence, dt: float) -> list:
 
 
 def _flow_step(structure: PoissonStructure, hamiltonian: Expression, method: str) -> Callable:
-    """``step(x, dt)`` for :func:`integrate`: the next state, as Python floats.
+    """``step(x, dt)`` for :func:`integrate` and the reduced flow: the next
+    state, as Python floats.  ``structure`` is anything with the
+    ``variable_names``, ``entries`` and ``parameters`` of a structure, such
+    as a reduced system.
 
     Each step runs the code generated for this flow (:func:`_generate_step`).
     A step whose generated code raises is redone from the same state by the

@@ -25,7 +25,7 @@ from .brackets import (
     entry_label,
     planar_entries,
 )
-from .dynamics import FlowProblem, _rk4_step, integrate
+from .dynamics import FlowProblem, _flow_step, _Velocity, integrate
 # ``parse`` stays bound here: perfbench/tracing.py wraps it under this name
 from .expressions import (  # noqa: F401
     EVALUATION_ERRORS,
@@ -34,7 +34,6 @@ from .expressions import (  # noqa: F401
     Expression,
     Name,
     as_expression,
-    compile,
     derivative,
     evaluate,
     free_names,
@@ -456,7 +455,8 @@ def total_variation_residual(structure: PoissonStructure, x) -> dict[str, float]
 class ReducedSystem:
     """Half-dimensional system on the coordinates alone, with a constant
     bracket matrix and the momenta eliminated through the frozen
-    combinations."""
+    combinations: a Poisson structure with constant entries on q1..qn, read
+    by the flow engine of :mod:`dynamics` like any other."""
 
     n: int
     theta_red: float
@@ -465,6 +465,16 @@ class ReducedSystem:
     constants: np.ndarray
     parameters: Mapping[str, float]
     reference: np.ndarray | None = None
+
+    @property
+    def variable_names(self) -> tuple[str, ...]:
+        return tuple(f"q{i + 1}" for i in range(self.n))
+
+    @property
+    def entries(self) -> dict[tuple[int, int], Expression]:
+        """theta_ij for every i < j, zero entries included."""
+        n, theta = self.n, self.theta_matrix
+        return {(i, j): Const(float(theta[i, j])) for i in range(n) for j in range(i + 1, n)}
 
 
 def build_reduced(
@@ -527,42 +537,27 @@ def build_reduced(
 
 
 def reduced_velocity(system: ReducedSystem, q) -> np.ndarray:
-    """dq_i/dt = theta_ij dh/dq_j with the constant reduced bracket."""
-    q = np.asarray(q, dtype=float)
-    env = dict(system.parameters)
-    for i in range(system.n):
-        env[f"q{i + 1}"] = float(q[i])
-    grad = np.array(
-        [derivative(system.hamiltonian, f"q{i + 1}", env) for i in range(system.n)]
-    )
-    return system.theta_matrix @ grad
+    """dq_i/dt = theta_ij dh/dq_j with the constant reduced bracket, by the
+    tree walker that redoes a raising step of :func:`integrate_reduced`."""
+    return _Velocity(system, system.hamiltonian)(np.asarray(q, dtype=float))
 
 
 def integrate_reduced(
     system: ReducedSystem, q0, dt: float, t_end: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 on the reduced coordinates.
+    """Fixed-step RK4 on the reduced coordinates, with ``dt`` as given.
 
-    The gradient of the reduced Hamiltonian runs as generated code; a call
-    whose generated code raises is redone by :func:`reduced_velocity`."""
-    names = tuple(f"q{i + 1}" for i in range(system.n))
-    hamiltonian = compile(system.hamiltonian, names)
-    env = dict(system.parameters)
-
-    def velocity(q: np.ndarray) -> np.ndarray:
-        env.update(zip(names, q.tolist()))
-        try:
-            grad = hamiltonian(env)[1]
-        except EVALUATION_ERRORS:
-            return reduced_velocity(system, q)
-        return system.theta_matrix @ np.array(grad)
-
+    The reduced system steps on the flow engine of :func:`integrate`: the
+    generated RK4 step on Python floats, and a step whose generated code
+    raises redone by :func:`_rk4_step` over :class:`_Velocity`.  No monitor
+    row is computed."""
+    step = _flow_step(system, system.hamiltonian, "rk4")
     n_steps = max(1, int(round(t_end / dt)))
     qs = np.empty((n_steps + 1, system.n))
-    q = np.asarray(q0, dtype=float)
-    qs[0] = q
+    qs[0] = q0
+    q = qs[0].tolist()
     for k in range(1, n_steps + 1):
-        q = _rk4_step(velocity, q, dt)
+        q = step(q, dt)
         qs[k] = q
     return dt * np.arange(n_steps + 1), qs
 
@@ -725,16 +720,18 @@ def epsilon_sweep(
     dt: float = 1e-3,
     t_end: float = 10.0,
     method: str = "rk4",
+    parameters: Mapping[str, float] | None = None,
 ) -> EpsilonSweep:
     """Drift of the frozen combinations for the family f = (1 - eps)/theta.
 
     At eps = 0 the combinations are exact invariants; their drift over a
     fixed horizon is expected to scale linearly with eps, and the log-log
-    slope of max drift against eps is reported."""
+    slope of max drift against eps is reported.  ``parameters`` are bound
+    in every swept structure."""
     h = as_expression(hamiltonian)
     rows = []
     for eps in epsilons:
-        structure = constant_theta_f(theta, (1.0 - eps) / theta)
+        structure = constant_theta_f(theta, (1.0 - eps) / theta, parameters)
         problem = FlowProblem(structure, h, x0, dt, t_end, method)
         traj = integrate(problem)
         row: dict[str, float] = {"epsilon": float(eps)}

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noncanon import dynamics, expressions, reduction
+from noncanon import dynamics, expressions
 from noncanon.cli import load_config, run
 from noncanon.expressions import (
     EVALUATION_ERRORS,
@@ -160,12 +160,12 @@ def test_overflow_results_are_signed_infinities():
 
 # --- flow fixtures with the generated code switched off ------------------------
 
-# fixture: (command, whether it integrates a flow)
+# fixture: (command, whether a flow of it computes monitor rows by ``compile``)
 FLOW_FIXTURES = {
     "integrate_canonical_oscillator.json": ("integrate", True),
     "integrate_constant_identification.json": ("integrate", True),
     "integrate_singular_field.json": ("integrate", True),
-    "reduce_constant.json": ("reduce", True),
+    "reduce_constant.json": ("reduce", False),  # its reduced flow has no monitor row
     "reduce_singular_field.json": ("reduce", False),
     "sweep_epsilon.json": ("sweep", True),
 }
@@ -188,7 +188,6 @@ def test_fixture_artifacts_match_tree_fallback(name, tmp_path, monkeypatch):
 
         return disabled
 
-    for module in (dynamics, reduction):
-        monkeypatch.setattr(module, "compile", raising_compile)
+    monkeypatch.setattr(dynamics, "compile", raising_compile)
     assert _artifacts(name, tmp_path / "tree") == generated
     assert bool(calls) == FLOW_FIXTURES[name][1]

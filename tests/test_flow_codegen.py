@@ -378,16 +378,17 @@ LEAF_CLOUD = {
     "reduction": {"reference_point": [0.3, 0.2, 0.1, 0.4]},
 }
 
-# config: (command, whether it integrates through dynamics.integrate)
+# config: (command, the disabled stand-ins its flows call); the reduced flow
+# of ``reduce_constant`` steps on the same RK4 step but has no monitor row
 FLOW_CONFIGS = {
-    "integrate_canonical_oscillator.json": ("integrate", True),
-    "integrate_constant_identification.json": ("integrate", True),
-    "integrate_singular_field.json": ("integrate", True),
-    "reduce_constant.json": ("reduce", False),
-    "reduce_singular_field.json": ("reduce", False),
-    "sweep_epsilon.json": ("sweep", True),
-    "midpoint": ("integrate", True),
-    "leaf_cloud": ("reduce", True),
+    "integrate_canonical_oscillator.json": ("integrate", {"rk4", "row"}),
+    "integrate_constant_identification.json": ("integrate", {"rk4", "row"}),
+    "integrate_singular_field.json": ("integrate", {"rk4", "row"}),
+    "reduce_constant.json": ("reduce", {"rk4"}),
+    "reduce_singular_field.json": ("reduce", set()),
+    "sweep_epsilon.json": ("sweep", {"rk4", "row"}),
+    "midpoint": ("integrate", {"midpoint", "row"}),
+    "leaf_cloud": ("reduce", {"rk4", "row"}),
 }
 _INLINE = {"midpoint": MIDPOINT, "leaf_cloud": LEAF_CLOUD}
 
@@ -411,8 +412,4 @@ def test_artifacts_match_with_generated_flow_code_disabled(name, tmp_path):
     with first, second:
         tree = _artifacts(name, tmp_path, "tree")
     assert tree == generated
-    flows_run = FLOW_CONFIGS[name][1]
-    assert bool(disabled.calls) == flows_run
-    if flows_run:
-        method = "midpoint" if name == "midpoint" else "rk4"
-        assert {method, "row"} <= set(disabled.calls)
+    assert set(disabled.calls) == FLOW_CONFIGS[name][1]

@@ -70,8 +70,9 @@ CASES = {
     "integrate_undeclared_parameter": (
         "integrate", dict(INTEGRATE, hamiltonian="k*p1^2"), "$.hamiltonian", "['k']"
     ),
-    # the swept structures take no parameters, declared or not
-    "sweep_parameter": ("sweep", dict(SWEEP, hamiltonian="k*p1^2"), "$.hamiltonian", "['k']"),
+    "sweep_undeclared_parameter": (
+        "sweep", dict(SWEEP, hamiltonian="k*p1^2 + b*q1"), "$.hamiltonian", "['b']"
+    ),
     "spectrum_undeclared_parameter": (
         "reduce", dict(SPECTRUM, hamiltonian="(q1^2 + q2^2)/2 + k*p1"), "$.hamiltonian", "['k']"
     ),
@@ -98,3 +99,9 @@ def test_bad_hamiltonian_is_a_config_error(tmp_path, capsys, case):
     assert path in err
     assert detail in err
     assert "Traceback" not in err
+
+
+def test_sweep_hamiltonian_takes_declared_parameters(tmp_path, capsys):
+    # the swept structures bind $.parameters, as an integrated structure does
+    code, err = run_config(tmp_path, capsys, "sweep", dict(SWEEP, hamiltonian="k*p1^2"))
+    assert code == 0, err
