@@ -7,6 +7,13 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
+# trajectory rows are converted to Python floats this many at a time
+ROW_BLOCK = 512
+
+_only_floats = frozenset({float}).issuperset
+
 
 def format_value(v) -> str:
     if isinstance(v, bool):
@@ -19,11 +26,24 @@ def format_value(v) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Header line, then one line per row, streamed to ``path``.
+
+    A row of as many Python floats as the header has names goes through
+    one ``%.17g`` template, which gives the bytes of :func:`format_value`;
+    any other row is formatted value by value."""
+    width = len(header)
+    template = ",".join(["%.17g"] * width) + "\n"
+
+    def lines():
+        for row in rows:
+            if len(row) == width and _only_floats(map(type, row)):
+                yield template % tuple(row)
+            else:
+                yield ",".join(map(format_value, row)) + "\n"
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines())
 
 
 def write_json(path, obj) -> None:
@@ -34,15 +54,22 @@ def write_json(path, obj) -> None:
 
 def trajectory_rows(trajectory, variable_names: Sequence[str]):
     """Header and row iterator for the trajectory export: t, the state
-    components, H, then the remaining monitors in insertion order."""
+    components, H, then the remaining monitors in insertion order.
+
+    Rows are lists of Python floats, stacked :data:`ROW_BLOCK` states at a
+    time, so the whole table is never held at once."""
     monitor_names = [m for m in trajectory.monitors if m != "H"]
     header = ["t", *variable_names, "H", *monitor_names]
+    columns = [
+        trajectory.times,
+        trajectory.states,
+        trajectory.monitors["H"],
+        *(trajectory.monitors[m] for m in monitor_names),
+    ]
 
     def rows():
-        for k in range(len(trajectory.times)):
-            row = [trajectory.times[k], *trajectory.states[k]]
-            row.append(trajectory.monitors["H"][k])
-            row.extend(trajectory.monitors[m][k] for m in monitor_names)
-            yield row
+        for start in range(0, len(trajectory.times), ROW_BLOCK):
+            stop = start + ROW_BLOCK
+            yield from np.column_stack([c[start:stop] for c in columns]).tolist()
 
     return header, rows()

@@ -28,6 +28,7 @@ from . import hodograph as hg
 from . import reduction as red
 from .artifacts import trajectory_rows, write_csv, write_json
 from .brackets import (
+    DELTA_KINDS,
     PoissonStructure,
     StructureError,
     canonical,
@@ -43,6 +44,8 @@ from .expressions import DomainError, ExpressionError, ParseError, free_names, p
 CONFIG_VERSION = 1
 COMMANDS = ("check-jacobi", "integrate", "reduce", "sweep", "hodograph")
 RNG_ALGORITHM = "pcg64"
+# the most points a config may ask a cloud, a surface sample or a grid for
+MAX_POINTS = 1_000_000
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -100,6 +103,15 @@ def _block(obj: dict, key: str, path: str = "$") -> dict:
 def _scalar(block: dict, key: str, convert, default, path: str = "$"):
     """``convert`` applied to an optional value of a config block."""
     return _convert(block.get(key, default), convert, f"{path}.{key}")
+
+
+def _point_count(block: dict, key: str, default: int, low: int, path: str) -> int:
+    """An optional point count of a config block, from ``low`` to
+    :data:`MAX_POINTS`."""
+    count = _scalar(block, key, int, default, path)
+    if not low <= count <= MAX_POINTS:
+        raise ConfigError(f"{path}.{key}", f"expected a count from {low} to {MAX_POINTS}")
+    return count
 
 
 def _numbers(values, path: str) -> list[float]:
@@ -309,7 +321,7 @@ def sample_cloud(cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
     """Seeded random phase-space cloud honoring the config's ranges and
     domain filters."""
     block = _block(cfg.raw, "cloud")
-    count = _scalar(block, "count", int, 100, "$.cloud")
+    count = _point_count(block, "count", 100, 1, "$.cloud")
     names = cfg.structure.variable_names
     lo, hi = np.array(_ranges(block, "ranges", names, [-1.5, 1.5], "$.cloud")).T
     filters = _filters_from_config(block, "$.cloud")
@@ -349,8 +361,12 @@ class RunReport:
 
 
 def _resolve(results: dict, dotted: str):
+    """The report value at a dotted path; ``None`` where the path runs
+    through a value the run did not produce (``null``)."""
     node = results
     for part in dotted.split("."):
+        if node is None:
+            return None
         if isinstance(node, dict) and part in node:
             node = node[part]
         elif isinstance(node, list):
@@ -431,7 +447,7 @@ def _cmd_check_jacobi(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[st
         det_max = max(det_max, deg.det)
         if deg.inverse_pairing_residual is not None:
             pairing_max = max(pairing_max, deg.inverse_pairing_residual)
-        rows.append([*x, rep.generic_max, deg.det])
+        rows.append([*x.tolist(), float(rep.generic_max), float(deg.det)])
     results = {
         "cloud": {"count": len(cloud), "seed": cfg.seed, "rng": RNG_ALGORITHM},
         "generic_max": generic_max,
@@ -510,11 +526,8 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
                 structure.parameters,
             )
 
-    if structure.kind in ("canonical", "constant-theta-f", "theta-f-field"):
-        count = _scalar(block, "surface_points", int, 200, "$.reduction")
-        limit = np.iinfo(np.intp).max
-        if not 0 <= count <= limit:
-            raise ConfigError("$.reduction.surface_points", f"expected a count from 0 to {limit}")
+    if structure.kind in DELTA_KINDS:
+        count = _point_count(block, "surface_points", 200, 0, "$.reduction")
         ranges = _ranges(
             block,
             "surface_parameter_ranges",
@@ -545,12 +558,15 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     report = red.check_reduction(structure, cloud, tol=cfg.tol)
     results = {"reduction": report.to_json_dict(), "rng": RNG_ALGORITHM, "seed": cfg.seed}
 
-    if report.reduced and structure.kind in ("canonical", "constant-theta-f", "theta-f-field"):
-        tv_max = 0.0
-        for x in points[: min(len(points), 50)]:
-            tv = red.total_variation_residual(structure, x)
-            if tv:
-                tv_max = max(tv_max, max(tv.values()))
+    if structure.kind in DELTA_KINDS:
+        # null when the structure does not reduce, so an assertion on it fails
+        tv_max = None
+        if report.reduced:
+            tv_max = 0.0
+            for x in points[: min(len(points), 50)]:
+                tv = red.total_variation_residual(structure, x)
+                if tv:
+                    tv_max = max(tv_max, max(tv.values()))
         results["total_variation_max"] = tv_max
 
     artifacts = []
@@ -610,10 +626,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     results = sweep.to_json_dict()
     results["slope_error_from_unity"] = abs(sweep.fitted_slope - 1.0)
     header = ["epsilon", *(f"c_{m}_drift" for m in range(1, 3)), "max_drift"]
-    rows = [
-        [r["epsilon"], r["c_1_drift"], r["c_2_drift"], r["max_drift"]]
-        for r in sweep.rows
-    ]
+    rows = [[float(r[key]) for key in header] for r in sweep.rows]
     write_csv(out_dir / "epsilon_sweep.csv", header, rows)
     return results, ["epsilon_sweep.csv"]
 
@@ -634,6 +647,8 @@ def _grid_from_config(block: dict, kind: str, path: str) -> hg.Grid2D:
     grid_cfg = _require(block, "grid", dict, path)
     x_lo, x_hi, nx = _grid_axis(grid_cfg, "x", f"{path}.grid")
     y_lo, y_hi, ny = _grid_axis(grid_cfg, "y", f"{path}.grid")
+    if nx * ny > MAX_POINTS:
+        raise ConfigError(f"{path}.grid", f"expected at most {MAX_POINTS} grid points")
     band = _scalar(grid_cfg, "band", float, 1e-3, f"{path}.grid")
     filters = (
         *hg.default_filters(kind, band=band),
@@ -704,10 +719,8 @@ def _cmd_hodograph(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
         sweep = hg.limit_sweep(kind, params, alphas, grid, branch)
         results["sweep"] = sweep.to_json_dict()
         header = ["alpha", "max_dev_u", "max_dev_v", "max_u_minus_v", "fitted_order"]
-        rows = [
-            [r["alpha"], r["max_dev_u"], r["max_dev_v"], r["max_u_minus_v"], sweep.fitted_order]
-            for r in sweep.rows
-        ]
+        order = float(sweep.fitted_order)
+        rows = [[*(float(r[key]) for key in header[:-1]), order] for r in sweep.rows]
         write_csv(out_dir / "alpha_sweep.csv", header, rows)
         artifacts.append("alpha_sweep.csv")
     return results, artifacts

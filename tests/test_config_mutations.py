@@ -1,17 +1,27 @@
 """Shipped fixtures with one value changed to something of the wrong shape:
 a block that is not an object, a field map that is not an object, a grid
-axis without points, a step count that is not finite, a point count no
-array can hold, an assertion on a report value that is not a number.  Each
-run ends as a config error, exit code 2, with the JSON path, never a
-traceback; an assertion on a value the run did not produce (``null``)
-fails."""
+axis without points, a step count that is not finite, a point count below
+one or above the cap shared by clouds, surface samples and grids, an
+assertion on a report value that is not a number.  Each run ends as a
+config error, exit code 2, with the JSON path, never a traceback; an
+assertion on a value the run did not produce (``null``), or on a path
+through one, fails."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from noncanon.cli import EXIT_ASSERTION, EXIT_CONFIG, main
+from noncanon.cli import (
+    EXIT_ASSERTION,
+    EXIT_CONFIG,
+    MAX_POINTS,
+    ConfigError,
+    _resolve,
+    load_config,
+    main,
+    sample_cloud,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -72,6 +82,11 @@ CASES = {
         _with("hodograph_log.json", "hodograph", "grid", "y", value=[-1, 1, -1]),
         "$.hodograph.grid.y",
     ),
+    "grid_beyond_memory": (
+        "hodograph",
+        _with("hodograph_log.json", "hodograph", "grid", "x", value=[-1, 1, 10**12]),
+        "$.hodograph.grid",
+    ),
     "sweep_t_end_huge": (
         "sweep", _with("sweep_epsilon.json", "integrator", "t_end", value=1e308), "$.integrator"
     ),
@@ -82,6 +97,16 @@ CASES = {
         "reduce",
         _with("reduce_constant.json", "reduction", "surface_points", value=1e308),
         "$.reduction.surface_points",
+    ),
+    "surface_points_beyond_memory": (
+        "reduce",
+        _with("reduce_constant.json", "reduction", "surface_points", value=10**12),
+        "$.reduction.surface_points",
+    ),
+    "cloud_count_negative": (
+        "check-jacobi",
+        _with("check_jacobi_canonical.json", "cloud", "count", value=-5),
+        "$.cloud.count",
     ),
     "assertion_on_an_object": (
         "reduce",
@@ -126,3 +151,50 @@ def test_assertion_on_null_fails(tmp_path, capsys):
     assert report["results"]["reduction"]["spread"] is None
     assert report["assertions"][0]["observed"] is None
     assert report["assertions"][0]["passed"] is False
+
+
+class _NoSamples:
+    """An rng that fails the test if the cloud draws a sample."""
+
+    def random(self, size=None):
+        raise AssertionError("sampled before the count was checked")
+
+
+@pytest.mark.parametrize("count", [-5, 0, MAX_POINTS + 1, 1e12, 1e308])
+def test_cloud_count_is_checked_before_sampling(tmp_path, count):
+    doc = _with("check_jacobi_canonical.json", "cloud", "count", value=count)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError) as err:
+        sample_cloud(load_config(path), _NoSamples())
+    assert err.value.json_path == "$.cloud.count"
+
+
+def test_resolve_through_null():
+    results = {"a": None, "b": {"c": 1.0}}
+    assert _resolve(results, "a") is None
+    assert _resolve(results, "a.b.c") is None
+    assert _resolve(results, "b.c") == 1.0
+    with pytest.raises(ConfigError):
+        _resolve(results, "b.d")
+    with pytest.raises(ConfigError):
+        _resolve(results, "c")
+
+
+def test_unreduced_run_fails_every_surface_assertion(tmp_path, capsys):
+    # theta * f = -1: the run does not reduce, so the total variations are
+    # not computed and the surface map has no dual relation residuals
+    doc = _with(
+        "reduce_singular_field.json",
+        "structure",
+        value={"kind": "constant-theta-f", "theta": -1, "f": 1},
+    )
+    code, out, err = run_config(tmp_path, capsys, "reduce", doc)
+    assert code == EXIT_ASSERTION, err
+    assert "[FAIL] total variations vanish" in out
+    assert "[FAIL] surface map matches minus theta" in out
+    report = json.loads((tmp_path / "out" / "reduce_report.json").read_text(encoding="utf-8"))
+    assert report["results"]["total_variation_max"] is None
+    observed = {a["check"]: a["observed"] for a in report["assertions"]}
+    assert observed["total_variation_max"] is None
+    assert observed["reduction.dual_relation_residuals.dq_dp_plus_theta"] is None
