@@ -7,6 +7,14 @@ driven by a versioned JSON config, writes deterministic artifacts (CSV at
 17 significant digits, JSON with sorted keys) into the output directory,
 and evaluates the config's assertion list against the produced report.
 
+Every config value is read through one typed reader, :func:`_read` (and
+:func:`_as` for a list element): a number is any JSON number and an
+integer a JSON integer, neither of them a bool; a count is an integer in
+its bounds; a flag, a string, a list and an object are exactly that JSON
+type.  Every expression is read by :func:`_expr`, which parses it and
+rejects names it may not use.  A value that does not read is a config
+error that names its JSON path.
+
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 config error,
 3 runtime numeric error.
 """
@@ -16,7 +24,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -44,8 +51,11 @@ from .expressions import DomainError, ExpressionError, ParseError, free_names, p
 CONFIG_VERSION = 1
 COMMANDS = ("check-jacobi", "integrate", "reduce", "sweep", "hodograph")
 RNG_ALGORITHM = "pcg64"
-# the most points a config may ask a cloud, a surface sample or a grid for
+# the most points a config may ask a cloud, a surface sample or a grid
+# for, the most steps it may ask a flow for, and the largest n_max
 MAX_POINTS = 1_000_000
+# the most degrees of freedom (phase_space.n) a config may ask for
+MAX_N = 32
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -64,80 +74,97 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # Config loading
 
+_REQUIRED = object()
+_TYPE_NAMES = {
+    float: "a number",
+    int: "an integer",
+    bool: "true or false",
+    str: "a string",
+    list: "a list",
+    dict: "an object",
+}
+# a count is read with the range of values it may take as its kind
+_POINTS = range(1, MAX_POINTS + 1)
+_SEEDS = range(2**64)
 
-def _require(obj: dict, key: str, kind, path: str):
-    if key not in obj:
-        raise ConfigError(f"{path}.{key}", "missing required key")
-    value = obj[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}.{key}", f"expected a number, got {type(value).__name__}")
-        return float(value)
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}.{key}", f"expected an integer, got {type(value).__name__}")
+
+def _as(value, kind, path: str):
+    """``value`` read as ``kind``, a config error at ``path`` otherwise.
+
+    ``float`` takes any JSON number and ``int`` a JSON integer, neither of
+    them a bool; a ``range`` takes an integer in it; ``bool``, ``str``,
+    ``list`` and ``dict`` take exactly that JSON type."""
+    if isinstance(kind, range):
+        value = _as(value, int, path)
+        if value not in kind:
+            raise ConfigError(path, f"expected an integer from {kind.start} to {kind.stop - 1}")
         return value
-    if not isinstance(value, kind):
-        raise ConfigError(
-            f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}"
-        )
+    types = (int, float) if kind is float else kind
+    if not isinstance(value, types) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(path, f"expected {_TYPE_NAMES[kind]}, got {type(value).__name__}")
+    if kind is float:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(path, "expected a number within the range of a float") from None
     return value
 
 
-def _convert(value, convert, path: str):
-    """``convert(value)``, as a config error at ``path`` when it does not apply."""
+def _read(obj: dict, key: str, kind, path: str, default=_REQUIRED):
+    """The value at ``key`` of the config object at ``path``, read by
+    :func:`_as`; ``default`` when the key is absent."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ConfigError(f"{path}.{key}", "missing required key")
+        return default
+    return _as(obj[key], kind, f"{path}.{key}")
+
+
+def _numbers(values, path: str, length: int | None = None) -> list[float]:
+    """A config list of numbers, of ``length`` numbers when given."""
+    numbers = [_as(v, float, f"{path}[{i}]") for i, v in enumerate(_as(values, list, path))]
+    if length is not None and len(numbers) != length:
+        raise ConfigError(path, f"expected {length} numbers, got {len(numbers)}")
+    return numbers
+
+
+def _expr(source, path: str, names=None):
+    """The expression string at ``path``, parsed; it may name nothing but
+    ``names`` when they are given."""
+    if not isinstance(source, str):
+        raise ConfigError(path, f"expected an expression string, got {type(source).__name__}")
     try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(path, f"cannot read {value!r} as {convert.__name__}") from None
+        expr = parse(source)
+    except ParseError as err:
+        raise ConfigError(path, str(err)) from None
+    unknown = set() if names is None else free_names(expr) - set(names)
+    if unknown:
+        raise ConfigError(path, f"undeclared names {sorted(unknown)}")
+    return expr
 
 
-def _block(obj: dict, key: str, path: str = "$") -> dict:
-    """The object at ``key`` of a config block, ``{}`` when absent."""
-    value = obj.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}.{key}", f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _scalar(block: dict, key: str, convert, default, path: str = "$"):
-    """``convert`` applied to an optional value of a config block."""
-    return _convert(block.get(key, default), convert, f"{path}.{key}")
-
-
-def _point_count(block: dict, key: str, default: int, low: int, path: str) -> int:
-    """An optional point count of a config block, from ``low`` to
-    :data:`MAX_POINTS`."""
-    count = _scalar(block, key, int, default, path)
-    if not low <= count <= MAX_POINTS:
-        raise ConfigError(f"{path}.{key}", f"expected a count from {low} to {MAX_POINTS}")
-    return count
-
-
-def _numbers(values, path: str) -> list[float]:
-    """A config list read as floats."""
-    if not isinstance(values, list):
-        raise ConfigError(path, f"expected a list, got {type(values).__name__}")
-    return [_convert(v, float, f"{path}[{i}]") for i, v in enumerate(values)]
-
-
-def _state(block: dict, key: str, dim: int, path: str) -> list[float]:
-    """A required phase-space point of length ``dim``."""
-    values = _numbers(_require(block, key, list, path), f"{path}.{key}")
-    if len(values) != dim:
-        raise ConfigError(f"{path}.{key}", f"expected {dim} numbers, got {len(values)}")
-    return values
+def _entries(fields: dict, path: str, names) -> dict:
+    """``{(i, j): expression}`` read from the ``{"i,j": expression}``
+    object at ``path``."""
+    out = {}
+    for key, src in fields.items():
+        try:
+            i, j = (int(t) for t in key.split(","))
+        except ValueError:
+            raise ConfigError(path, f"entry key {key!r} must look like 'i,j'") from None
+        out[(i, j)] = _expr(src, f"{path}['{key}']", names)
+    return out
 
 
 def _check_integrator(dt: float, t_end: float, method="rk4", path="$.integrator") -> None:
     """The step settings a flow accepts, checked against the config block
-    at ``path``."""
+    at ``path``: at most :data:`MAX_POINTS` steps."""
     if not dt > 0:
         raise ConfigError(f"{path}.dt", "dt must be positive")
     if not t_end > dt:
         raise ConfigError(f"{path}.t_end", "t_end must exceed dt")
-    if not math.isfinite(t_end / dt):
-        raise ConfigError(path, "t_end/dt is not a finite number of steps")
+    if not t_end / dt <= MAX_POINTS:
+        raise ConfigError(path, f"t_end/dt must be at most {MAX_POINTS} steps")
     if method not in ("rk4", "midpoint"):
         raise ConfigError(f"{path}.method", f"unknown method {method!r}")
 
@@ -146,34 +173,8 @@ def _ranges(block: dict, key: str, names, default: list, path: str) -> list[list
     """``[low, high]`` per name from the optional ``{name: [low, high]}``
     object at ``key`` of a block at ``path``, ``default`` where a name is
     missing."""
-    ranges = _block(block, key, path)
-    path = f"{path}.{key}"
-    out = []
-    for name in names:
-        pair = _numbers(ranges.get(name, default), f"{path}.{name}")
-        if len(pair) != 2:
-            raise ConfigError(f"{path}.{name}", f"expected [low, high], got {len(pair)} numbers")
-        out.append(pair)
-    return out
-
-
-def _parse_expr(source, path: str):
-    if not isinstance(source, str):
-        raise ConfigError(path, f"expected an expression string, got {type(source).__name__}")
-    try:
-        return parse(source)
-    except ParseError as err:
-        raise ConfigError(path, str(err)) from None
-
-
-def _hamiltonian(source, path: str, variables, parameters=()):
-    """A Hamiltonian at ``path`` that names nothing but the variables and
-    parameters of the structure it flows on."""
-    expr = _parse_expr(source, path)
-    unknown = free_names(expr) - {*variables, *parameters}
-    if unknown:
-        raise ConfigError(path, f"undeclared names {sorted(unknown)}")
-    return expr
+    ranges = _read(block, key, dict, path, {})
+    return [_numbers(ranges.get(name, default), f"{path}.{key}.{name}", 2) for name in names]
 
 
 @dataclass(eq=False)
@@ -193,50 +194,35 @@ class RunConfig:
 
 
 def _build_structure(cfg: dict, n: int, parameters: dict) -> PoissonStructure:
-    spec = _require(cfg, "structure", dict, "$")
-    kind = _require(spec, "kind", str, "$.structure")
     path = "$.structure"
+    spec = _read(cfg, "structure", dict, "$")
+    kind = _read(spec, "kind", str, path)
+    names = {*phase_variable_names(n), *parameters}
     try:
         if kind == "canonical":
             return canonical(n, parameters)
         if kind == "constant-theta-f":
-            theta = _require(spec, "theta", float, path)
-            f = _require(spec, "f", float, path)
+            theta = _read(spec, "theta", float, path)
+            f = _read(spec, "f", float, path)
             if n != 2:
                 raise ConfigError(path, "constant-theta-f requires n = 2")
             return constant_theta_f(theta, f, parameters)
         if kind == "theta-f-field":
-            def field_map(key):
-                out = {}
-                for idx, src in _block(spec, key, path).items():
-                    try:
-                        i, j = (int(t) for t in idx.split(","))
-                    except ValueError:
-                        raise ConfigError(
-                            f"{path}.{key}", f"entry key {idx!r} must look like 'i,j'"
-                        ) from None
-                    out[(i, j)] = _parse_expr(src, f"{path}.{key}['{idx}']")
-                return out
-
-            return theta_f_field(n, field_map("theta"), field_map("f"), parameters)
+            theta, f = (
+                _entries(_read(spec, key, dict, path, {}), f"{path}.{key}", names)
+                for key in ("theta", "f")
+            )
+            return theta_f_field(n, theta, f, parameters)
         if kind == "general-planar":
             if n != 2:
                 raise ConfigError(path, "general-planar requires n = 2")
             exprs = {
-                name: _parse_expr(_require(spec, name, str, path), f"{path}.{name}")
+                name: _expr(_read(spec, name, str, path), f"{path}.{name}", names)
                 for name in ("theta", "f", "g11", "g12", "g21", "g22")
             }
             return general_planar(parameters=parameters, **exprs)
         if kind == "custom":
-            entries = {}
-            for idx, src in _require(spec, "entries", dict, path).items():
-                try:
-                    a, b = (int(t) for t in idx.split(","))
-                except ValueError:
-                    raise ConfigError(
-                        f"{path}.entries", f"entry key {idx!r} must look like 'a,b'"
-                    ) from None
-                entries[(a, b)] = _parse_expr(src, f"{path}.entries['{idx}']")
+            entries = _entries(_read(spec, "entries", dict, path), f"{path}.entries", names)
             return custom(n, entries, parameters)
     except StructureError as err:
         raise ConfigError(path, str(err)) from None
@@ -250,67 +236,56 @@ def load_config(path) -> RunConfig:
         raise ConfigError("$", f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise ConfigError("$", f"invalid JSON: {err}") from None
     if not isinstance(raw, dict):
         raise ConfigError("$", "config must be a JSON object")
-    version = _require(raw, "version", int, "$")
+    version = _read(raw, "version", int, "$")
     if version != CONFIG_VERSION:
         raise ConfigError("$.version", f"unsupported config version {version}")
-
-    parameters = _block(raw, "parameters")
-    for name, value in parameters.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"$.parameters.{name}", "expected a number")
-    parameters = {k: float(v) for k, v in parameters.items()}
+    parameters = {
+        name: _as(value, float, f"$.parameters.{name}")
+        for name, value in _read(raw, "parameters", dict, "$", {}).items()
+    }
 
     structure = None
     n = 0
     if "structure" in raw:
-        phase = _require(raw, "phase_space", dict, "$")
-        n = _require(phase, "n", int, "$.phase_space")
-        if n < 1:
-            raise ConfigError("$.phase_space.n", "n must be positive")
+        phase = _read(raw, "phase_space", dict, "$")
+        n = _read(phase, "n", range(1, MAX_N + 1), "$.phase_space")
         structure = _build_structure(raw, n, parameters)
 
     # eager checks of the remaining expression-bearing blocks
     if "hamiltonian" in raw:
-        _parse_expr(raw["hamiltonian"], "$.hamiltonian")
-    _filters_from_config(_block(raw, "cloud"), "$.cloud")
+        _expr(raw["hamiltonian"], "$.hamiltonian")
+    _filters_from_config(_read(raw, "cloud", dict, "$", {}), "$.cloud")
 
-    seed = _scalar(raw, "seed", int, 0)
-    if seed < 0:
-        raise ConfigError("$.seed", "seed must be non-negative")
-    cfg = RunConfig(
+    return RunConfig(
         raw=raw,
         path=path,
         n=n,
         parameters=parameters,
         structure=structure,
-        tol=_scalar(raw, "tolerance", float, 1e-9),
-        seed=seed,
+        tol=_read(raw, "tolerance", float, "$", 1e-9),
+        seed=_read(raw, "seed", _SEEDS, "$", 0),
     )
-    return cfg
 
 
 # ---------------------------------------------------------------------------
 # Clouds and filters
 
 
-def _filters_from_config(block: dict, path: str) -> list[hg.DomainFilter]:
+def _filters_from_config(block: dict, path: str, names=None) -> list[hg.DomainFilter]:
     """The ``filters`` list of a cloud or grid block: each entry an
-    ``expr`` with an optional ``min_abs`` and ``min`` bound."""
-    entries = block.get("filters", [])
-    if not isinstance(entries, list):
-        raise ConfigError(f"{path}.filters", "expected a list of filters")
+    ``expr`` (naming only ``names``, when given) with an optional
+    ``min_abs`` and ``min`` bound."""
     filters = []
-    for i, flt in enumerate(entries):
+    for i, flt in enumerate(_read(block, "filters", list, path, [])):
         where = f"{path}.filters[{i}]"
-        if not isinstance(flt, dict):
-            raise ConfigError(where, "expected an object with an expr")
-        expr = _parse_expr(flt.get("expr"), f"{where}.expr")
+        flt = _as(flt, dict, where)
+        expr = _expr(flt.get("expr"), f"{where}.expr", names)
         min_abs, minimum = (
-            None if flt.get(key) is None else _require(flt, key, float, where)
+            None if flt.get(key) is None else _read(flt, key, float, where)
             for key in ("min_abs", "min")
         )
         filters.append(hg.DomainFilter(expr, min_abs=min_abs, minimum=minimum))
@@ -320,11 +295,11 @@ def _filters_from_config(block: dict, path: str) -> list[hg.DomainFilter]:
 def sample_cloud(cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
     """Seeded random phase-space cloud honoring the config's ranges and
     domain filters."""
-    block = _block(cfg.raw, "cloud")
-    count = _point_count(block, "count", 100, 1, "$.cloud")
+    block = _read(cfg.raw, "cloud", dict, "$", {})
+    count = _read(block, "count", _POINTS, "$.cloud", 100)
     names = cfg.structure.variable_names
     lo, hi = np.array(_ranges(block, "ranges", names, [-1.5, 1.5], "$.cloud")).T
-    filters = _filters_from_config(block, "$.cloud")
+    filters = _filters_from_config(block, "$.cloud", {*names, *cfg.parameters})
     points = []
     attempts = 0
     env = dict(cfg.parameters)
@@ -394,14 +369,15 @@ _OPS = {
 
 def evaluate_assertions(cfg: RunConfig, results: dict) -> list[dict]:
     out = []
-    for i, spec in enumerate(cfg.raw.get("assertions", [])):
+    for i, spec in enumerate(_read(cfg.raw, "assertions", list, "$", [])):
         path = f"$.assertions[{i}]"
-        name = _require(spec, "name", str, path)
-        value_path = _require(spec, "value", str, path)
-        op = _require(spec, "op", str, path)
+        spec = _as(spec, dict, path)
+        name = _read(spec, "name", str, path)
+        value_path = _read(spec, "value", str, path)
+        op = _read(spec, "op", str, path)
         if op not in _OPS:
             raise ConfigError(f"{path}.op", f"unknown comparison {op!r}")
-        threshold = _require(spec, "threshold", float, path)
+        threshold = _read(spec, "threshold", float, path)
         observed = _resolve(results, value_path)
         # a value the run did not produce (null) fails the assertion
         if observed is not None and not isinstance(observed, (int, float, np.number, np.bool_)):
@@ -466,22 +442,18 @@ def _cmd_integrate(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
     structure = cfg.structure
     if structure is None:
         raise ConfigError("$.structure", "integrate needs a structure")
-    ham = _hamiltonian(
-        _require(cfg.raw, "hamiltonian", str, "$"),
-        "$.hamiltonian",
-        structure.variable_names,
-        structure.parameters,
-    )
-    integ = _require(cfg.raw, "integrator", dict, "$")
-    x0 = _state(cfg.raw, "initial_state", structure.dim, "$")
-    dt = _require(integ, "dt", float, "$.integrator")
-    t_end = _require(integ, "t_end", float, "$.integrator")
-    method = integ.get("method", "rk4")
+    names = {*structure.variable_names, *cfg.parameters}
+    ham = _expr(_read(cfg.raw, "hamiltonian", str, "$"), "$.hamiltonian", names)
+    integ = _read(cfg.raw, "integrator", dict, "$")
+    x0 = _numbers(_read(cfg.raw, "initial_state", list, "$"), "$.initial_state", structure.dim)
+    dt = _read(integ, "dt", float, "$.integrator")
+    t_end = _read(integ, "t_end", float, "$.integrator")
+    method = _read(integ, "method", str, "$.integrator", "rk4")
     _check_integrator(dt, t_end, method)
     problem = FlowProblem(structure, ham, x0, dt, t_end, method)
     extra = {
-        name: _parse_expr(src, f"$.monitors.{name}")
-        for name, src in _block(cfg.raw, "monitors").items()
+        name: _expr(src, f"$.monitors.{name}", names)
+        for name, src in _read(cfg.raw, "monitors", dict, "$", {}).items()
     }
     traj = integrate(problem, extra_monitors=extra)
     monitors = {}
@@ -504,53 +476,39 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     structure = cfg.structure
     if structure is None:
         raise ConfigError("$.structure", "reduce needs a structure")
-    block = _block(cfg.raw, "reduction")
+    path = "$.reduction"
+    block = _read(cfg.raw, "reduction", dict, "$", {})
     n = structure.n
-    reference = np.array(_state(block, "reference_point", structure.dim, "$.reduction"))
+    names = {*structure.variable_names, *cfg.parameters}
+    reference = _read(block, "reference_point", list, path)
+    reference = np.array(_numbers(reference, f"{path}.reference_point", structure.dim))
 
-    spectrum = block.get("spectrum", False)
     ham = None
-    if spectrum:
-        n_max = _scalar(block, "n_max", int, 5, "$.reduction")
-        dt = _scalar(block, "dt", float, 1e-3, "$.reduction")
-        t_end = _scalar(block, "t_end", float, 10.0, "$.reduction")
-        _check_integrator(dt, t_end, path="$.reduction")
+    if _read(block, "spectrum", bool, path, False):
+        n_max = _read(block, "n_max", range(MAX_POINTS + 1), path, 5)
+        dt = _read(block, "dt", float, path, 1e-3)
+        t_end = _read(block, "t_end", float, path, 10.0)
+        _check_integrator(dt, t_end, path=path)
         constants = block.get("constants")
         if constants is not None:
-            constants = _numbers(constants, "$.reduction.constants")
+            constants = _numbers(constants, f"{path}.constants", n)
         if "hamiltonian" in cfg.raw:
-            ham = _hamiltonian(
-                cfg.raw["hamiltonian"],
-                "$.hamiltonian",
-                structure.variable_names,
-                structure.parameters,
-            )
+            ham = _expr(cfg.raw["hamiltonian"], "$.hamiltonian", names)
 
     if structure.kind in DELTA_KINDS:
-        count = _point_count(block, "surface_points", 200, 0, "$.reduction")
-        ranges = _ranges(
-            block,
-            "surface_parameter_ranges",
-            [f"p{j + 1}" for j in range(n)],
-            [0.8, 1.6],
-            "$.reduction",
-        )
+        count = _read(block, "surface_points", range(MAX_POINTS + 1), path, 200)
+        p_names = [f"p{j + 1}" for j in range(n)]
+        ranges = _ranges(block, "surface_parameter_ranges", p_names, [0.8, 1.6], path)
         p_pts = np.empty((count, n))
         for j, (lo, hi) in enumerate(ranges):
             p_pts[:, j] = lo + (hi - lo) * rng.random(count)
         cloud = red.surface_cloud(structure, reference, p_pts)
         points = cloud.points
     else:
-        path = "$.reduction.leaf_hamiltonians"
-        sources = block.get(
-            "leaf_hamiltonians",
-            ["q1*p2 + q2^2/2", "p1*p2 + q1*q2/3", "q2*p1 - q1*p2/2"],
-        )
-        if not isinstance(sources, list):
-            raise ConfigError(path, f"expected a list, got {type(sources).__name__}")
+        default = ["q1*p2 + q2^2/2", "p1*p2 + q1*q2/3", "q2*p1 - q1*p2/2"]
+        sources = _read(block, "leaf_hamiltonians", list, path, default)
         hams = [
-            _hamiltonian(src, f"{path}[{i}]", structure.variable_names, structure.parameters)
-            for i, src in enumerate(sources)
+            _expr(src, f"{path}.leaf_hamiltonians[{i}]", names) for i, src in enumerate(sources)
         ]
         points = red.leaf_cloud(structure, reference, hams)
         cloud = points
@@ -584,7 +542,10 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
         )
         spec_rep = red.spectrum_and_frequency(system, n_max)
         times, qs = red.integrate_reduced(system, system.reference, dt, t_end)
-        omega_measured = zero_crossing_frequency(times, qs[:, 0])
+        try:
+            omega_measured = zero_crossing_frequency(times, qs[:, 0])
+        except ValueError as err:
+            raise red.ReductionError(f"reduced orbit: {err}") from None
         results["spectrum"] = {
             "omega_red": spec_rep.omega_red,
             "omega_zero_crossing": omega_measured,
@@ -598,20 +559,20 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
 
 
 def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
-    block = _block(cfg.raw, "sweep")
-    theta = _scalar(block, "theta", float, 1.0, "$.sweep")
+    block = _read(cfg.raw, "sweep", dict, "$", {})
+    theta = _read(block, "theta", float, "$.sweep", 1.0)
+    if theta == 0.0:
+        raise ConfigError("$.sweep.theta", "theta must be nonzero")
     epsilons = _numbers(block.get("epsilons", [1e-1, 1e-2, 1e-3, 1e-4]), "$.sweep.epsilons")
-    ham = _hamiltonian(
-        _require(cfg.raw, "hamiltonian", str, "$"),
-        "$.hamiltonian",
-        phase_variable_names(2),
-        cfg.parameters,
-    )
-    x0 = _state(cfg.raw, "initial_state", 4, "$")
-    integ = _block(cfg.raw, "integrator")
-    dt = _scalar(integ, "dt", float, 1e-3, "$.integrator")
-    t_end = _scalar(integ, "t_end", float, 10.0, "$.integrator")
-    method = integ.get("method", "rk4")
+    if not epsilons:
+        raise ConfigError("$.sweep.epsilons", "expected at least one epsilon")
+    names = {*phase_variable_names(2), *cfg.parameters}
+    ham = _expr(_read(cfg.raw, "hamiltonian", str, "$"), "$.hamiltonian", names)
+    x0 = _numbers(_read(cfg.raw, "initial_state", list, "$"), "$.initial_state", 4)
+    integ = _read(cfg.raw, "integrator", dict, "$", {})
+    dt = _read(integ, "dt", float, "$.integrator", 1e-3)
+    t_end = _read(integ, "t_end", float, "$.integrator", 10.0)
+    method = _read(integ, "method", str, "$.integrator", "rk4")
     _check_integrator(dt, t_end, method)
     sweep = red.epsilon_sweep(
         theta,
@@ -632,27 +593,25 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
 
 
 def _grid_axis(grid_cfg: dict, key: str, path: str) -> tuple[float, float, int]:
-    axis = _require(grid_cfg, key, list, path)
-    try:
-        lo, hi, count = axis
-        lo, hi, count = float(lo), float(hi), int(count)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{path}.{key}", "expected [low, high, count]") from None
-    if count < 1:
-        raise ConfigError(f"{path}.{key}", "the point count must be at least 1")
-    return lo, hi, count
+    axis = _read(grid_cfg, key, list, path)
+    path = f"{path}.{key}"
+    if len(axis) != 3:
+        raise ConfigError(path, "expected [low, high, count]")
+    lo, hi = _numbers(axis[:2], path)
+    return lo, hi, _as(axis[2], _POINTS, f"{path}[2]")
 
 
 def _grid_from_config(block: dict, kind: str, path: str) -> hg.Grid2D:
-    grid_cfg = _require(block, "grid", dict, path)
+    grid_cfg = _read(block, "grid", dict, path)
     x_lo, x_hi, nx = _grid_axis(grid_cfg, "x", f"{path}.grid")
     y_lo, y_hi, ny = _grid_axis(grid_cfg, "y", f"{path}.grid")
     if nx * ny > MAX_POINTS:
         raise ConfigError(f"{path}.grid", f"expected at most {MAX_POINTS} grid points")
-    band = _scalar(grid_cfg, "band", float, 1e-3, f"{path}.grid")
+    band = _read(grid_cfg, "band", float, f"{path}.grid", 1e-3)
+    names = {"x", "y", *_read(block, "parameters", dict, path, {})}
     filters = (
         *hg.default_filters(kind, band=band),
-        *_filters_from_config(grid_cfg, f"{path}.grid"),
+        *_filters_from_config(grid_cfg, f"{path}.grid", names),
     )
     return hg.Grid2D((x_lo, x_hi), (y_lo, y_hi), nx, ny, filters)
 
@@ -667,21 +626,33 @@ _UNIT_TAGS = {
 
 
 def _cmd_hodograph(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
-    block = _require(cfg.raw, "hodograph", dict, "$")
-    kind = _require(block, "kind", str, "$.hodograph")
+    path = "$.hodograph"
+    block = _read(cfg.raw, "hodograph", dict, "$")
+    kind = _read(block, "kind", str, path)
+    if kind not in hg.FAMILY_KINDS:
+        raise ConfigError(f"{path}.kind", f"unknown family kind {kind!r}")
     params = {
-        k: _convert(v, float, f"$.hodograph.parameters.{k}")
-        for k, v in _block(block, "parameters", "$.hodograph").items()
+        k: _as(v, float, f"{path}.parameters.{k}")
+        for k, v in _read(block, "parameters", dict, path, {}).items()
     }
-    branch = block.get("branch", "+")
-    family = hg.build_family(
-        kind,
-        params,
-        branch=branch,
-        f=block.get("f"),
-        g=block.get("g"),
-    )
-    grid = _grid_from_config(block, kind, "$.hodograph")
+    branch = _read(block, "branch", str, path, "+")
+    if branch not in ("+", "-"):
+        raise ConfigError(f"{path}.branch", "branch must be '+' or '-'")
+    f = g = None
+    if kind == "custom-fg":
+        f, g = (
+            _expr(_read(block, key, str, path), f"{path}.{key}", {"s", *params})
+            for key in ("f", "g")
+        )
+    alphas = _numbers(block.get("alphas", []), f"{path}.alphas")
+    if alphas and kind not in ("linear", "log"):
+        raise ConfigError(f"{path}.alphas", f"a {kind} family has no degenerate-limit sweep")
+    try:
+        family = hg.build_family(kind, params, branch=branch, f=f, g=g)
+    except hg.HodographError as err:
+        # with kind, branch and generators read, only a parameter is missing
+        raise ConfigError(f"{path}.parameters", str(err)) from None
+    grid = _grid_from_config(block, kind, path)
     results: dict = {"kind": kind, "parameters": params, "branch": branch}
     results["parameter_units"] = _UNIT_TAGS.get(kind, {})
     checks = hg.grid_checks(family, grid)
@@ -713,9 +684,7 @@ def _cmd_hodograph(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
             "root_product_residual"
         ]
 
-    alphas = block.get("alphas")
     if alphas:
-        alphas = _numbers(alphas, "$.hodograph.alphas")
         sweep = hg.limit_sweep(kind, params, alphas, grid, branch)
         results["sweep"] = sweep.to_json_dict()
         header = ["alpha", "max_dev_u", "max_dev_v", "max_u_minus_v", "fitted_order"]
@@ -743,10 +712,7 @@ def run(command: str, cfg: RunConfig, out_dir, seed=None, tol=None) -> RunReport
     if command not in _COMMAND_TABLE:
         raise ConfigError("$", f"unknown command {command!r}")
     if seed is not None:
-        seed = int(seed)
-        if seed < 0:
-            raise ConfigError("--seed", "seed must be non-negative")
-        cfg.seed = seed
+        cfg.seed = _as(int(seed), _SEEDS, "--seed")
     if tol is not None:
         cfg.tol = float(tol)
     out_dir = Path(out_dir)
