@@ -128,6 +128,18 @@ def _numbers(values, path: str, length: int | None = None) -> list[float]:
     return numbers
 
 
+def _fit_abscissae(values, path: str) -> list[float]:
+    """A config list of numbers that a log-log fit takes as its abscissae:
+    each above 0, and at least two distinct values."""
+    numbers = _numbers(values, path)
+    for i, x in enumerate(numbers):
+        if not x > 0.0:
+            raise ConfigError(f"{path}[{i}]", "expected a number above 0")
+    if len(set(numbers)) < 2:
+        raise ConfigError(path, "expected at least two distinct values")
+    return numbers
+
+
 def _expr(source, path: str, names=None):
     """The expression string at ``path``, parsed; it may name nothing but
     ``names`` when they are given."""
@@ -367,8 +379,10 @@ _OPS = {
 }
 
 
-def evaluate_assertions(cfg: RunConfig, results: dict) -> list[dict]:
-    out = []
+def read_assertions(cfg: RunConfig) -> list[tuple[str, str, str, float]]:
+    """The config's assertions as ``(name, value, op, threshold)``, read
+    before the command runs, so a malformed one costs no computation."""
+    specs = []
     for i, spec in enumerate(_read(cfg.raw, "assertions", list, "$", [])):
         path = f"$.assertions[{i}]"
         spec = _as(spec, dict, path)
@@ -377,7 +391,15 @@ def evaluate_assertions(cfg: RunConfig, results: dict) -> list[dict]:
         op = _read(spec, "op", str, path)
         if op not in _OPS:
             raise ConfigError(f"{path}.op", f"unknown comparison {op!r}")
-        threshold = _read(spec, "threshold", float, path)
+        specs.append((name, value_path, op, _read(spec, "threshold", float, path)))
+    return specs
+
+
+def evaluate_assertions(specs: list[tuple[str, str, str, float]], results: dict) -> list[dict]:
+    """Each assertion of :func:`read_assertions` against the run's report."""
+    out = []
+    for i, (name, value_path, op, threshold) in enumerate(specs):
+        path = f"$.assertions[{i}]"
         observed = _resolve(results, value_path)
         # a value the run did not produce (null) fails the assertion
         if observed is not None and not isinstance(observed, (int, float, np.number, np.bool_)):
@@ -563,9 +585,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     theta = _read(block, "theta", float, "$.sweep", 1.0)
     if theta == 0.0:
         raise ConfigError("$.sweep.theta", "theta must be nonzero")
-    epsilons = _numbers(block.get("epsilons", [1e-1, 1e-2, 1e-3, 1e-4]), "$.sweep.epsilons")
-    if not epsilons:
-        raise ConfigError("$.sweep.epsilons", "expected at least one epsilon")
+    epsilons = _fit_abscissae(block.get("epsilons", [1e-1, 1e-2, 1e-3, 1e-4]), "$.sweep.epsilons")
     names = {*phase_variable_names(2), *cfg.parameters}
     ham = _expr(_read(cfg.raw, "hamiltonian", str, "$"), "$.hamiltonian", names)
     x0 = _numbers(_read(cfg.raw, "initial_state", list, "$"), "$.initial_state", 4)
@@ -644,7 +664,8 @@ def _cmd_hodograph(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
             _expr(_read(block, key, str, path), f"{path}.{key}", {"s", *params})
             for key in ("f", "g")
         )
-    alphas = _numbers(block.get("alphas", []), f"{path}.alphas")
+    alphas = block.get("alphas", [])
+    alphas = _fit_abscissae(alphas, f"{path}.alphas") if alphas != [] else []
     if alphas and kind not in ("linear", "log"):
         raise ConfigError(f"{path}.alphas", f"a {kind} family has no degenerate-limit sweep")
     try:
@@ -711,6 +732,7 @@ def run(command: str, cfg: RunConfig, out_dir, seed=None, tol=None) -> RunReport
     contain no timing so fixed seeds give byte-identical output."""
     if command not in _COMMAND_TABLE:
         raise ConfigError("$", f"unknown command {command!r}")
+    specs = read_assertions(cfg)
     if seed is not None:
         cfg.seed = _as(int(seed), _SEEDS, "--seed")
     if tol is not None:
@@ -720,7 +742,7 @@ def run(command: str, cfg: RunConfig, out_dir, seed=None, tol=None) -> RunReport
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     results, artifacts = _COMMAND_TABLE[command](cfg, out_dir, rng)
-    assertions = evaluate_assertions(cfg, results)
+    assertions = evaluate_assertions(specs, results)
     report_doc = {
         "command": command,
         "config_digest": cfg.digest,

@@ -18,6 +18,16 @@ matrices, Jacobi and degeneracy checks, surface solves, domain filters,
 hodograph families and generators).  The same emitter (``_Codegen``) also
 writes each flow's whole integration step (``dynamics._generate_step``).
 
+Powers in generated code: a fixed integer exponent ``c >= 0`` is a bare
+``math.pow`` call, and the partial of ``x^2`` is ``2.0 * x`` times the dual
+part, because ``math.pow(x, 1.0)`` is ``x`` bit for bit; negative and
+variable exponents keep the checked helpers.  ``math.pow`` raises
+``OverflowError`` where the tree walker yields a signed infinity, so each
+generated function is one code object run in two namespaces: the fast
+one binds bare ``math.pow``, and on an overflow it reruns the other, which
+binds :func:`_pow_ieee`.  An overflow therefore stays in generated code and
+never reaches the tree walker.
+
 Grammar::
 
     expr   := term (('+'|'-') term)*
@@ -397,14 +407,19 @@ def to_source(e: Expression) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _pow_value(lv: float, rv: float, node) -> float:
-    # overflow follows IEEE and yields a signed infinity; only genuine
-    # domain violations raise
+def _pow_ieee(lv: float, rv: float) -> float:
+    # overflow follows IEEE and yields a signed infinity
     try:
         return math.pow(lv, rv)
     except OverflowError:
         negative = lv < 0.0 and int(rv) % 2 == 1
         return -math.inf if negative else math.inf
+
+
+def _pow_value(lv: float, rv: float, node) -> float:
+    # only genuine domain violations raise
+    try:
+        return _pow_ieee(lv, rv)
     except ValueError as err:
         raise DomainError(str(err), to_source(node)) from None
 
@@ -676,25 +691,37 @@ class _Codegen:
 
     def function(self, params: str, result: str, fallback: Callable | None = None) -> Callable:
         """``def (params)`` running the emitted lines and returning ``result``.
-        With a ``fallback``, an evaluation error reruns it on the arguments."""
-        if fallback is None:
-            body = "".join(f"    {line}\n" for line in self.lines)
-            source = f"def _compiled({params}):\n{body}    return {result}\n"
-        else:
-            body = "".join(f"        {line}\n" for line in self.lines)
-            source = (
-                f"def _compiled({params}):\n"
-                "    try:\n"
-                f"{body}"
-                f"        return {result}\n"
-                "    except _errors:\n"
-                f"        return _fallback({params})\n"
-            )
+        With a ``fallback``, an evaluation error reruns it on the arguments.
+
+        ``_pow`` is bare ``math.pow``, whose only error for a fixed exponent
+        is ``OverflowError``; a call that overflows reruns the same code
+        with ``_pow`` bound to :func:`_pow_ieee`, so the result keeps the
+        tree walker's signed infinities without reaching the fallback."""
+        body = "".join(f"        {line}\n" for line in self.lines)
+        source = (
+            f"def _compiled({params}):\n"
+            "    try:\n"
+            f"{body}"
+            f"        return {result}\n"
+            "    except _overflow:\n"
+            f"        return _ieee({params})\n"
+        )
+        if fallback is not None:
+            source += f"    except _errors:\n        return _fallback({params})\n"
+        code = builtins.compile(source, "<noncanon.expressions.compile>", "exec")
         namespace = dict(_GENERATED_GLOBALS, **self.namespace, _fallback=fallback)
-        exec(builtins.compile(source, "<noncanon.expressions.compile>", "exec"), namespace)
-        # popped, so the function and its globals form no cycle and are freed
-        # by reference counting as soon as the caller drops the function
-        return namespace.pop("_compiled")
+
+        def define(**names) -> Callable:
+            variant = dict(namespace, **names)
+            exec(code, variant)
+            # popped, so the function and its globals form no cycle and are
+            # freed by reference counting as soon as the caller drops it
+            return variant.pop("_compiled")
+
+        ieee = define(_pow=_pow_ieee, _overflow=())  # ``except ()`` catches nothing
+        if "_pow(" not in source:
+            return ieee
+        return define(_pow=math.pow, _overflow=OverflowError, _ieee=ieee)
 
     def emit(self, e: Expression) -> tuple[str, dict[str, str]]:
         """Emit ``e``; return the atom holding its value and, per variable
@@ -751,14 +778,20 @@ class _Codegen:
             node = self.bind(e)
             c = e.right.value if isinstance(e.right, Const) else math.nan
             if _is_integer(c):
-                # a fixed integer exponent settles _pow's exponent tests now,
-                # and math.pow raises a ValueError for a zero base when c < 0
-                v = self.assign(f"_pow_value({l}, {r}, {node})", c >= 0.0)
+                # a fixed integer exponent settles _pow's exponent tests now;
+                # math.pow raises a ValueError for a zero base when c < 0,
+                # and otherwise only overflows, which ``function`` reruns
+                # with a pow that cannot raise, so the line counts as pure
+                if c >= 0.0:
+                    v = self.assign(f"_pow({l}, {r})", True)
+                else:
+                    v = self.assign(f"_pow_value({l}, {r}, {node})")
                 if c > 1.0:
-                    lower = f"({c - 1.0!r})"
+                    # pow(x, 1.0) is x bit for bit
+                    lower = l if c == 2.0 else f"_pow({l}, ({c - 1.0!r}))"
                     return v, {
                         n: self.assign(
-                            f"0.0 + {r} * _pow_value({l}, {lower}, {node}) * {d} "
+                            f"0.0 + {r} * {lower} * {d} "
                             f"if {d} != 0.0 and {l} != 0.0 else 0.0",
                             True,
                         )
