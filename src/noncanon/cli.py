@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -130,11 +131,11 @@ def _numbers(values, path: str, length: int | None = None) -> list[float]:
 
 def _fit_abscissae(values, path: str) -> list[float]:
     """A config list of numbers that a log-log fit takes as its abscissae:
-    each above 0, and at least two distinct values."""
+    each finite and above 0, and at least two distinct values."""
     numbers = _numbers(values, path)
     for i, x in enumerate(numbers):
-        if not x > 0.0:
-            raise ConfigError(f"{path}[{i}]", "expected a number above 0")
+        if not 0.0 < x < math.inf:
+            raise ConfigError(f"{path}[{i}]", "expected a finite number above 0")
     if len(set(numbers)) < 2:
         raise ConfigError(path, "expected at least two distinct values")
     return numbers

@@ -12,12 +12,13 @@ trajectory runs through a numerically degenerate region.
 Each flow runs two pieces of code generated for it on Python floats: one
 straight-line step (four RK4 stages and their combination, or the velocity
 that the implicit midpoint iterates) and one monitor row (every monitor and
-every stored bracket entry at a state).  The tree walker (``_Velocity``,
-``_reference_row``) stays the reference: it redoes any step or row whose
-generated code raises, and is bit-identical where the generated code
-succeeds.  The reduced flow of :mod:`reduction` is stepped by the same
-:func:`_flow_step`, its constant bracket on q1..qn read like any
-structure's, and has no monitor row.
+every stored bracket entry at a state).  Both read the state tuple, bound
+to locals, and load each parameter once per call.  The tree walker
+(``_Velocity``, ``_reference_row``) stays the reference: it redoes any
+step or row whose generated code raises, once, and is bit-identical where
+the generated code succeeds.  The reduced flow of :mod:`reduction` is
+stepped by the same :func:`_flow_step`, its constant bracket on q1..qn
+read like any structure's, and has no monitor row.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .expressions import (  # noqa: F401
     _Codegen,
     _eval,
     as_expression,
-    compile,
     evaluate,
     free_names,
     gradient,
@@ -117,6 +117,20 @@ class _Velocity:
         return out
 
 
+def _state_codegen(structure: PoissonStructure) -> tuple[_Codegen, list[str]]:
+    """A code generator for a function of the state tuple ``x``, and the
+    locals ``x0, x1, ...`` its first line unpacks ``x`` into.  The
+    phase-space names load from those locals, and each parameter is
+    loaded once per call from ``structure.parameters``."""
+    names = structure.variable_names
+    gen = _Codegen(())
+    gen.namespace["env"] = structure.parameters
+    x = [f"x{i}" for i in range(len(names))]
+    gen.lines.append(f"{', '.join(x)}, = x")
+    gen.loads.update(zip(names, x))
+    return gen, x
+
+
 def _generate_step(
     structure: PoissonStructure, hamiltonian: Expression, method: str
 ) -> Callable:
@@ -135,10 +149,7 @@ def _generate_step(
     """
     names = structure.variable_names
     entries = list(structure.entries.items())
-    gen = _Codegen(names)
-    gen.namespace["env"] = structure.parameters
-    x = [f"x{i}" for i in range(len(names))]
-    gen.lines.append(f"{', '.join(x)}, = x")
+    gen, x = _state_codegen(structure)
 
     def stage(state: list[str]) -> list[str]:
         gen.loads.update(zip(names, state))
@@ -308,6 +319,17 @@ def default_monitors(structure: PoissonStructure) -> dict[str, Expression]:
     return monitors
 
 
+def _generate_row(structure: PoissonStructure, exprs: Sequence[Expression]) -> Callable:
+    """Generated code for one monitor row, ``row(x) -> tuple``: the value of
+    every expression of ``exprs`` and then of every stored bracket entry, at
+    the state tuple ``x``.  A call that succeeds is bit-identical to
+    :func:`_reference_row`; the code does not fall back, so the caller
+    redoes a raising row on the tree walker."""
+    gen, _ = _state_codegen(structure)
+    values = [gen.emit(e)[0] for e in (*exprs, *structure.entries.values())]
+    return gen.function("x", f"({''.join(f'{v}, ' for v in values)})")
+
+
 def _reference_row(structure: PoissonStructure, exprs, x: np.ndarray) -> tuple[list, list]:
     """Monitor values and stored entry values at one state, by tree walking."""
     env = dict(structure.parameters)
@@ -322,17 +344,16 @@ def _monitor_pass(
 ) -> tuple[dict[str, np.ndarray], float]:
     """Monitor series over the stored states, and min |det Theta| along them.
 
-    One generated function per flow computes a state's row, the monitors
-    and then the stored bracket entries; a state whose row raises is redone
-    by :func:`_reference_row`, so errors are the tree walker's, in its
-    order: monitors first, then ``theta_matrix``.  Rows are written block by
-    block, and ``det Theta`` is taken over the stacked block, which keeps
-    the extra memory to one block.
+    One generated function per flow (:func:`_generate_row`) computes a
+    state's row, the monitors and then the stored bracket entries, from the
+    state tuple, with parameters loaded once per call.  A state whose row
+    raises is redone once, by :func:`_reference_row`, so errors are the tree
+    walker's, in its order: monitors first, then ``theta_matrix``.  Rows are
+    written block by block, and ``det Theta`` is taken over the stacked
+    block, which keeps the extra memory to one block.
     """
     exprs = list(monitor_exprs.values())
-    row = compile([*exprs, *structure.entries.values()])
-    names = structure.variable_names
-    env = dict(structure.parameters)
+    row = _generate_row(structure, exprs)
     width = len(exprs)
     monitors = np.empty((width, len(states)))
     rows = np.empty((_DET_BLOCK, width + len(structure.entries)))
@@ -342,9 +363,8 @@ def _monitor_pass(
         block = states[start : start + _DET_BLOCK]
         values = []
         for j, x in enumerate(block.tolist()):
-            env.update(zip(names, x))
             try:
-                values.append(row(env)[0])
+                values.append(row(x))
             except EVALUATION_ERRORS:
                 monitor_values, entry_values = _reference_row(structure, exprs, block[j])
                 values.append(monitor_values + entry_values)

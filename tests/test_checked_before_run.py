@@ -1,11 +1,11 @@
 """Config values that are checked before any flow or grid runs.
 
 The epsilons of ``sweep`` and the alphas of ``hodograph`` are the
-abscissae of log-log fits, so each must be above 0 and a list needs two
-distinct values; the ``assertions`` block is read, and its shape checked,
-before the command runs (its values are resolved after the run).  A bad
-input exits 2 with its JSON path, and the functions that would integrate
-a flow or sweep a grid are patched to fail if they are called."""
+abscissae of log-log fits, so each must be finite and above 0 and a list
+needs two distinct values; the ``assertions`` block is read, and its shape
+checked, before the command runs (its values are resolved after the run).
+A bad input exits 2 with its JSON path, and the functions that would
+integrate a flow or sweep a grid are patched to fail if they are called."""
 
 import json
 from pathlib import Path
@@ -66,6 +66,8 @@ CASES = {
                          "$.sweep.epsilons[1]"),
     "epsilon_nan": ("sweep", _with(SWEEP, "sweep", "epsilons", value=[float("nan"), 0.01]),
                     "$.sweep.epsilons[0]"),
+    "epsilon_infinite": ("sweep", _with(SWEEP, "sweep", "epsilons", value=[0.01, float("inf")]),
+                         "$.sweep.epsilons[1]"),
     "one_epsilon": ("sweep", _with(SWEEP, "sweep", "epsilons", value=[0.01]),
                     "$.sweep.epsilons"),
     "repeated_epsilon": ("sweep", _with(SWEEP, "sweep", "epsilons", value=[0.01, 0.01]),
@@ -74,6 +76,8 @@ CASES = {
                        "$.hodograph.alphas[1]"),
     "alpha_zero": ("hodograph", _with(LINEAR, "hodograph", "alphas", value=[1.0, 0.0]),
                    "$.hodograph.alphas[1]"),
+    "alpha_infinite": ("hodograph", _with(LINEAR, "hodograph", "alphas", value=[1.0, float("inf")]),
+                       "$.hodograph.alphas[1]"),
     "one_alpha": ("hodograph", _with(LINEAR, "hodograph", "alphas", value=[1.0]),
                   "$.hodograph.alphas"),
     "repeated_alpha": ("hodograph", _with(LINEAR, "hodograph", "alphas", value=[1.0, 1.0]),

@@ -160,7 +160,7 @@ def test_overflow_results_are_signed_infinities():
 
 # --- flow fixtures with the generated code switched off ------------------------
 
-# fixture: (command, whether a flow of it computes monitor rows by ``compile``)
+# fixture: (command, whether a flow of it computes generated monitor rows)
 FLOW_FIXTURES = {
     "integrate_canonical_oscillator.json": ("integrate", True),
     "integrate_constant_identification.json": ("integrate", True),
@@ -181,13 +181,13 @@ def test_fixture_artifacts_match_tree_fallback(name, tmp_path, monkeypatch):
     generated = _artifacts(name, tmp_path / "generated")
     calls = []
 
-    def raising_compile(e, variables=()):
-        def disabled(env):
-            calls.append(e)
+    def raising_row(structure, exprs):
+        def disabled(x):
+            calls.append(exprs)
             raise DomainError("generated code disabled", "")
 
         return disabled
 
-    monkeypatch.setattr(dynamics, "compile", raising_compile)
+    monkeypatch.setattr(dynamics, "_generate_row", raising_row)
     assert _artifacts(name, tmp_path / "tree") == generated
     assert bool(calls) == FLOW_FIXTURES[name][1]

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from noncanon import dynamics
+from noncanon import dynamics, expressions
 from noncanon.brackets import (
     canonical,
     constant_theta_f,
@@ -33,6 +33,7 @@ from noncanon.dynamics import (
     FlowProblem,
     IntegrationError,
     _flow_step,
+    _generate_row,
     _generate_step,
     _midpoint_step,
     _monitor_pass,
@@ -199,6 +200,46 @@ def test_monitor_row_matches_reference_row(flow):
     assert_same_outcome(got, _reference_outcome(structure, exprs, x))
 
 
+def _named(exprs):
+    return dict(zip(map(str, range(len(exprs))), exprs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(flows())
+def test_generated_row_matches_reference_row(flow):
+    structure, h, x = flow
+    exprs = _row_exprs(structure, h)
+    want = _reference_outcome(structure, exprs, x)
+    got = _outcome(_generate_row(structure, exprs), x)
+    if not isinstance(got, Exception):
+        assert_same_outcome(got, want)
+        return
+    # the row has no fallback; the pass redoes it on the tree walker, so
+    # the error that reaches the caller is the tree walker's
+    assert isinstance(want, Exception), (got, want)
+    with np.errstate(all="ignore"), pytest.raises(type(want)) as raised:
+        _monitor_pass(structure, _named(exprs), np.array([x]))
+    assert str(raised.value) == str(want)
+
+
+def test_raising_row_is_redone_once_by_the_tree_walker():
+    # ``q1/p1`` divides by zero at p1 == 0, in the generated row and in the
+    # tree walker alike: the state goes to ``_reference_row`` alone, not
+    # first through the tree-walker rerun of ``compile``'s sequence form
+    structure, h = canonical(1), parse("p1^2/2 + q1^2/2")
+    exprs = _row_exprs(structure, h)
+    states = np.array([[0.5, 0.25], [0.5, 0.0], [0.25, 0.0]])
+    walk_all = mock.patch.object(
+        expressions, "_reference_all", wraps=expressions._reference_all
+    )
+    redo = mock.patch.object(dynamics, "_reference_row", wraps=_reference_row)
+    with walk_all as walk_all, redo as redo:
+        with pytest.raises(DomainError, match="division by zero"):
+            _monitor_pass(structure, _named(exprs), states)
+    assert walk_all.call_count == 0
+    assert redo.call_count == 1
+
+
 def _reference_pass(structure, exprs, states):
     rows = [_reference_row(structure, exprs, x) for x in states]
     monitors = np.array([r[0] for r in rows]).reshape(len(states), len(exprs)).T
@@ -214,7 +255,7 @@ def test_monitor_pass_matches_reference_rows(name, count, seed):
     h = parse(hamiltonians[0])
     states = np.random.default_rng(seed).uniform(-2.0, 2.0, (count, structure.dim))
     exprs = _row_exprs(structure, h)
-    monitor_exprs = dict(zip(map(str, range(len(exprs))), exprs))
+    monitor_exprs = _named(exprs)
     try:
         want = _reference_pass(structure, exprs, states)
     except EVALUATION_ERRORS as err:
@@ -308,8 +349,8 @@ def test_step_redone_by_tree_walker_where_only_python_floats_raise():
 
 
 class _Disabled:
-    """Stand-ins for the step generator and ``compile`` in ``dynamics`` whose
-    code always raises, so every step and row takes the tree walker."""
+    """Stand-ins for the step and row generators in ``dynamics`` whose code
+    always raises, so every step and row takes the tree walker."""
 
     def __init__(self):
         self.calls = []
@@ -321,8 +362,8 @@ class _Disabled:
 
         return disabled
 
-    def compile(self, e, variables=()):
-        def disabled(env):
+    def generate_row(self, structure, exprs):
+        def disabled(x):
             self.calls.append("row")
             raise DomainError("generated code disabled", "")
 
@@ -331,7 +372,7 @@ class _Disabled:
     def patches(self):
         return (
             mock.patch.object(dynamics, "_generate_step", self.generate_step),
-            mock.patch.object(dynamics, "compile", self.compile),
+            mock.patch.object(dynamics, "_generate_row", self.generate_row),
         )
 
 

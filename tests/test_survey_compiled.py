@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noncanon import brackets, dynamics, hodograph
+from noncanon import brackets, hodograph
 from noncanon.brackets import (
     DELTA_KINDS,
     canonical,
@@ -345,7 +345,7 @@ def test_survey_artifacts_match_tree_fallback(name, tmp_path, monkeypatch):
 
         return fallback
 
-    for module in (brackets, dynamics, hodograph):  # every module that calls compile
+    for module in (brackets, hodograph):  # every module that calls compile
         monkeypatch.setattr(module, "compile", raising_compile)
     assert _artifacts(name, tmp_path / "tree") == generated
     assert calls
