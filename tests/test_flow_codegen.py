@@ -229,13 +229,12 @@ def test_raising_row_is_redone_once_by_the_tree_walker():
     structure, h = canonical(1), parse("p1^2/2 + q1^2/2")
     exprs = _row_exprs(structure, h)
     states = np.array([[0.5, 0.25], [0.5, 0.0], [0.25, 0.0]])
-    walk_all = mock.patch.object(
-        expressions, "_reference_all", wraps=expressions._reference_all
-    )
-    redo = mock.patch.object(dynamics, "_reference_row", wraps=_reference_row)
-    with walk_all as walk_all, redo as redo:
-        with pytest.raises(DomainError, match="division by zero"):
-            _monitor_pass(structure, _named(exprs), states)
+    with (
+        mock.patch.object(expressions, "_reference_all", wraps=expressions._reference_all) as walk_all,
+        mock.patch.object(dynamics, "_reference_row", wraps=_reference_row) as redo,
+        pytest.raises(DomainError, match="division by zero"),
+    ):
+        _monitor_pass(structure, _named(exprs), states)
     assert walk_all.call_count == 0
     assert redo.call_count == 1
 
