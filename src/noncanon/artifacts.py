@@ -1,9 +1,10 @@
-"""Deterministic artifact output: CSV at 17 significant digits, JSON with
-stable key order.  Identical inputs must yield byte-identical files."""
+"""Deterministic artifact output: CSV at 17 significant digits, standard JSON
+with stable key order.  Identical inputs must yield byte-identical files."""
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -46,9 +47,25 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         fh.writelines(lines())
 
 
+def _plain(obj):
+    """``obj`` as standard JSON values: numpy scalars and arrays become
+    Python ones, and a non-finite float becomes the string ``"NaN"``,
+    ``"Infinity"`` or ``"-Infinity"``."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else "Infinity" if obj > 0.0 else "-Infinity"
+    return obj
+
+
 def write_json(path, obj) -> None:
+    """``obj`` as standard JSON with sorted keys (see :func:`_plain`)."""
     path = Path(path)
-    text = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)
+    text = json.dumps(_plain(obj), sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
     path.write_text(text + "\n", encoding="utf-8")
 
 

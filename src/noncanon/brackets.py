@@ -400,15 +400,12 @@ def general_planar(
     theta, f, g11, g12, g21, g22, parameters: Mapping[str, float] | None = None
 ) -> PoissonStructure:
     """Planar structure with all six bracket functions user-supplied."""
+    functions = (theta, f, g11, g12, g21, g22)
     entries = {
-        (0, 1): as_expression(theta),
-        (2, 3): as_expression(f),
-        (0, 2): as_expression(g11),
-        (0, 3): as_expression(g12),
-        (1, 2): as_expression(g21),
-        (1, 3): as_expression(g22),
+        key: e
+        for (_, key), src in zip(_PLANAR_ENTRIES, functions)
+        if (e := as_expression(src)) != _ZERO
     }
-    entries = {k: e for k, e in entries.items() if e != Const(0.0)}
     return PoissonStructure(2, "general-planar", entries, dict(parameters or {}))
 
 

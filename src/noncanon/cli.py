@@ -427,8 +427,6 @@ def evaluate_assertions(specs: list[tuple[str, str, str, float]], results: dict)
 
 def _cmd_check_jacobi(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     structure = cfg.structure
-    if structure is None:
-        raise ConfigError("$.structure", "check-jacobi needs a structure")
     cloud = sample_cloud(cfg, rng)
     generic_max = 0.0
     identity_max: dict[str, float] = {}
@@ -463,8 +461,6 @@ def _cmd_check_jacobi(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[st
 
 def _cmd_integrate(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     structure = cfg.structure
-    if structure is None:
-        raise ConfigError("$.structure", "integrate needs a structure")
     names = {*structure.variable_names, *cfg.parameters}
     ham = _expr(_read(cfg.raw, "hamiltonian", str, "$"), "$.hamiltonian", names)
     integ = _read(cfg.raw, "integrator", dict, "$")
@@ -497,8 +493,6 @@ def _cmd_integrate(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
 
 def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     structure = cfg.structure
-    if structure is None:
-        raise ConfigError("$.structure", "reduce needs a structure")
     path = "$.reduction"
     block = _read(cfg.raw, "reduction", dict, "$", {})
     n = structure.n
@@ -742,6 +736,8 @@ def run(command: str, cfg: RunConfig, out_dir, seed=None, tol=None) -> RunReport
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
+    if cfg.structure is None and command in ("check-jacobi", "integrate", "reduce"):
+        raise ConfigError("$.structure", f"{command} needs a structure")
     results, artifacts = _COMMAND_TABLE[command](cfg, out_dir, rng)
     assertions = evaluate_assertions(specs, results)
     report_doc = {
@@ -754,7 +750,7 @@ def run(command: str, cfg: RunConfig, out_dir, seed=None, tol=None) -> RunReport
         "assertions": assertions,
         "artifacts": sorted(set(artifacts) | {f"{command}_report.json"}),
     }
-    write_json(out_dir / f"{command}_report.json", _plain(report_doc))
+    write_json(out_dir / f"{command}_report.json", report_doc)
     wall = time.perf_counter() - started
     return RunReport(
         command=command,
@@ -764,23 +760,6 @@ def run(command: str, cfg: RunConfig, out_dir, seed=None, tol=None) -> RunReport
         artifacts=report_doc["artifacts"],
         wall_time=wall,
     )
-
-
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays for JSON emission."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
 
 
 def main(argv=None) -> int:

@@ -35,6 +35,7 @@ from .brackets import (
     PoissonStructure,
     StructureError,
     d_operator_values,
+    entry_label,
     planar_entries,
 )
 # ``parse`` stays bound here: perfbench/tracing.py wraps it under this name
@@ -306,15 +307,12 @@ def constant_combination_expressions(structure: PoissonStructure) -> dict[str, E
 
 def default_monitors(structure: PoissonStructure) -> dict[str, Expression]:
     """Named bracket entries plus the frozen combinations, per kind."""
-    monitors: dict[str, Expression] = {}
     n = structure.n
-    for (a, b), expr in sorted(structure.entries.items()):
-        if a < n and b < n:
-            monitors[f"theta_{a + 1}{b + 1}"] = expr
-        elif a >= n and b >= n:
-            monitors[f"f_{a - n + 1}{b - n + 1}"] = expr
-        elif structure.kind == "general-planar":
-            monitors[f"g_{a + 1}{b - n + 1}"] = expr
+    monitors = {
+        entry_label(n, a, b): expr
+        for (a, b), expr in sorted(structure.entries.items())
+        if (a < n) == (b < n) or structure.kind == "general-planar"
+    }
     monitors.update(constant_combination_expressions(structure))
     return monitors
 

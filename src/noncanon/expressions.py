@@ -16,7 +16,12 @@ structure, family, filter or flow, and rerun the tree walker whenever it
 raises: the flow (monitor rows, reduced flow) and the survey (bracket
 matrices, Jacobi and degeneracy checks, surface solves, domain filters,
 hodograph families and generators).  The same emitter (``_Codegen``) also
-writes each flow's whole integration step (``dynamics._generate_step``).
+writes each flow's whole integration step (``dynamics._generate_step``)
+and monitor row (``dynamics._generate_row``).
+
+Both evaluators call one set of helpers for the rules that branch on
+runtime values (``_exp``, ``_sqrt_partial`` and the ``_pow_*`` helpers), so
+generated code cannot drift from the tree walker, which stays the reference.
 
 Powers in generated code: a fixed integer exponent ``c >= 0`` is a bare
 ``math.pow`` call, and the partial of ``x^2`` is ``2.0 * x`` times the dual
@@ -429,25 +434,38 @@ def _is_integer(x: float) -> bool:
     return math.isfinite(x) and x == round(x)
 
 
-def _pow(left, right, node: Binary):
-    lv = _real(left)
-    rv = _real(right)
-    exponent_varies = isinstance(right, Dual) and right.deriv != 0.0
-    if lv < 0.0:
-        if exponent_varies or not _is_integer(rv):
-            raise DomainError(
-                "negative base with non-integer exponent", to_source(node)
-            )
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _sqrt_partial(x: float, root: float, dx: float, node: Unary) -> float:
+    if x == 0.0 and dx != 0.0:
+        raise DomainError("sqrt derivative at zero", to_source(node))
+    return 0.0 if dx == 0.0 else dx / (2.0 * root)
+
+
+def _pow_checked(lv: float, rv: float, node: Binary) -> float:
+    # the checks a power needs in every pass, then its value
+    if lv < 0.0 and not _is_integer(rv):
+        raise DomainError("negative base with non-integer exponent", to_source(node))
     if lv == 0.0 and rv < 0.0:
         raise DomainError("zero raised to a negative power", to_source(node))
-    if not isinstance(left, Dual) and not isinstance(right, Dual):
-        return _pow_value(lv, rv, node)
-    value = _pow_value(lv, rv, node)
+    return _pow_value(lv, rv, node)
+
+
+def _pow_partial(lv: float, rv: float, value: float, ld: float, rd: float, node: Binary) -> float:
+    # the dual part of a power for one variable; an operand that does not
+    # depend on the variable enters with a zero dual part
+    if lv < 0.0 and rd != 0.0:
+        raise DomainError("negative base with non-integer exponent", to_source(node))
     deriv = 0.0
-    if isinstance(left, Dual) and left.deriv != 0.0:
+    if ld != 0.0:
         if lv == 0.0:
             if rv == 1.0:
-                deriv += left.deriv
+                deriv += ld
             elif rv > 1.0:
                 pass
             else:
@@ -455,14 +473,24 @@ def _pow(left, right, node: Binary):
                     "derivative of power undefined at zero base", to_source(node)
                 )
         else:
-            deriv += rv * _pow_value(lv, rv - 1.0, node) * left.deriv
-    if exponent_varies:
+            deriv += rv * _pow_value(lv, rv - 1.0, node) * ld
+    if rd != 0.0:
         if lv <= 0.0:
             raise DomainError(
                 "variable exponent requires positive base", to_source(node)
             )
-        deriv += value * math.log(lv) * right.deriv
-    return Dual(value, deriv)
+        deriv += value * math.log(lv) * rd
+    return deriv
+
+
+def _pow(left, right, node: Binary):
+    lv, rv = _real(left), _real(right)
+    value = _pow_checked(lv, rv, node)
+    if not isinstance(left, Dual) and not isinstance(right, Dual):
+        return value
+    ld = left.deriv if isinstance(left, Dual) else 0.0
+    rd = right.deriv if isinstance(right, Dual) else 0.0
+    return Dual(value, _pow_partial(lv, rv, value, ld, rd, node))
 
 
 def _eval(e: Expression, env: Mapping[str, object]):
@@ -495,10 +523,7 @@ def _eval(e: Expression, env: Mapping[str, object]):
         return -v
     rv = _real(v)
     if op == "exp":
-        try:
-            ev = math.exp(rv)
-        except OverflowError:
-            ev = math.inf
+        ev = _exp(rv)
         if isinstance(v, Dual):
             return Dual(ev, ev * v.deriv if v.deriv != 0.0 else 0.0)
         return ev
@@ -511,12 +536,10 @@ def _eval(e: Expression, env: Mapping[str, object]):
     if op == "sqrt":
         if rv < 0.0:
             raise DomainError("sqrt of negative value", to_source(e))
+        root = math.sqrt(rv)
         if isinstance(v, Dual):
-            if rv == 0.0 and v.deriv != 0.0:
-                raise DomainError("sqrt derivative at zero", to_source(e))
-            root = math.sqrt(rv)
-            return Dual(root, 0.0 if v.deriv == 0.0 else v.deriv / (2.0 * root))
-        return math.sqrt(rv)
+            return Dual(root, _sqrt_partial(rv, root, v.deriv, e))
+        return root
     if op in ("sin", "cos") and math.isinf(rv):
         # math.sin and math.cos raise a bare ValueError here; a NaN passes
         # through, as in generated code
@@ -576,60 +599,11 @@ def as_expression(src) -> Expression:
 # order of the ``Dual`` method the tree walker would call.  Names are read
 # as floats, so every intermediate is a Python float, and float division,
 # math.log and math.sqrt raise exactly where ``_eval`` checks for a zero
-# divisor, a non-positive logarithm or a negative root.  The helpers below
-# hold the remaining rules that branch on runtime values.
+# divisor, a non-positive logarithm or a negative root.  The rules that
+# branch on runtime values are the helpers above, which ``_eval`` calls too.
 
 #: exceptions the tree walker (and so generated code) can raise
 EVALUATION_ERRORS = (ExpressionError, ArithmeticError, LookupError, TypeError, ValueError)
-
-
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _sqrt_partial(x: float, root: float, dx: float, node: Unary) -> float:
-    if x == 0.0 and dx != 0.0:
-        raise DomainError("sqrt derivative at zero", to_source(node))
-    return 0.0 if dx == 0.0 else dx / (2.0 * root)
-
-
-def _pow_checked(lv: float, rv: float, node: Binary) -> float:
-    # the checks ``_pow`` applies in every pass, then the value
-    if lv < 0.0 and not _is_integer(rv):
-        raise DomainError("negative base with non-integer exponent", to_source(node))
-    if lv == 0.0 and rv < 0.0:
-        raise DomainError("zero raised to a negative power", to_source(node))
-    return _pow_value(lv, rv, node)
-
-
-def _pow_partial(lv: float, rv: float, value: float, ld: float, rd: float, node: Binary) -> float:
-    # the dual part ``_pow`` computes for one variable; an operand that does
-    # not depend on the variable enters with a zero dual part
-    if lv < 0.0 and rd != 0.0:
-        raise DomainError("negative base with non-integer exponent", to_source(node))
-    deriv = 0.0
-    if ld != 0.0:
-        if lv == 0.0:
-            if rv == 1.0:
-                deriv += ld
-            elif rv > 1.0:
-                pass
-            else:
-                raise DomainError(
-                    "derivative of power undefined at zero base", to_source(node)
-                )
-        else:
-            deriv += rv * _pow_value(lv, rv - 1.0, node) * ld
-    if rd != 0.0:
-        if lv <= 0.0:
-            raise DomainError(
-                "variable exponent requires positive base", to_source(node)
-            )
-        deriv += value * math.log(lv) * rd
-    return deriv
 
 
 _GENERATED_GLOBALS = {
@@ -843,12 +817,7 @@ def _reference(e: Expression, variables: tuple[str, ...], env: Mapping[str, floa
     return evaluate(e, env), tuple(gradient(e, variables, env))
 
 
-def _reference_all(exprs, variables: tuple[str, ...], env: Mapping[str, float]):
-    pairs = [_reference(e, variables, env) for e in exprs]
-    return tuple(v for v, _ in pairs), tuple(p for _, p in pairs)
-
-
-def compile(e, variables: Sequence[str] = ()) -> Callable:
+def compile(e: Expression, variables: Sequence[str] = ()) -> Callable:
     """Generate one straight-line function for the value of ``e`` and its
     partials with respect to ``variables``.
 
@@ -858,29 +827,13 @@ def compile(e, variables: Sequence[str] = ()) -> Callable:
     evaluates.  Names are read from ``env`` as floats.  Whenever the
     generated code raises, ``fn`` reruns the tree walker, so the error and
     its message are exactly the tree walker's.
-
-    ``e`` may also be a sequence of expressions, generated as one function
-    that loads each name once: ``fn(env)`` then returns ``(values,
-    partials)`` holding one entry per expression, and a failure reruns the
-    tree walker on the expressions in order.
     """
     variables = tuple(variables)
-    single = isinstance(e, Node)
-    exprs = (e,) if single else tuple(e)
     gen = _Codegen(tuple(dict.fromkeys(variables)))
-    outputs = [gen.emit(expr) for expr in exprs]
-    partials = [
-        "(" + "".join(f"{derivs.get(n, '0.0')}, " for n in variables) + ")"
-        for _, derivs in outputs
-    ]
-    if single:
-        result = f"{outputs[0][0]}, {partials[0]}"
-        fallback = functools.partial(_reference, e, variables)
-    else:
-        values = "".join(f"{value}, " for value, _ in outputs)
-        result = f"({values}), ({''.join(p + ', ' for p in partials)})"
-        fallback = functools.partial(_reference_all, exprs, variables)
-    return gen.function("env", result, fallback)
+    value, derivs = gen.emit(e)
+    partials = "".join(f"{derivs.get(n, '0.0')}, " for n in variables)
+    fallback = functools.partial(_reference, e, variables)
+    return gen.function("env", f"{value}, ({partials})", fallback)
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ class Grid2D:
 
 def default_filters(kind: str, band: float = 1e-3, disc_min: float = 1e-6):
     """Exclusion bands around each family's coordinate singularities."""
-    if kind in ("linear", "limit"):
+    if kind in ("linear", "limit", "custom-fg"):
         return (_filter("x", min_abs=band),)
     if kind == "log":
         # the u = v locus of this family is the y = 0 line; keep clear of it
@@ -143,8 +143,6 @@ def default_filters(kind: str, band: float = 1e-3, disc_min: float = 1e-6):
         return (
             _filter("(y/alpha)^2 - 4*u0*v0*exp(x/alpha)", minimum=disc_min),
         )
-    if kind == "custom-fg":
-        return (_filter("x", min_abs=band),)
     raise HodographError(f"unknown family kind '{kind}'")
 
 

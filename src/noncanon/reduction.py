@@ -251,13 +251,14 @@ class ReductionReport:
         return out
 
 
-def _point_condition(structure: PoissonStructure, report) -> float:
-    """The kind's degeneracy measure from a :class:`DegeneracyReport`."""
+def _point_condition(structure: PoissonStructure, report) -> tuple[str, float]:
+    """The kind's degeneracy measure from a :class:`DegeneracyReport`, with
+    the key it is reported under."""
     if structure.kind in DELTA_KINDS:
-        return report.inverse_pairing_residual
+        return "inverse_pairing", report.inverse_pairing_residual
     if structure.kind == "general-planar":
-        return abs(report.planar_condition)
-    return abs(report.det)
+        return "planar_determinant_condition", abs(report.planar_condition)
+    return "determinant", abs(report.det)
 
 
 def check_reduction(
@@ -290,20 +291,13 @@ def check_reduction(
     for x in points:
         m = structure.theta_matrix(x)
         report = structure.degeneracy_of(m)
-        c = _point_condition(structure, report)
+        key, c = _point_condition(structure, report)
         condition_max = max(condition_max, c)
         det_max = max(det_max, abs(report.det))
         if c <= tol:
             admissible.append(x)
             thetas.append(m)
 
-    key = (
-        "inverse_pairing"
-        if structure.kind in DELTA_KINDS
-        else "planar_determinant_condition"
-        if structure.kind == "general-planar"
-        else "determinant"
-    )
     condition_residuals = {key: condition_max, "det_max": det_max}
 
     notes: list[str] = []
@@ -492,7 +486,7 @@ def build_reduced(
     if reference is None:
         raise ReductionError("a reference point on the degenerate locus is required")
     reference = np.asarray(reference, dtype=float)
-    condition = _point_condition(structure, structure.degeneracy(reference))
+    _, condition = _point_condition(structure, structure.degeneracy(reference))
     if condition > tol:
         raise ReductionError(
             f"degeneracy condition fails at the reference point "

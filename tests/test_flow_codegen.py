@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from noncanon import dynamics, expressions
+from noncanon import dynamics
 from noncanon.brackets import (
     canonical,
     constant_theta_f,
@@ -43,7 +43,7 @@ from noncanon.dynamics import (
     default_monitors,
     integrate,
 )
-from noncanon.expressions import EVALUATION_ERRORS, DomainError, compile, parse
+from noncanon.expressions import EVALUATION_ERRORS, DomainError, parse
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -189,17 +189,6 @@ def _reference_outcome(structure, exprs, x):
     return monitors + entries
 
 
-@settings(max_examples=300, deadline=None)
-@given(flows())
-def test_monitor_row_matches_reference_row(flow):
-    structure, h, x = flow
-    exprs = _row_exprs(structure, h)
-    row = compile([*exprs, *structure.entries.values()])
-    env = dict(structure.parameters, **dict(zip(structure.variable_names, x)))
-    got = _outcome(lambda: row(env)[0])
-    assert_same_outcome(got, _reference_outcome(structure, exprs, x))
-
-
 def _named(exprs):
     return dict(zip(map(str, range(len(exprs))), exprs))
 
@@ -224,18 +213,15 @@ def test_generated_row_matches_reference_row(flow):
 
 def test_raising_row_is_redone_once_by_the_tree_walker():
     # ``q1/p1`` divides by zero at p1 == 0, in the generated row and in the
-    # tree walker alike: the state goes to ``_reference_row`` alone, not
-    # first through the tree-walker rerun of ``compile``'s sequence form
+    # tree walker alike: the state goes to ``_reference_row`` once
     structure, h = canonical(1), parse("p1^2/2 + q1^2/2")
     exprs = _row_exprs(structure, h)
     states = np.array([[0.5, 0.25], [0.5, 0.0], [0.25, 0.0]])
     with (
-        mock.patch.object(expressions, "_reference_all", wraps=expressions._reference_all) as walk_all,
         mock.patch.object(dynamics, "_reference_row", wraps=_reference_row) as redo,
         pytest.raises(DomainError, match="division by zero"),
     ):
         _monitor_pass(structure, _named(exprs), states)
-    assert walk_all.call_count == 0
     assert redo.call_count == 1
 
 
