@@ -11,13 +11,12 @@ Two evaluators apply the same dual-number rules.  The tree walker
 and walks the tree once per variable; it is the reference and the error
 reporter.  ``compile`` unrolls those rules into generated straight-line
 code that returns the value and every partial in one pass, bit for bit
-equal to the tree walker.  The hot paths run it, compiled once per
-structure, family, filter or flow, and rerun the tree walker whenever it
-raises: the flow (monitor rows, reduced flow) and the survey (bracket
-matrices, Jacobi and degeneracy checks, surface solves, domain filters,
-hodograph families and generators).  The same emitter (``_Codegen``) also
-writes each flow's whole integration step (``dynamics._generate_step``)
-and monitor row (``dynamics._generate_row``).
+equal to the tree walker.  The survey runs it, compiled once per
+structure, family or filter, and reruns the tree walker whenever it
+raises: bracket matrices, Jacobi and degeneracy checks, surface solves,
+domain filters, hodograph families and generators.  The same emitter
+(``_Codegen``) also writes each flow's whole integration step
+(``dynamics._generate_step``) and monitor row (``dynamics._generate_row``).
 
 Both evaluators call one set of helpers for the rules that branch on
 runtime values (``_exp``, ``_sqrt_partial`` and the ``_pow_*`` helpers), so
