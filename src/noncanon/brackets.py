@@ -14,6 +14,11 @@ Supported kinds:
                          {q_i,p_j} = delta_ij
 * ``general-planar``     planar with all six brackets free functions
 * ``custom``             explicit upper-triangle entries
+
+With canonical mixed brackets the Jacobi identities are transport
+constraints.  Their operator pair (``_total_dq``, ``_total_dp``) also gives
+the surface total variations of :mod:`reduction`; both read it from one
+entry-gradient pass.
 """
 
 from __future__ import annotations
@@ -144,7 +149,7 @@ class PoissonStructure:
     def variable_names(self) -> tuple[str, ...]:
         return phase_variable_names(self.n)
 
-    def env_at(self, x, extra: Mapping[str, float] | None = None) -> dict:
+    def env_at(self, x) -> dict:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise StructureError(
@@ -154,8 +159,6 @@ class PoissonStructure:
         if not all(map(math.isfinite, values)):
             raise StructureError("phase point has non-finite entries")
         env = dict(self.parameters)
-        if extra:
-            env.update(extra)
         env.update(zip(self.variable_names, values))
         return env
 
@@ -268,39 +271,22 @@ class PoissonStructure:
             ids["reduced_transport_q2"] = abs(tv * tg[1] + tg[2])
             return ids
         # arbitrary n: aggregate the transport and cyclic constraints
-        theta_transport = 0.0
-        f_transport = 0.0
-        for i, j in combinations(range(n), 2):
-            tgrad = grads[i, j]
-            fgrad = grads[n + i, n + j]
-            for k in range(n):
-                r = tgrad[k] + sum(tgrad[n + s] * m[n + s, n + k] for s in range(n))
-                theta_transport = max(theta_transport, abs(r))
-                r = fgrad[n + k] - sum(fgrad[s] * m[s, k] for s in range(n))
-                f_transport = max(f_transport, abs(r))
-        ids["theta_transport"] = theta_transport
-        ids["f_transport"] = f_transport
+        pairs = list(combinations(range(n), 2))
+        ids["theta_transport"] = _max_abs(
+            _total_dq(grads[i, j], m, n, k) for i, j in pairs for k in range(n)
+        )
+        ids["f_transport"] = _max_abs(
+            _total_dp(grads[n + i, n + j], m, n, k) for i, j in pairs for k in range(n)
+        )
         if n >= 3:
-            theta_cyc = 0.0
-            f_cyc = 0.0
-            for i, j, k in combinations(range(n), 3):
-                r = sum(
-                    grads[a, b][n + c]
-                    - sum(grads[a, b][s] * m[s, c] for s in range(n))
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
-                )
-                theta_cyc = max(theta_cyc, abs(r))
-                r = sum(
-                    grads[n + a, n + b][c]
-                    + sum(
-                        grads[n + a, n + b][n + s] * m[n + s, n + c]
-                        for s in range(n)
-                    )
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
-                )
-                f_cyc = max(f_cyc, abs(r))
-            ids["theta_cyclic"] = theta_cyc
-            ids["f_cyclic"] = f_cyc
+            cycles = [((i, j, k), (j, k, i), (k, i, j)) for i, j, k in combinations(range(n), 3)]
+            ids["theta_cyclic"] = _max_abs(
+                sum(_total_dp(grads[a, b], m, n, c) for a, b, c in cyc) for cyc in cycles
+            )
+            ids["f_cyclic"] = _max_abs(
+                sum(_total_dq(grads[n + a, n + b], m, n, c) for a, b, c in cyc)
+                for cyc in cycles
+            )
         return ids
 
     def degeneracy(self, x) -> DegeneracyReport:
@@ -330,6 +316,28 @@ class PoissonStructure:
             if not is_constant_over(expr, names):
                 labels.append(entry_label(self.n, a, b))
         return tuple(labels)
+
+
+# ---------------------------------------------------------------------------
+# The transport operator pair: total variations along the constraint surface
+# of a function E with gradient ``g`` over (q, p), for the bracket matrix
+# ``m`` (as ``_entry_gradients`` gives them) with canonical mixed brackets.
+
+
+def _total_dq(g, m, n: int, k: int):
+    """dE/dq_k + f_sk dE/dp_s, that is {E, p_k}."""
+    return g[k] + sum(g[n + s] * m[n + s, n + k] for s in range(n))
+
+
+def _total_dp(g, m, n: int, k: int):
+    """dE/dp_k - theta_sk dE/dq_s, that is -{E, q_k}."""
+    return g[n + k] - sum(g[s] * m[s, k] for s in range(n))
+
+
+def _max_abs(values) -> float:
+    """The fold max(acc, |v|) from 0.0: 0.0 for no values, and a NaN never
+    wins."""
+    return max([0.0, *map(abs, values)])
 
 
 def entry_label(n: int, a: int, b: int) -> str:

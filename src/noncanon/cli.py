@@ -197,8 +197,8 @@ class RunConfig:
     n: int
     parameters: dict
     structure: PoissonStructure | None
-    tol: float = 1e-9
-    seed: int = 0
+    tol: float
+    seed: int
 
     @property
     def digest(self) -> str:
@@ -279,7 +279,7 @@ def load_config(path) -> RunConfig:
         n=n,
         parameters=parameters,
         structure=structure,
-        tol=_read(raw, "tolerance", float, "$", 1e-9),
+        tol=_read(raw, "tolerance", float, "$", red.DEFAULT_TOL),
         seed=_read(raw, "seed", _SEEDS, "$", 0),
     )
 
@@ -678,27 +678,23 @@ def _cmd_hodograph(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
     artifacts = []
 
     if kind == "loglog":
-        # both root assignments are reported, whichever one the config picked
-        results["branches"] = {}
-        for label in ("+", "-"):
-            fam_b = hg.build_family(kind, params, branch=label)
-            min_uv = np.inf
-            product_residual = 0.0
-            for x, y in checks.points:
-                u, v = fam_b.evaluate_uv(x, y)
-                min_uv = min(min_uv, abs(u - v))
-                product_residual = max(
-                    product_residual,
-                    abs(u * v - params["u0"] * params["v0"] * np.exp(x / params["alpha"])),
-                )
-            results["branches"][label] = {
-                "min_u_minus_v": float(min_uv),
-                "root_product_residual": float(product_residual),
-            }
-        results["min_u_minus_v"] = results["branches"][branch]["min_u_minus_v"]
-        results["root_product_residual"] = results["branches"][branch][
-            "root_product_residual"
-        ]
+        # the two root assignments swap u and v, and |u - v| and u*v are
+        # symmetric bit for bit, so one pass gives both branches' numbers
+        min_uv = np.inf
+        product_residual = 0.0
+        for x, y in checks.points:
+            u, v = family.evaluate_uv(x, y)
+            min_uv = min(min_uv, abs(u - v))
+            product_residual = max(
+                product_residual,
+                abs(u * v - params["u0"] * params["v0"] * np.exp(x / params["alpha"])),
+            )
+        stats = {
+            "min_u_minus_v": float(min_uv),
+            "root_product_residual": float(product_residual),
+        }
+        results["branches"] = {label: dict(stats) for label in ("+", "-")}
+        results.update(stats)
 
     if alphas:
         sweep = hg.limit_sweep(kind, params, alphas, grid, branch)

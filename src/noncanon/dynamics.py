@@ -467,29 +467,19 @@ def evolution_residuals(structure: PoissonStructure, hamiltonian, x) -> Evolutio
         )
     h = as_expression(hamiltonian)
     n = structure.n
-    env = structure.env_at(x)
-    names = structure.variable_names
-    grad_h = gradient(h, names, env)
+    grad_h = gradient(h, structure.variable_names, structure.env_at(x))
     hq = grad_h[:n]
     hp = grad_h[n:]
+    theta, grads = structure._entry_gradients(x)
 
     term_max = 0.0
-    cache: dict[tuple[int, int, int], float] = {}
 
     def bk(entry_a: int, entry_b: int, coord: int) -> float:
-        # {Theta_(entry_a,entry_b), x_coord}
+        # {Theta_(entry_a,entry_b), x_coord} = dTheta_ab/dx_d Theta_(d,coord)
         nonlocal term_max
-        key = (entry_a, entry_b, coord)
-        if key not in cache:
-            expr = structure.entry_expression(entry_a, entry_b)
-            value = (
-                0.0
-                if expr == Const(0.0)
-                else structure.bracket(expr, Name(names[coord]), x)
-            )
-            cache[key] = value
-            term_max = max(term_max, abs(value))
-        return cache[key]
+        value = float(grads[entry_a, entry_b] @ theta[:, coord])
+        term_max = max(term_max, abs(value))
+        return value
 
     identities: dict[str, float] = {}
     for m in range(n):

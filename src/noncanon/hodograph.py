@@ -127,7 +127,7 @@ class Grid2D:
         return np.array(kept) if kept else np.empty((0, 2))
 
 
-def default_filters(kind: str, band: float = 1e-3, disc_min: float = 1e-6):
+def default_filters(kind: str, band: float = 1e-3):
     """Exclusion bands around each family's coordinate singularities."""
     if kind in ("linear", "limit", "custom-fg"):
         return (_filter("x", min_abs=band),)
@@ -141,7 +141,7 @@ def default_filters(kind: str, band: float = 1e-3, disc_min: float = 1e-6):
         )
     if kind == "loglog":
         return (
-            _filter("(y/alpha)^2 - 4*u0*v0*exp(x/alpha)", minimum=disc_min),
+            _filter("(y/alpha)^2 - 4*u0*v0*exp(x/alpha)", minimum=1e-6),
         )
     raise HodographError(f"unknown family kind '{kind}'")
 
@@ -161,7 +161,6 @@ class HodographFamily:
     branch: str = "+"
     f_expr: Expression | None = None  # generators, variable 's' (custom-fg)
     g_expr: Expression | None = None
-    quad_tol: float = 1e-10
     _solver: Callable | None = field(default=None, repr=False)
     # (field name, variables) -> (the tree it was built from, generated code)
     _code: dict = field(default_factory=dict, init=False, repr=False)
@@ -210,7 +209,6 @@ def build_family(
     branch: str = "+",
     f=None,
     g=None,
-    quad_tol: float = 1e-10,
 ) -> HodographFamily:
     """Construct one solution family.
 
@@ -245,14 +243,8 @@ def build_family(
     if kind == "custom-fg":
         if f is None or g is None:
             raise HodographError("custom-fg needs generator expressions f and g")
-        f_expr = as_expression(f)
-        g_expr = as_expression(g)
         family = HodographFamily(
-            kind,
-            params,
-            f_expr=f_expr,
-            g_expr=g_expr,
-            quad_tol=quad_tol,
+            kind, params, f_expr=as_expression(f), g_expr=as_expression(g)
         )
         family._solver = _GeneratorSolver(family)
         return family
@@ -323,9 +315,7 @@ class _GeneratorSolver:
 
     def _antiderivative(self, name, upper):
         # int_0^upper s * d(generator)/ds ds
-        return adaptive_simpson(
-            lambda s: s * self._gen_prime(name, s), 0.0, upper, self.family.quad_tol
-        )
+        return adaptive_simpson(lambda s: s * self._gen_prime(name, s), 0.0, upper)
 
     def residual(self, u, v, x, y):
         rx = self._gen("f_expr", u) + self._gen("g_expr", v) - x
@@ -370,7 +360,7 @@ class _GeneratorSolver:
         return None
 
 
-def inverse_map_from_generators(f, g, parameters=None, quad_tol: float = 1e-10):
+def inverse_map_from_generators(f, g, parameters=None):
     """The hodograph-plane map (u, v) -> (x, y) built from generators.
 
     Returns ``(x_expr, y_fn)``: the exact expression x = f(u) + g(v) over
@@ -378,9 +368,7 @@ def inverse_map_from_generators(f, g, parameters=None, quad_tol: float = 1e-10):
     f_expr = as_expression(f)
     g_expr = as_expression(g)
     x_expr = substitute(f_expr, {"s": Name("u")}) + substitute(g_expr, {"s": Name("v")})
-    family = HodographFamily(
-        "custom-fg", dict(parameters or {}), f_expr=f_expr, g_expr=g_expr, quad_tol=quad_tol
-    )
+    family = HodographFamily("custom-fg", dict(parameters or {}), f_expr=f_expr, g_expr=g_expr)
     solver = _GeneratorSolver(family)
 
     def y_fn(u: float, v: float) -> float:

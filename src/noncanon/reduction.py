@@ -8,11 +8,14 @@ freezes the combinations c_m = q_m + theta_mn p_n.  The surface of fixed
 checks here sample that surface, measure the spread of the bracket
 functions on it, and probe the exchange relations dq_m/dp_s = -theta_ms
 and dp_k/dq_n = f_kn by finite differences of the sampled surface map.
+The surface total variations are the operator pair of the Jacobi transport
+identities (``brackets._total_dq``, ``_total_dp``), read from one
+entry-gradient pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -21,6 +24,8 @@ from .brackets import (
     DELTA_KINDS,
     PoissonStructure,
     StructureError,
+    _total_dp,
+    _total_dq,
     constant_theta_f,
     entry_label,
     planar_entries,
@@ -66,6 +71,9 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+#: convergence test and iteration cap of the surface and implicit-bracket solves
+_FIXED_POINT_TOL = 1e-12
+_FIXED_POINT_MAX_ITER = 200
 
 
 class ReductionError(RuntimeError):
@@ -149,13 +157,7 @@ def _solve_surface_q(structure, constants, theta_ref, p, tol, max_iter):
     )
 
 
-def surface_cloud(
-    structure: PoissonStructure,
-    reference,
-    p_points,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> SurfaceSample:
+def surface_cloud(structure: PoissonStructure, reference, p_points) -> SurfaceSample:
     """Sample the constraint surface through ``reference``.
 
     Momenta are chosen freely (``p_points``, shape (k, n)); coordinates are
@@ -169,7 +171,9 @@ def surface_cloud(
     p_points = np.atleast_2d(np.asarray(p_points, dtype=float))
 
     def solve_q(p):
-        return _solve_surface_q(structure, constants, theta_ref, p, tol, max_iter)
+        return _solve_surface_q(
+            structure, constants, theta_ref, p, _FIXED_POINT_TOL, _FIXED_POINT_MAX_ITER
+        )
 
     points = []
     rejected = 0
@@ -190,23 +194,17 @@ def surface_cloud(
     )
 
 
-def leaf_cloud(
-    structure: PoissonStructure,
-    reference,
-    hamiltonians: Sequence,
-    segment_time: float = 0.4,
-    dt: float = 1e-3,
-    samples_per_segment: int = 20,
-) -> np.ndarray:
+def leaf_cloud(structure: PoissonStructure, reference, hamiltonians: Sequence) -> np.ndarray:
     """Sample the reachable set through ``reference`` by chaining short
-    Hamiltonian flow segments; every collected point lies on the same leaf
-    of the bracket foliation up to integration error."""
+    Hamiltonian flow segments (time 0.4 at dt 1e-3, about 20 points kept
+    from each); every collected point lies on the same leaf of the bracket
+    foliation up to integration error."""
     x = np.asarray(reference, dtype=float)
     collected = [x]
     for h in hamiltonians:
-        problem = FlowProblem(structure, as_expression(h), x, dt, segment_time)
+        problem = FlowProblem(structure, as_expression(h), x, 1e-3, 0.4)
         traj = integrate(problem)
-        stride = max(1, len(traj.states) // samples_per_segment)
+        stride = max(1, len(traj.states) // 20)
         collected.extend(traj.states[stride::stride])
         x = traj.states[-1]
     return np.array(collected)
@@ -231,23 +229,11 @@ class ReductionReport:
     notes: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        out = {
-            "reduced": self.reduced,
-            "condition_residuals": dict(self.condition_residuals),
-            "admissible_count": self.admissible_count,
-            "total_count": self.total_count,
-            "entry_spreads": dict(self.entry_spreads),
-            "notes": list(self.notes),
-        }
-        out["constants"] = None if self.constants is None else [float(c) for c in self.constants]
-        out["theta_red"] = self.theta_red
-        out["spread"] = self.spread
-        out["dual_relation_residuals"] = (
-            None
-            if self.dual_relation_residuals is None
-            else dict(self.dual_relation_residuals)
-        )
-        out["constancy_implied"] = self.constancy_implied
+        """Every field, with ``constants`` and ``notes`` as lists that an
+        assertion path can index."""
+        out = asdict(self)
+        out["constants"] = None if self.constants is None else self.constants.tolist()
+        out["notes"] = list(self.notes)
         return out
 
 
@@ -426,18 +412,13 @@ def total_variation_residual(structure: PoissonStructure, x) -> dict[str, float]
         env = structure.env_at(x)
         names = structure.variable_names
         partials = [gradient(structure.entries[key], names, env) for key in keys]
-    tb = theta[:n, :n]
-    fb = theta[n:, n:]
     out: dict[str, float] = {}
     for (a, b), g in zip(keys, partials):
-        if a < n:
-            for l in range(n):
-                r = g[l] + sum(fb[s, l] * g[n + s] for s in range(n))
-                out[f"theta_{a+1}{b+1}_dq{l+1}"] = abs(r)
-        else:
-            for l in range(n):
-                r = g[n + l] - sum(tb[s, l] * g[s] for s in range(n))
-                out[f"f_{a-n+1}{b-n+1}_dp{l+1}"] = abs(r)
+        for l in range(n):
+            if a < n:
+                out[f"theta_{a+1}{b+1}_dq{l+1}"] = abs(_total_dq(g, theta, n, l))
+            else:
+                out[f"f_{a-n+1}{b-n+1}_dp{l+1}"] = abs(_total_dp(g, theta, n, l))
     return out
 
 
@@ -646,8 +627,6 @@ def implicit_theta(
     x,
     parameters: Mapping[str, float] | None = None,
     theta0: float = 0.0,
-    tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Solve theta = phi(q1 + theta p2, q2 - theta p1) by fixed point.
 
@@ -663,25 +642,22 @@ def implicit_theta(
         env["c2"] = q2 - theta * p1
         return evaluate(phi, env)
 
-    return _damped_fixed_point(
-        step, theta0, tol, max_iter, "implicit bracket solve did not converge"
-    )
+    message = "implicit bracket solve did not converge"
+    return _damped_fixed_point(step, theta0, _FIXED_POINT_TOL, _FIXED_POINT_MAX_ITER, message)
 
 
 def implicit_theta_constraint_residuals(
-    phi,
-    x,
-    parameters: Mapping[str, float] | None = None,
-    theta0: float = 0.0,
-    h: float = 1e-6,
+    phi, x, parameters: Mapping[str, float] | None = None
 ) -> tuple[float, float]:
     """Residuals of the halved transport pair for the implicit solution,
     theta dtheta/dq1 - dtheta/dp2 and theta dtheta/dq2 + dtheta/dp1,
-    with the partials taken by finite differences of the solved field."""
+    with the partials taken by central differences (step 1e-6) of the
+    solved field."""
     x = np.asarray(x, dtype=float)
+    h = 1e-6
 
     def solve(point):
-        return implicit_theta(phi, point, parameters, theta0=theta0)
+        return implicit_theta(phi, point, parameters)
 
     theta = solve(x)
     partials = []
