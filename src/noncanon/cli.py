@@ -679,11 +679,10 @@ def _cmd_hodograph(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
 
     if kind == "loglog":
         # the two root assignments swap u and v, and |u - v| and u*v are
-        # symmetric bit for bit, so one pass gives both branches' numbers
+        # symmetric bit for bit, so the grid pass gives both branches' numbers
         min_uv = np.inf
         product_residual = 0.0
-        for x, y in checks.points:
-            u, v = family.evaluate_uv(x, y)
+        for (x, y), (u, v) in zip(checks.points, checks.values):
             min_uv = min(min_uv, abs(u - v))
             product_residual = max(
                 product_residual,

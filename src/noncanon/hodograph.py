@@ -11,8 +11,9 @@ general solution with u != v is
     y(u, v) = -int u f'(u) du - int v g'(v) dv,
 
 with free generator functions f and g.  Three stock choices are built in,
-plus a numeric route for arbitrary generators.  The common degenerate
-limit u = v = -y/x connects back to the planar bracket fixture
+plus a numeric route for arbitrary generators: one Newton inversion per
+point, with exact partials from the map's Jacobian there.  The common
+degenerate limit u = v = -y/x connects back to the planar bracket fixture
 f = 1/theta = -p2/q1.
 """
 
@@ -66,6 +67,10 @@ FAMILY_KINDS = ("linear", "log", "loglog", "custom-fg")
 
 _XY = ("x", "y")
 _S = ("s",)
+
+# Newton stops once both residuals of the generator map are this small
+_NEWTON_TOL = 1e-11
+_NEWTON_MAX_ITER = 60
 
 
 class HodographError(RuntimeError):
@@ -185,7 +190,7 @@ class HodographFamily:
             env["x"] = float(x)
             env["y"] = float(y)
             return self._compiled("u_expr")(env)[0], self._compiled("v_expr")(env)[0]
-        return self._solver(float(x), float(y))
+        return self._solver(float(x), float(y))[:2]
 
 
 _LINEAR_U = "-(y/x) + x/(2*alpha)"
@@ -322,31 +327,31 @@ class _GeneratorSolver:
         ry = -self._antiderivative("f_expr", u) - self._antiderivative("g_expr", v) - y
         return rx, ry
 
-    def __call__(self, x: float, y: float) -> tuple[float, float]:
-        fam = self.family
+    def __call__(self, x: float, y: float) -> tuple[float, float, float, float]:
+        """(u, v, f'(u), g'(v)) at the solved point."""
         base = -y / x if x != 0.0 else 0.0
-        seeds = []
         for d in (0.1, 0.3, 1.0, 3.0):
-            seeds.append((base + d, base - d))
-            seeds.append((base - d, base + d))
-        for u, v in seeds:
-            try:
-                result = self._newton(u, v, x, y)
-            except (HodographError, DomainError, ZeroDivisionError):
-                continue
-            if result is not None:
-                return result
+            for u, v in ((base + d, base - d), (base - d, base + d)):
+                try:
+                    result = self._newton(u, v, x, y)
+                except (HodographError, DomainError, ZeroDivisionError):
+                    continue
+                if result is not None:
+                    return result
         raise HodographError(
             f"generator inversion failed at (x, y) = ({x}, {y})"
         )
 
-    def _newton(self, u, v, x, y, tol=1e-11, max_iter=60):
-        for _ in range(max_iter):
+    def _newton(self, u, v, x, y):
+        for _ in range(_NEWTON_MAX_ITER):
             rx, ry = self.residual(u, v, x, y)
-            if abs(rx) <= tol and abs(ry) <= tol:
-                return u, v
             fu = self._gen_prime("f_expr", u)
             gv = self._gen_prime("g_expr", v)
+            if abs(rx) <= _NEWTON_TOL and abs(ry) <= _NEWTON_TOL:
+                # the partials divide by these; at u == v, det can round to nonzero
+                if fu * (u - v) == 0.0 or gv * (u - v) == 0.0:
+                    return None
+                return u, v, fu, gv
             # jacobian of (rx, ry) with respect to (u, v)
             j11, j12 = fu, gv
             j21, j22 = -u * fu, -v * gv
@@ -381,9 +386,10 @@ def inverse_map_from_generators(f, g, parameters=None):
 # Residuals, Jacobian guard, limit sweep
 
 
-def _field_partials(family: HodographFamily, x: float, y: float, h: float = 1e-6):
-    """(u, v, u_x, u_y, v_x, v_y); exact where closed-form, central
-    differences scaled to the point otherwise."""
+def _field_partials(family: HodographFamily, x: float, y: float):
+    """(u, v, u_x, u_y, v_x, v_y), exact for every family; for generators,
+    the inverse of the map's Jacobian [[f', g'], [-u f', -v g']] in (u, v)
+    at the solved point (the implicit function theorem)."""
     if family.closed_form:
         env = dict(family.parameters)
         env["x"] = x
@@ -400,21 +406,10 @@ def _field_partials(family: HodographFamily, x: float, y: float, h: float = 1e-6
             vx = derivative(family.v_expr, "x", env)
             vy = derivative(family.v_expr, "y", env)
         return u, v, ux, uy, vx, vy
-    hx = h * max(1.0, abs(x))
-    hy = h * max(1.0, abs(y))
-    u, v = family.evaluate_uv(x, y)
-    uxp, vxp = family.evaluate_uv(x + hx, y)
-    uxm, vxm = family.evaluate_uv(x - hx, y)
-    uyp, vyp = family.evaluate_uv(x, y + hy)
-    uym, vym = family.evaluate_uv(x, y - hy)
-    return (
-        u,
-        v,
-        (uxp - uxm) / (2 * hx),
-        (uyp - uym) / (2 * hy),
-        (vxp - vxm) / (2 * hx),
-        (vyp - vym) / (2 * hy),
-    )
+    u, v, fu, gv = family._solver(float(x), float(y))
+    fd = fu * (u - v)
+    gd = gv * (u - v)
+    return u, v, -v / fd, -1.0 / fd, u / gd, 1.0 / gd
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,26 +417,30 @@ class GridChecks:
     """The pointwise checks of one family over the admissible grid points."""
 
     points: np.ndarray
+    values: np.ndarray  # (u, v) at each point
     pde: dict[str, float]  # largest residual of each transport equation
     jacobian_min: float  # min |u_x v_y - u_y v_x|
 
 
 def grid_checks(family: HodographFamily, grid: Grid2D) -> GridChecks:
-    """Both transport residuals and the hodograph Jacobian minimum from one
-    pass over the grid, with the partials taken once per point."""
+    """Both transport residuals, the hodograph Jacobian minimum and the field
+    values from one pass over the grid, each point evaluated once."""
     points = grid.points(family.parameters)
     if len(points) == 0:
         raise HodographError("grid has no admissible points")
     res_u = 0.0
     res_v = 0.0
     j_min = np.inf
+    values = []
     for x, y in points:
         u, v, ux, uy, vx, vy = _field_partials(family, x, y)
+        values.append((u, v))
         res_u = max(res_u, abs(ux - v * uy))
         res_v = max(res_v, abs(vx - u * vy))
         j_min = min(j_min, abs(ux * vy - uy * vx))
     return GridChecks(
         points=points,
+        values=np.array(values),
         pde={"max_res_u": float(res_u), "max_res_v": float(res_v)},
         jacobian_min=float(j_min),
     )

@@ -74,6 +74,8 @@ DEFAULT_TOL = 1e-9
 #: convergence test and iteration cap of the surface and implicit-bracket solves
 _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MAX_ITER = 200
+#: central-difference step of the exchange-relation and implicit-bracket probes
+_PROBE_STEP = 1e-6
 
 
 class ReductionError(RuntimeError):
@@ -360,7 +362,7 @@ def check_reduction(
 
 
 def _exchange_relation_residuals(
-    structure: PoissonStructure, sample: SurfaceSample, h: float = 1e-6
+    structure: PoissonStructure, sample: SurfaceSample
 ) -> dict[str, float]:
     """Finite-difference dq/dp of the surface map against -theta, and its
     inverse against f, at up to five sampled points."""
@@ -374,10 +376,10 @@ def _exchange_relation_residuals(
         try:
             for s in range(n):
                 dp = np.zeros(n)
-                dp[s] = h
+                dp[s] = _PROBE_STEP
                 q_plus = sample.solve_q(p + dp)
                 q_minus = sample.solve_q(p - dp)
-                jac[:, s] = (q_plus - q_minus) / (2.0 * h)
+                jac[:, s] = (q_plus - q_minus) / (2.0 * _PROBE_STEP)
         except (FixedPointError, DomainError):
             continue
         theta = structure.theta_matrix(x)
@@ -651,10 +653,9 @@ def implicit_theta_constraint_residuals(
 ) -> tuple[float, float]:
     """Residuals of the halved transport pair for the implicit solution,
     theta dtheta/dq1 - dtheta/dp2 and theta dtheta/dq2 + dtheta/dp1,
-    with the partials taken by central differences (step 1e-6) of the
-    solved field."""
+    with the partials taken by central differences (step ``_PROBE_STEP``)
+    of the solved field; exact partials would make both vanish by algebra."""
     x = np.asarray(x, dtype=float)
-    h = 1e-6
 
     def solve(point):
         return implicit_theta(phi, point, parameters)
@@ -663,8 +664,8 @@ def implicit_theta_constraint_residuals(
     partials = []
     for a in range(4):
         dx = np.zeros(4)
-        dx[a] = h
-        partials.append((solve(x + dx) - solve(x - dx)) / (2.0 * h))
+        dx[a] = _PROBE_STEP
+        partials.append((solve(x + dx) - solve(x - dx)) / (2.0 * _PROBE_STEP))
     tq1, tq2, tp1, tp2 = partials
     return abs(theta * tq1 - tp2), abs(theta * tq2 + tp1)
 
