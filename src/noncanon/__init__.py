@@ -5,7 +5,6 @@ dimensional reduction, and the hodograph solution families of the planar
 transport pair."""
 
 from .expressions import (
-    Bindings,
     Const,
     DomainError,
     Dual,

@@ -27,7 +27,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -182,18 +182,26 @@ def _check_integrator(dt: float, t_end: float, method="rk4", path="$.integrator"
         raise ConfigError(f"{path}.method", f"unknown method {method!r}")
 
 
+def _span(values, path: str) -> list[float]:
+    """The ``[low, high]`` sampling bounds at ``path``; ``high - low`` must be
+    finite (so no NaN, no infinity, no overflow), and ``low > high`` is fine."""
+    low, high = _numbers(values, path, 2)
+    if not math.isfinite(high - low):
+        raise ConfigError(path, "expected [low, high] with a finite difference")
+    return [low, high]
+
+
 def _ranges(block: dict, key: str, names, default: list, path: str) -> list[list[float]]:
     """``[low, high]`` per name from the optional ``{name: [low, high]}``
     object at ``key`` of a block at ``path``, ``default`` where a name is
     missing."""
     ranges = _read(block, key, dict, path, {})
-    return [_numbers(ranges.get(name, default), f"{path}.{key}.{name}", 2) for name in names]
+    return [_span(ranges.get(name, default), f"{path}.{key}.{name}") for name in names]
 
 
 @dataclass(eq=False)
 class RunConfig:
     raw: dict
-    path: Path
     n: int
     parameters: dict
     structure: PoissonStructure | None
@@ -275,7 +283,6 @@ def load_config(path) -> RunConfig:
 
     return RunConfig(
         raw=raw,
-        path=path,
         n=n,
         parameters=parameters,
         structure=structure,
@@ -599,7 +606,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
         method=method,
         parameters=cfg.parameters,
     )
-    results = sweep.to_json_dict()
+    results = asdict(sweep)
     results["slope_error_from_unity"] = abs(sweep.fitted_slope - 1.0)
     header = ["epsilon", *(f"c_{m}_drift" for m in range(1, 3)), "max_drift"]
     rows = [[float(r[key]) for key in header] for r in sweep.rows]
@@ -612,7 +619,7 @@ def _grid_axis(grid_cfg: dict, key: str, path: str) -> tuple[float, float, int]:
     path = f"{path}.{key}"
     if len(axis) != 3:
         raise ConfigError(path, "expected [low, high, count]")
-    lo, hi = _numbers(axis[:2], path)
+    lo, hi = _span(axis[:2], path)
     return lo, hi, _as(axis[2], _POINTS, f"{path}[2]")
 
 
@@ -696,8 +703,8 @@ def _cmd_hodograph(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
         results.update(stats)
 
     if alphas:
-        sweep = hg.limit_sweep(kind, params, alphas, grid, branch)
-        results["sweep"] = sweep.to_json_dict()
+        sweep = hg.limit_sweep(kind, params, alphas, grid)
+        results["sweep"] = asdict(sweep)
         header = ["alpha", "max_dev_u", "max_dev_v", "max_u_minus_v", "fitted_order"]
         order = float(sweep.fitted_order)
         rows = [[*(float(r[key]) for key in header[:-1]), order] for r in sweep.rows]

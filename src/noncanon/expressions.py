@@ -66,7 +66,6 @@ __all__ = [
     "Binary",
     "Expression",
     "Dual",
-    "Bindings",
     "FUNCTIONS",
     "parse",
     "evaluate",
@@ -874,30 +873,3 @@ def substitute(e: Expression, replacements: Mapping[str, Expression]) -> Express
         )
     return e
 
-
-# ---------------------------------------------------------------------------
-# Bindings
-
-
-@dataclass(frozen=True)
-class Bindings:
-    """Named values split into phase-space variables and fixed parameters.
-
-    Variable insertion order fixes the flat index a in x_a; the phase-space
-    convention is x = (q_1..q_n, p_1..p_n).
-    """
-
-    variables: Mapping[str, float]
-    parameters: Mapping[str, float] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.parameters is None:
-            object.__setattr__(self, "parameters", {})
-        overlap = set(self.variables) & set(self.parameters)
-        if overlap:
-            raise ValueError(f"names bound twice: {sorted(overlap)}")
-
-    def env(self) -> dict[str, float]:
-        merged = dict(self.parameters)
-        merged.update(self.variables)
-        return merged

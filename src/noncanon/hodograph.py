@@ -71,6 +71,7 @@ _S = ("s",)
 # Newton stops once both residuals of the generator map are this small
 _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 60
+_QUAD_TOL = 1e-10  # adaptive Simpson's error target per antiderivative
 
 
 class HodographError(RuntimeError):
@@ -163,10 +164,8 @@ class HodographFamily:
     parameters: dict[str, float]
     u_expr: Expression | None = None
     v_expr: Expression | None = None
-    branch: str = "+"
     f_expr: Expression | None = None  # generators, variable 's' (custom-fg)
     g_expr: Expression | None = None
-    _solver: Callable | None = field(default=None, repr=False)
     # (field name, variables) -> (the tree it was built from, generated code)
     _code: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -183,6 +182,11 @@ class HodographFamily:
             built = (expr, compile(expr, variables))
             self._code[(name, variables)] = built
         return built[1]
+
+    @cached_property
+    def _solver(self) -> _GeneratorSolver:
+        """The numeric inversion of the generator map (custom-fg)."""
+        return _GeneratorSolver(self)
 
     def evaluate_uv(self, x: float, y: float) -> tuple[float, float]:
         if self.closed_form:
@@ -244,15 +248,11 @@ def build_family(
             if branch == "+"
             else (_LOGLOG_ROOT_MINUS, _LOGLOG_ROOT_PLUS)
         )
-        return HodographFamily(kind, params, parse(first), parse(second), branch=branch)
+        return HodographFamily(kind, params, parse(first), parse(second))
     if kind == "custom-fg":
         if f is None or g is None:
             raise HodographError("custom-fg needs generator expressions f and g")
-        family = HodographFamily(
-            kind, params, f_expr=as_expression(f), g_expr=as_expression(g)
-        )
-        family._solver = _GeneratorSolver(family)
-        return family
+        return HodographFamily(kind, params, f_expr=as_expression(f), g_expr=as_expression(g))
     raise HodographError(f"unknown family kind '{kind}'")
 
 
@@ -265,8 +265,8 @@ def reduced_limit_family() -> HodographFamily:
 # Quadrature and the generator route
 
 
-def adaptive_simpson(fn: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
-    """Adaptive Simpson quadrature with interval bisection."""
+def adaptive_simpson(fn: Callable[[float], float], a: float, b: float) -> float:
+    """Adaptive Simpson quadrature with interval bisection, to ``_QUAD_TOL``."""
 
     def simpson(lo, hi, flo, fmid, fhi):
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
@@ -291,7 +291,7 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float, tol: floa
         return 0.0
     fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
     whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 48)
+    return recurse(a, b, fa, fm, fb, whole, _QUAD_TOL, 48)
 
 
 class _GeneratorSolver:
@@ -374,7 +374,7 @@ def inverse_map_from_generators(f, g, parameters=None):
     g_expr = as_expression(g)
     x_expr = substitute(f_expr, {"s": Name("u")}) + substitute(g_expr, {"s": Name("v")})
     family = HodographFamily("custom-fg", dict(parameters or {}), f_expr=f_expr, g_expr=g_expr)
-    solver = _GeneratorSolver(family)
+    solver = family._solver
 
     def y_fn(u: float, v: float) -> float:
         return -solver._antiderivative("f_expr", u) - solver._antiderivative("g_expr", v)
@@ -462,16 +462,12 @@ class SweepTable:
     rows: list[dict[str, float]]
     fitted_order: float
 
-    def to_json_dict(self) -> dict:
-        return {"rows": self.rows, "fitted_order": self.fitted_order}
-
 
 def limit_sweep(
     kind: str,
     parameters: Mapping[str, float],
     alphas: Sequence[float],
     grid: Grid2D,
-    branch: str = "+",
 ) -> SweepTable:
     """Deviation of u and v from the degenerate limit -y/x as the scale
     parameter grows, with the decay order fitted in 1/alpha."""
@@ -486,7 +482,7 @@ def limit_sweep(
     for alpha in alphas:
         params = dict(parameters)
         params["alpha"] = float(alpha)
-        family = build_family(kind, params, branch=branch)
+        family = build_family(kind, params)
         points = grid.points(params)
         if len(points) == 0:
             raise HodographError(f"grid empty at alpha = {alpha}")

@@ -588,16 +588,14 @@ def _radial_profile(system: ReducedSystem) -> Callable[[float], float]:
     return radial
 
 
-def spectrum_and_frequency(
-    system: ReducedSystem, n_max: int, reference=None
-) -> SpectrumReport:
+def spectrum_and_frequency(system: ReducedSystem, n_max: int) -> SpectrumReport:
     """Oscillator level ladder and the classical orbit frequency
     d h / d n_bar through the reference point."""
     radial = _radial_profile(system)
     theta = system.theta_red
     if theta == 0.0:
         raise ReductionError("reduced bracket is zero; no oscillator structure")
-    ref = reference if reference is not None else system.reference
+    ref = system.reference
     if ref is None:
         raise ReductionError("a reference point in the reduced plane is required")
     r0 = float(np.hypot(ref[0], ref[1]))
@@ -678,9 +676,6 @@ def implicit_theta_constraint_residuals(
 class EpsilonSweep:
     rows: list[dict[str, float]]
     fitted_slope: float
-
-    def to_json_dict(self) -> dict:
-        return {"rows": self.rows, "fitted_slope": self.fitted_slope}
 
 
 def epsilon_sweep(

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from noncanon.expressions import (
     Binary,
-    Bindings,
     Const,
     DomainError,
     Dual,
@@ -257,13 +256,6 @@ def test_substitute():
 def test_is_constant_over():
     assert is_constant_over(parse("alpha*2"), ("q1", "p1"))
     assert not is_constant_over(parse("alpha*q1"), ("q1", "p1"))
-
-
-def test_bindings_env_merges_and_rejects_overlap():
-    b = Bindings({"q1": 1.0}, {"alpha": 2.0})
-    assert b.env() == {"q1": 1.0, "alpha": 2.0}
-    with pytest.raises(ValueError):
-        Bindings({"q1": 1.0}, {"q1": 2.0})
 
 
 def test_dual_arithmetic():
