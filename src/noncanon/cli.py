@@ -111,6 +111,14 @@ def _as(value, kind, path: str):
     return value
 
 
+def _tolerance(value, path: str) -> float:
+    """A tolerance from the config or ``--tol``: finite and at least 0."""
+    tol = _as(value, float, path)
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(path, "expected a finite number, at least 0")
+    return tol
+
+
 def _read(obj: dict, key: str, kind, path: str, default=_REQUIRED):
     """The value at ``key`` of the config object at ``path``, read by
     :func:`_as`; ``default`` when the key is absent."""
@@ -286,7 +294,7 @@ def load_config(path) -> RunConfig:
         n=n,
         parameters=parameters,
         structure=structure,
-        tol=_read(raw, "tolerance", float, "$", red.DEFAULT_TOL),
+        tol=_tolerance(raw.get("tolerance", red.DEFAULT_TOL), "$.tolerance"),
         seed=_read(raw, "seed", _SEEDS, "$", 0),
     )
 
@@ -344,7 +352,6 @@ def sample_cloud(cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
 @dataclass(eq=False)
 class RunReport:
     command: str
-    config_digest: str
     results: dict
     assertions: list[dict] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
@@ -733,7 +740,7 @@ def run(command: str, cfg: RunConfig, out_dir, seed=None, tol=None) -> RunReport
     if seed is not None:
         cfg.seed = _as(int(seed), _SEEDS, "--seed")
     if tol is not None:
-        cfg.tol = float(tol)
+        cfg.tol = _tolerance(tol, "--tol")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -756,7 +763,6 @@ def run(command: str, cfg: RunConfig, out_dir, seed=None, tol=None) -> RunReport
     wall = time.perf_counter() - started
     return RunReport(
         command=command,
-        config_digest=cfg.digest,
         results=results,
         assertions=assertions,
         artifacts=report_doc["artifacts"],

@@ -25,8 +25,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expressions import (
-    EVALUATION_ERRORS,
+# ``evaluate`` and ``derivative`` stay bound here: perfbench/tracing.py
+# wraps them under these names
+from .expressions import (  # noqa: F401
     DomainError,
     Expression,
     Name,
@@ -59,11 +60,8 @@ __all__ = [
 FAMILY_KINDS = ("linear", "log", "loglog", "custom-fg")
 
 # Grid points, families and generators run generated code
-# (``expressions.compile``), built once per filter or family on first use.
-# Generated code falls back to the tree walker when it raises; where the
-# tree walker would take values and partials in another order, the point
-# is redone on the tree path, so errors, and which of them wins, are the
-# tree walker's.
+# (``expressions.compile``), built once per filter or family on first use;
+# an expression whose code raises is redone by compile's own fallback.
 
 _XY = ("x", "y")
 _S = ("s",)
@@ -311,12 +309,7 @@ class _GeneratorSolver:
     def _gen_prime(self, name, s):
         env = self.env
         env["s"] = s
-        try:
-            return self.family._compiled(name, _S)(env)[1][0]
-        except EVALUATION_ERRORS:
-            # the generated code takes the value first; the tree walker
-            # takes only the slope, and its error wins
-            return derivative(getattr(self.family, name), "s", env)
+        return self.family._compiled(name, _S)(env)[1][0]
 
     def _antiderivative(self, name, upper):
         # int_0^upper s * d(generator)/ds ds
@@ -394,17 +387,8 @@ def _field_partials(family: HodographFamily, x: float, y: float):
         env = dict(family.parameters)
         env["x"] = x
         env["y"] = y
-        try:
-            u, (ux, uy) = family._compiled("u_expr", _XY)(env)
-            v, (vx, vy) = family._compiled("v_expr", _XY)(env)
-        except EVALUATION_ERRORS:
-            # the tree walker takes both values before any partial
-            u = evaluate(family.u_expr, env)
-            v = evaluate(family.v_expr, env)
-            ux = derivative(family.u_expr, "x", env)
-            uy = derivative(family.u_expr, "y", env)
-            vx = derivative(family.v_expr, "x", env)
-            vy = derivative(family.v_expr, "y", env)
+        u, (ux, uy) = family._compiled("u_expr", _XY)(env)
+        v, (vx, vy) = family._compiled("v_expr", _XY)(env)
         return u, v, ux, uy, vx, vy
     u, v, fu, gv = family._solver(float(x), float(y))
     fd = fu * (u - v)

@@ -33,7 +33,6 @@ from .brackets import (
 from .dynamics import FlowProblem, _flow_step, _Velocity, integrate
 # ``parse`` stays bound here: perfbench/tracing.py wraps it under this name
 from .expressions import (  # noqa: F401
-    EVALUATION_ERRORS,
     Const,
     DomainError,
     Expression,
@@ -42,7 +41,6 @@ from .expressions import (  # noqa: F401
     derivative,
     evaluate,
     free_names,
-    gradient,
     parse,
     substitute,
 )
@@ -117,8 +115,6 @@ def momentum_offsets(structure: PoissonStructure, x) -> np.ndarray:
 class SurfaceSample:
     """Points on one constraint surface plus the map p -> q that built them."""
 
-    structure: PoissonStructure
-    constants: np.ndarray
     reference: np.ndarray
     points: np.ndarray  # (k, 2n)
     solve_q: Callable[[np.ndarray], np.ndarray]
@@ -187,8 +183,6 @@ def surface_cloud(structure: PoissonStructure, reference, p_points) -> SurfaceSa
             continue
         points.append(np.concatenate([q, p]))
     return SurfaceSample(
-        structure=structure,
-        constants=constants,
         reference=reference,
         points=np.array(points) if points else np.empty((0, structure.dim)),
         solve_q=solve_q,
@@ -405,17 +399,10 @@ def total_variation_residual(structure: PoissonStructure, x) -> dict[str, float]
     n = structure.n
     # the theta and f entries; the mixed ones are never differentiated
     keys = [(a, b) for a, b in sorted(structure.entries) if (a < n) == (b < n)]
-    try:
-        theta, grads = structure._entry_gradients(x)
-        partials = [grads[key] for key in keys]
-    except EVALUATION_ERRORS:
-        # the tree walker's order: every entry value, then the partials
-        theta = structure.theta_matrix(x)
-        env = structure.env_at(x)
-        names = structure.variable_names
-        partials = [gradient(structure.entries[key], names, env) for key in keys]
+    theta, grads = structure._entry_gradients(x)
     out: dict[str, float] = {}
-    for (a, b), g in zip(keys, partials):
+    for a, b in keys:
+        g = grads[a, b]
         for l in range(n):
             if a < n:
                 out[f"theta_{a+1}{b+1}_dq{l+1}"] = abs(_total_dq(g, theta, n, l))
@@ -439,7 +426,6 @@ class ReducedSystem:
     theta_red: float
     theta_matrix: np.ndarray  # n x n constant coordinate bracket
     hamiltonian: Expression   # in q1..qn only
-    constants: np.ndarray
     parameters: Mapping[str, float]
     reference: np.ndarray | None = None
 
@@ -507,7 +493,6 @@ def build_reduced(
         theta_red=float(theta[0, 1]) if n >= 2 else 0.0,
         theta_matrix=theta,
         hamiltonian=reduced_h,
-        constants=constants,
         parameters=dict(structure.parameters),
         reference=reference[:n].copy(),
     )
@@ -556,7 +541,6 @@ class SpectrumReport:
 
     omega_red: float
     levels: dict[str, list[float]]
-    n_max: int
 
 
 class NotRotationallyInvariantError(ReductionError):
@@ -615,7 +599,7 @@ def spectrum_and_frequency(system: ReducedSystem, n_max: int) -> SpectrumReport:
             radial(2.0 * theta * (k + 0.5)) for k in range(n_max + 1)
         ],
     }
-    return SpectrumReport(omega_red=float(omega), levels=levels, n_max=n_max)
+    return SpectrumReport(omega_red=float(omega), levels=levels)
 
 
 # ---------------------------------------------------------------------------

@@ -249,35 +249,42 @@ def _raised(fn, *args):
     return str(err.value)
 
 
-# Where generated code takes values and partials in another order than the
-# tree walker, a point whose code raises is redone on the tree path.  Each
-# case below has a value error the tree walker meets first and a derivative
-# error the generated code meets first.
+# A survey expression whose generated code raises is redone by compile's
+# own fallback: the tree walker's value, then its gradient, of that one
+# expression.  So the error is the first that expression meets, in the
+# order the expressions are evaluated, even where another expression
+# would meet a value error first.
+
+
+def _tree_value_then_gradient(expr, names, env):
+    evaluate(expr, env)
+    gradient(expr, names, env)
 
 
 def test_field_partials_raise_the_tree_error():
-    # sqrt'(0) fails in u's code before the tree walker's log(-1) in v
+    # sqrt'(0) fails in u before v, and its log(-1), is reached
     family = HodographFamily("mixed", {}, parse("sqrt(x)"), parse("log(y)"))
     message = _raised(_field_partials, family, 0.0, -1.0)
-    assert message == _raised(tree_field_partials, family, 0.0, -1.0)
-    assert message == "log of non-positive value in 'log(y)'"
+    env = {"x": 0.0, "y": -1.0}
+    assert message == _raised(_tree_value_then_gradient, family.u_expr, ("x", "y"), env)
+    assert message == "sqrt derivative at zero in 'sqrt(x)'"
 
 
 def test_total_variation_residual_raises_the_tree_error():
-    # the tree walker takes every entry value before any partial
+    # entries are taken in order, each value with its partials
     s = theta_f_field(2, {(1, 2): "sqrt(q1)"}, {(1, 2): "log(p1)"})
     x = np.array([0.0, 0.5, -1.0, 0.5])
     message = _raised(total_variation_residual, s, x)
-    assert message == "log of non-positive value in 'log(p1)'"
+    assert message == "sqrt derivative at zero in 'sqrt(q1)'"
 
 
 def test_generator_slope_raises_the_tree_error():
-    # the tree walker takes only the slope; the generated code the value too
+    # the slope's code takes the value too, and log(-1) comes before sqrt'(0)
     family = build_family("custom-fg", {}, f="sqrt(s) + log(s - 1)", g="s")
     solver = _GeneratorSolver(family)
     message = _raised(solver._gen_prime, "f_expr", 0.0)
-    assert message == _raised(derivative, family.f_expr, "s", {"s": 0.0})
-    assert message == "sqrt derivative at zero in 'sqrt(s)'"
+    assert message == _raised(_tree_value_then_gradient, family.f_expr, ("s",), {"s": 0.0})
+    assert message == "log of non-positive value in 'log(s - 1.0)'"
 
 
 # --- reassigned family expressions ----------------------------------------------
