@@ -31,7 +31,8 @@ from typing import Mapping
 
 import numpy as np
 
-# ``parse`` stays bound here: perfbench/tracing.py wraps it under this name
+# ``parse`` and ``evaluate`` stay bound here: perfbench/tracing.py wraps them
+# under these names
 from .expressions import (  # noqa: F401
     Const,
     Expression,
@@ -505,9 +506,6 @@ def d_operator_values(structure: PoissonStructure, expr, x) -> np.ndarray:
     if structure.n != 2:
         raise StructureError("the D operators are defined for planar structures")
     expr = as_expression(expr)
-    env = structure.env_at(x)
-    values = [
-        evaluate(structure.entry_expression(a, b), env) for _, (a, b) in _PLANAR_ENTRIES
-    ]
-    partials = gradient(expr, structure.variable_names, env)
+    values = planar_entries(structure.theta_matrix(x))
+    partials = gradient(expr, structure.variable_names, structure.env_at(x))
     return np.array(_d_operators(*values, partials))

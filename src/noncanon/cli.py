@@ -12,11 +12,12 @@ Every config value is read through one typed reader, :func:`_read` (and
 integer a JSON integer, neither of them a bool; a count is an integer in
 its bounds; a flag, a string, a list and an object are exactly that JSON
 type.  Every expression is read by :func:`_expr`, which parses it and
-rejects names it may not use.  A value that does not read is a config
-error that names its JSON path.
+rejects names it may not use and trees deeper than :data:`MAX_DEPTH`.  A
+value that does not read is a config error that names its JSON path.
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 config error,
-3 runtime numeric error.
+3 runtime numeric error (an arithmetic failure such as an underflowed
+quotient included).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .brackets import (
     theta_f_field,
 )
 from .dynamics import FlowProblem, IntegrationError, integrate, zero_crossing_frequency
-from .expressions import DomainError, ExpressionError, ParseError, free_names, parse
+from .expressions import ExpressionError, ParseError, _depth, free_names, parse
 
 CONFIG_VERSION = 1
 COMMANDS = ("check-jacobi", "integrate", "reduce", "sweep", "hodograph")
@@ -57,6 +58,9 @@ RNG_ALGORITHM = "pcg64"
 MAX_POINTS = 1_000_000
 # the most degrees of freedom (phase_space.n) a config may ask for
 MAX_N = 32
+# the deepest expression tree a config may give, in nodes from the root to
+# the deepest leaf; generated code and the tree walker recurse on each level
+MAX_DEPTH = 300
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -158,6 +162,10 @@ def _expr(source, path: str, names=None):
         expr = parse(source)
     except ParseError as err:
         raise ConfigError(path, str(err)) from None
+    except RecursionError:
+        expr = None
+    if expr is None or _depth(expr) > MAX_DEPTH:
+        raise ConfigError(path, f"expected an expression at most {MAX_DEPTH} levels deep")
     unknown = set() if names is None else free_names(expr) - set(names)
     if unknown:
         raise ConfigError(path, f"undeclared names {sorted(unknown)}")
@@ -210,7 +218,6 @@ def _ranges(block: dict, key: str, names, default: list, path: str) -> list[list
 @dataclass(eq=False)
 class RunConfig:
     raw: dict
-    n: int
     parameters: dict
     structure: PoissonStructure | None
     tol: float
@@ -278,7 +285,6 @@ def load_config(path) -> RunConfig:
     }
 
     structure = None
-    n = 0
     if "structure" in raw:
         phase = _read(raw, "phase_space", dict, "$")
         n = _read(phase, "n", range(1, MAX_N + 1), "$.phase_space")
@@ -291,7 +297,6 @@ def load_config(path) -> RunConfig:
 
     return RunConfig(
         raw=raw,
-        n=n,
         parameters=parameters,
         structure=structure,
         tol=_tolerance(raw.get("tolerance", red.DEFAULT_TOL), "$.tolerance"),
@@ -371,7 +376,7 @@ def _resolve(results: dict, dotted: str):
             return None
         if isinstance(node, dict) and part in node:
             node = node[part]
-        elif isinstance(node, list):
+        elif isinstance(node, (list, tuple, np.ndarray)):
             try:
                 node = node[int(part)]
             except (ValueError, IndexError):
@@ -545,7 +550,7 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
         cloud = points
 
     report = red.check_reduction(structure, cloud, tol=cfg.tol)
-    results = {"reduction": report.to_json_dict(), "rng": RNG_ALGORITHM, "seed": cfg.seed}
+    results = {"reduction": asdict(report), "rng": RNG_ALGORITHM, "seed": cfg.seed}
 
     if structure.kind in DELTA_KINDS:
         # null when the structure does not reduce, so an assertion on it fails
@@ -595,6 +600,10 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     if theta == 0.0:
         raise ConfigError("$.sweep.theta", "theta must be nonzero")
     epsilons = _fit_abscissae(block.get("epsilons", [1e-1, 1e-2, 1e-3, 1e-4]), "$.sweep.epsilons")
+    for i, eps in enumerate(epsilons):
+        # theta*f = 1 - eps must lie between the degenerate limit and f = 0
+        if eps >= 1.0:
+            raise ConfigError(f"$.sweep.epsilons[{i}]", "expected a number below 1")
     names = {*phase_variable_names(2), *cfg.parameters}
     ham = _expr(_read(cfg.raw, "hamiltonian", str, "$"), "$.hamiltonian", names)
     x0 = _numbers(_read(cfg.raw, "initial_state", list, "$"), "$.initial_state", 4)
@@ -785,26 +794,20 @@ def main(argv=None) -> int:
         p.add_argument("--tol", type=float, default=None)
     args = parser.parse_args(argv)
 
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-
     out_dir = args.out or f"out_{args.command.replace('-', '_')}"
     try:
+        cfg = load_config(args.config)
         report = run(args.command, cfg, out_dir, seed=args.seed, tol=args.tol)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (
-        DomainError,
         ExpressionError,
         StructureError,
         IntegrationError,
         red.ReductionError,
         hg.HodographError,
-        FloatingPointError,
+        ArithmeticError,
         np.linalg.LinAlgError,
     ) as err:
         print(f"runtime error: {err}", file=sys.stderr)

@@ -48,7 +48,6 @@ from .expressions import (  # noqa: F401
     _Codegen,
     _eval,
     as_expression,
-    evaluate,
     free_names,
     gradient,
     parse,
@@ -188,8 +187,9 @@ def velocity(structure: PoissonStructure, hamiltonian, x) -> np.ndarray:
     """Phase-space velocity Theta_ab dH/dx_b at a point."""
     h = as_expression(hamiltonian)
     x = np.asarray(x, dtype=float)
-    if x.shape != (structure.dim,):
-        raise StructureError(f"phase point must have length {structure.dim}")
+    dim = len(structure.variable_names)
+    if x.shape != (dim,):
+        raise StructureError(f"phase point must have length {dim}")
     return _Velocity(structure, h)(x)
 
 
@@ -333,8 +333,7 @@ def _reference_row(structure: PoissonStructure, exprs, x: np.ndarray) -> tuple[l
     env = dict(structure.parameters)
     env.update(zip(structure.variable_names, x))
     monitors = [_eval(expr, env) for expr in exprs]
-    theta = structure.theta_matrix(x)
-    return monitors, [theta[a, b] for a, b in structure.entries]
+    return monitors, [_eval(expr, env) for expr in structure.entries.values()]
 
 
 def _monitor_pass(
@@ -346,7 +345,7 @@ def _monitor_pass(
     state's row, the monitors and then the stored bracket entries, from the
     state tuple, with parameters loaded once per call.  A state whose row
     raises is redone once, by :func:`_reference_row`, so errors are the tree
-    walker's, in its order: monitors first, then ``theta_matrix``.  Rows are
+    walker's, in its order: monitors first, then the stored entries.  Rows are
     written block by block, and ``det Theta`` is taken over the stacked
     block, which keeps the extra memory to one block.
     """
@@ -568,15 +567,11 @@ def d_dependence_fit(
     since no closed form for it is published; the returned residual is the
     largest leftover after the fit.
     """
-    env = structure.env_at(x)
-    g11 = evaluate(structure.entry_expression(0, 2), env)
-    g12 = evaluate(structure.entry_expression(0, 3), env)
-    rows = []
-    for f_expr in test_functions:
-        d1, d2, d3, _ = d_operator_values(structure, f_expr, x)
-        rows.append((d1, g11 * d2 - g12 * d3))
-    a = np.array([r[0] for r in rows])
-    b = np.array([r[1] for r in rows])
+    # the D operators first: they reject a structure that is not planar
+    ds = [d_operator_values(structure, f_expr, x) for f_expr in test_functions]
+    _, _, g11, g12, _, _ = planar_entries(structure.theta_matrix(x))
+    a = np.array([d1 for d1, _, _, _ in ds])
+    b = np.array([g11 * d2 - g12 * d3 for _, d2, d3, _ in ds])
     denom = float(a @ a)
     if denom == 0.0:
         return 0.0, float(np.max(np.abs(b)))

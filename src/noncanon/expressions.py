@@ -850,6 +850,21 @@ def _walk(e: Expression) -> Iterator[Expression]:
             stack.append(node.right)
 
 
+def _depth(e: Expression) -> int:
+    """Nodes on the longest path from ``e`` to a leaf, without recursion."""
+    deepest = 0
+    stack = [(e, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        if isinstance(node, Unary):
+            stack.append((node.arg, level + 1))
+        elif isinstance(node, Binary):
+            stack.append((node.left, level + 1))
+            stack.append((node.right, level + 1))
+    return deepest
+
+
 def free_names(e: Expression) -> frozenset[str]:
     return frozenset(n.name for n in _walk(e) if isinstance(n, Name))
 

@@ -154,7 +154,7 @@ def default_filters(kind: str, band: float = 1e-3):
 # Families
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HodographFamily:
     """An explicit or numerically inverted solution pair u(x,y), v(x,y)."""
 
@@ -164,7 +164,7 @@ class HodographFamily:
     v_expr: Expression | None = None
     f_expr: Expression | None = None  # generators, variable 's' (custom-fg)
     g_expr: Expression | None = None
-    # (field name, variables) -> (the tree it was built from, generated code)
+    # (field name, variables) -> generated code; frozen fields keep it current
     _code: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -173,13 +173,12 @@ class HodographFamily:
 
     def _compiled(self, name: str, variables: tuple[str, ...] = ()) -> Callable:
         """Generated code for the expression in field ``name``, built on
-        first use and rebuilt whenever the field is reassigned."""
-        expr = getattr(self, name)
-        built = self._code.get((name, variables))
-        if built is None or built[0] is not expr:
-            built = (expr, compile(expr, variables))
-            self._code[(name, variables)] = built
-        return built[1]
+        first use."""
+        code = self._code.get((name, variables))
+        if code is None:
+            code = compile(getattr(self, name), variables)
+            self._code[(name, variables)] = code
+        return code
 
     @cached_property
     def _solver(self) -> _GeneratorSolver:

@@ -15,7 +15,7 @@ entry-gradient pass.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from .brackets import (
     entry_label,
     planar_entries,
 )
-from .dynamics import FlowProblem, _flow_step, _Velocity, integrate
+from .dynamics import FlowProblem, _flow_step, integrate, velocity
 # ``parse`` stays bound here: perfbench/tracing.py wraps it under this name
 from .expressions import (  # noqa: F401
     Const,
@@ -224,14 +224,6 @@ class ReductionReport:
     constancy_implied: bool | None = None
     notes: tuple[str, ...] = ()
 
-    def to_json_dict(self) -> dict:
-        """Every field, with ``constants`` and ``notes`` as lists that an
-        assertion path can index."""
-        out = asdict(self)
-        out["constants"] = None if self.constants is None else self.constants.tolist()
-        out["notes"] = list(self.notes)
-        return out
-
 
 def _point_condition(structure: PoissonStructure, report) -> tuple[str, float]:
     """The kind's degeneracy measure from a :class:`DegeneracyReport`, with
@@ -355,6 +347,14 @@ def check_reduction(
     )
 
 
+def _central_difference(fn: Callable, x: np.ndarray, k: int):
+    """The central difference of ``fn`` at ``x`` along coordinate ``k``,
+    over ``_PROBE_STEP``; ``fn`` runs at the plus step first."""
+    dx = np.zeros(len(x))
+    dx[k] = _PROBE_STEP
+    return (fn(x + dx) - fn(x - dx)) / (2.0 * _PROBE_STEP)
+
+
 def _exchange_relation_residuals(
     structure: PoissonStructure, sample: SurfaceSample
 ) -> dict[str, float]:
@@ -369,11 +369,7 @@ def _exchange_relation_residuals(
         jac = np.empty((n, n))
         try:
             for s in range(n):
-                dp = np.zeros(n)
-                dp[s] = _PROBE_STEP
-                q_plus = sample.solve_q(p + dp)
-                q_minus = sample.solve_q(p - dp)
-                jac[:, s] = (q_plus - q_minus) / (2.0 * _PROBE_STEP)
+                jac[:, s] = _central_difference(sample.solve_q, p, s)
         except (FixedPointError, DomainError):
             continue
         theta = structure.theta_matrix(x)
@@ -422,12 +418,19 @@ class ReducedSystem:
     combinations: a Poisson structure with constant entries on q1..qn, read
     by the flow engine of :mod:`dynamics` like any other."""
 
-    n: int
-    theta_red: float
     theta_matrix: np.ndarray  # n x n constant coordinate bracket
     hamiltonian: Expression   # in q1..qn only
     parameters: Mapping[str, float]
     reference: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return len(self.theta_matrix)
+
+    @property
+    def theta_red(self) -> float:
+        """The (1, 2) entry of the reduced bracket; 0.0 when n = 1."""
+        return float(self.theta_matrix[0, 1]) if self.n >= 2 else 0.0
 
     @property
     def variable_names(self) -> tuple[str, ...]:
@@ -489,8 +492,6 @@ def build_reduced(
         replacements[f"p{k + 1}"] = expr
     reduced_h = substitute(h, replacements)
     return ReducedSystem(
-        n=n,
-        theta_red=float(theta[0, 1]) if n >= 2 else 0.0,
         theta_matrix=theta,
         hamiltonian=reduced_h,
         parameters=dict(structure.parameters),
@@ -501,7 +502,7 @@ def build_reduced(
 def reduced_velocity(system: ReducedSystem, q) -> np.ndarray:
     """dq_i/dt = theta_ij dh/dq_j with the constant reduced bracket, by the
     tree walker that redoes a raising step of :func:`integrate_reduced`."""
-    return _Velocity(system, system.hamiltonian)(np.asarray(q, dtype=float))
+    return velocity(system, system.hamiltonian, q)
 
 
 def integrate_reduced(
@@ -643,12 +644,7 @@ def implicit_theta_constraint_residuals(
         return implicit_theta(phi, point, parameters)
 
     theta = solve(x)
-    partials = []
-    for a in range(4):
-        dx = np.zeros(4)
-        dx[a] = _PROBE_STEP
-        partials.append((solve(x + dx) - solve(x - dx)) / (2.0 * _PROBE_STEP))
-    tq1, tq2, tp1, tp2 = partials
+    tq1, tq2, tp1, tp2 = (_central_difference(solve, x, a) for a in range(4))
     return abs(theta * tq1 - tp2), abs(theta * tq2 + tp1)
 
 

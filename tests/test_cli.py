@@ -38,7 +38,7 @@ MINIMAL = {
 class TestLoadConfig:
     def test_minimal_valid(self, tmp_path):
         cfg = load_config(write_config(tmp_path, MINIMAL))
-        assert cfg.n == 1
+        assert cfg.structure.n == 1
         assert cfg.structure.kind == "canonical"
 
     def test_missing_file(self):

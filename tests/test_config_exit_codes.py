@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from noncanon.cli import EXIT_CONFIG, MAX_N, MAX_POINTS, main
+from noncanon.cli import EXIT_CONFIG, EXIT_OK, MAX_DEPTH, MAX_N, MAX_POINTS, main
+from noncanon.expressions import _depth, parse
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -34,6 +35,11 @@ def _custom_fg(**values):
     doc["hodograph"]["grid"] = {"x": [0.4, 1.4, 3], "y": [-1.0, 1.0, 3]}
     doc["assertions"] = []
     return doc
+
+
+def _deeper(source, depth):
+    """``source`` plus enough ``0*q1`` terms to make it ``depth`` nodes deep."""
+    return source + " + 0*q1" * (depth - _depth(parse(source)))
 
 
 def _n(n):
@@ -70,6 +76,11 @@ CASES = {
     "sweep_theta_zero": ("sweep", _with(SWEEP, "sweep", "theta", value=0), 2, "$.sweep.theta"),
     "sweep_no_epsilons": ("sweep", _with(SWEEP, "sweep", "epsilons", value=[]), 2,
                           "$.sweep.epsilons"),
+    # theta*f = 1 - epsilon must lie between the degenerate limit and f = 0
+    "sweep_epsilon_huge": ("sweep", _with(SWEEP, "sweep", "epsilons", value=[0.01, 1e300]), 2,
+                           "$.sweep.epsilons[1]"),
+    "sweep_epsilon_above_one": ("sweep", _with(SWEEP, "sweep", "epsilons", value=[2.0, 0.01]), 2,
+                                "$.sweep.epsilons[0]"),
     "spectrum_one_crossing": ("reduce", _with(CONSTANT, "reduction", "t_end", value=1.0), 3,
                               "zero crossings"),
     "n_max_beyond_the_cap": (
@@ -77,6 +88,25 @@ CASES = {
         "$.reduction.n_max",
     ),
     "n_beyond_the_cap": ("check-jacobi", _n(MAX_N + 1), 2, "$.phase_space.n"),
+    # a quotient's partial divides by r*r, which underflows to 0
+    "partial_underflows_in_a_cloud": (
+        "check-jacobi", _with(FIELD, "cloud", value={"ranges": {"p2": [1e-170, 2e-170]}}), 3,
+        "division by zero",
+    ),
+    "partial_underflows_on_a_grid": (
+        "hodograph",
+        _with(LINEAR, "hodograph", "grid", value={"x": [1e-170, 2e-170, 3], "y": [-1, 1, 3],
+                                                  "band": 0}),
+        3, "division by zero",
+    ),
+    "hamiltonian_nested_3000_deep": (
+        "integrate", _with(OSCILLATOR, "hamiltonian", value="(" * 3000 + "q1" + ")" * 3000), 2,
+        "$.hamiltonian",
+    ),
+    "hamiltonian_beyond_max_depth": (
+        "integrate", _with(OSCILLATOR, "hamiltonian", value=_deeper("(p1^2 + q1^2)/2", MAX_DEPTH + 1)), 2,
+        "$.hamiltonian",
+    ),
     # config mistakes that were runtime errors
     "family_kind_unknown": ("hodograph", _with(LINEAR, "hodograph", "kind", value="bogus"), 2,
                             "$.hodograph.kind"),
@@ -149,6 +179,16 @@ def test_bad_input_exit_code(tmp_path, capsys, case):
     else:
         assert err.startswith("runtime error: ") and detail in err, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, name", [("integrate", OSCILLATOR), ("reduce", CONSTANT)])
+def test_expression_at_the_depth_bound_runs(tmp_path, capsys, command, name):
+    # reduce substitutes the momenta, which makes its Hamiltonian deeper still
+    doc = json.loads((FIXTURES / name).read_text(encoding="utf-8"))
+    doc["hamiltonian"] = _deeper(doc["hamiltonian"], MAX_DEPTH)
+    assert _depth(parse(doc["hamiltonian"])) == MAX_DEPTH
+    code, err = run_config(tmp_path, capsys, command, doc)
+    assert code == EXIT_OK, err
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000, None])

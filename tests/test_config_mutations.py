@@ -15,6 +15,7 @@ import pytest
 from noncanon.cli import (
     EXIT_ASSERTION,
     EXIT_CONFIG,
+    EXIT_OK,
     MAX_POINTS,
     ConfigError,
     _resolve,
@@ -179,6 +180,23 @@ def test_resolve_through_null():
         _resolve(results, "b.d")
     with pytest.raises(ConfigError):
         _resolve(results, "c")
+
+
+@pytest.mark.parametrize("index", [0, 9])
+def test_assertion_path_into_a_report_list(tmp_path, capsys, index):
+    # ``reduction.constants`` holds two numbers: the first is read, and a
+    # tenth names no value in the report
+    value = f"reduction.constants.{index}"
+    doc = _with("reduce_constant.json", "assertions",
+                value=[{"name": "c", "value": value, "op": "<=", "threshold": 10.0}])
+    doc["reduction"]["spectrum"] = False
+    code, out, err = run_config(tmp_path, capsys, "reduce", doc)
+    if index == 0:
+        assert code == EXIT_OK, err
+        assert f"[pass] c: {value} <= 10" in out
+    else:
+        assert code == EXIT_CONFIG
+        assert f"$.assertions: no value at '{value}' in the report" in err
 
 
 def test_unreduced_run_fails_every_surface_assertion(tmp_path, capsys):

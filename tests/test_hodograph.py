@@ -1,5 +1,6 @@
 """Solution families of the planar transport pair and their limits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -104,7 +105,7 @@ class TestPdeResidual:
 
     def test_corrupted_family_is_detected(self):
         fam = build_family("linear", {"alpha": 1.0})
-        fam.u_expr = Binary("+", fam.u_expr, parse("0.1*x"))
+        fam = dataclasses.replace(fam, u_expr=Binary("+", fam.u_expr, parse("0.1*x")))
         out = pde_residual(fam, linear_grid())
         assert out["max_res_u"] >= 0.05
 

@@ -1,9 +1,18 @@
 """Degenerate-limit reduction: surfaces, constancy, the reduced oscillator."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from noncanon.brackets import canonical, constant_theta_f, general_planar, theta_f_field
+from noncanon.brackets import (
+    StructureError,
+    canonical,
+    constant_theta_f,
+    general_planar,
+    theta_f_field,
+)
 from noncanon.dynamics import (
     FlowProblem,
     integrate,
@@ -123,6 +132,34 @@ class TestCheckReduction:
         assert r1.spread <= 1e-9 and r2.spread <= 1e-9
         assert abs(r1.theta_red - r2.theta_red) > 0.1
 
+    @pytest.mark.parametrize("probe", ["raises", "singular"])
+    def test_exchange_relations_without_a_usable_probe_are_nan(self, probe):
+        theta, f, reference = SINGULAR_FIXTURES[0]
+        s = theta_f_field(2, theta=theta, f=f)
+        sample = surface_cloud(s, reference, [[0.9, 1.1], [1.2, 1.4]])
+
+        def solve_q(p):
+            if probe == "raises":
+                raise FixedPointError("surface solve did not converge", p)
+            return sample.points[0, :2]  # the same q for every p: dq/dp = 0
+
+        report = check_reduction(s, dataclasses.replace(sample, solve_q=solve_q))
+        assert report.reduced
+        residuals = report.dual_relation_residuals
+        assert math.isnan(residuals["dq_dp_plus_theta"])
+        assert math.isnan(residuals["dp_dq_minus_f"])
+
+    def test_unsolved_surface_points_are_dropped_and_counted(self):
+        # strongly coupled: the damped solve fails at the larger momenta
+        s = theta_f_field(2, {(1, 2): "1.6*q1 - 2.5*q2"})
+        reference = [1.0, 0.5, 0.3, 2.0]
+        sample = surface_cloud(s, reference, [[0.1, 0.1], [1.0, 1.0], [2.0, 2.0]])
+        assert sample.rejected == 2
+        assert sample.points[:, 2:].tolist() == [[0.1, 0.1]]
+        assert reduction_constants(s, sample.points[0]) == pytest.approx(
+            reduction_constants(s, reference), abs=1e-10
+        )
+
 
 class TestTotalVariation:
     @pytest.mark.parametrize("theta,f,reference", SINGULAR_FIXTURES)
@@ -214,6 +251,14 @@ class TestBuildReduced:
             dh2 = derivative(rs.hamiltonian, "q2", env)
             assert v[0] == pytest.approx(rs.theta_red * dh2, abs=1e-14)
             assert v[1] == pytest.approx(-rs.theta_red * dh1, abs=1e-14)
+
+    @pytest.mark.parametrize("q", [[0.4], [0.4, -1.1, 0.0]])
+    def test_reduced_velocity_checks_the_point_length(self, q):
+        from noncanon.reduction import reduced_velocity
+
+        rs = build_reduced(constant_theta_f(2.0, 0.5), HARMONIC, reference=[1.0, 0.0, 0.0, -0.5])
+        with pytest.raises(StructureError, match="phase point must have length 2"):
+            reduced_velocity(rs, q)
 
     def test_rejects_non_degenerate_reference(self):
         s = constant_theta_f(0.5, 0.25)

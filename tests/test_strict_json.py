@@ -63,10 +63,11 @@ def test_finite_values_keep_their_bytes(tmp_path):
 
 
 def test_failed_fit_writes_strict_json(tmp_path, capsys):
-    # a huge detuning leaves no finite drift to fit: the slope is NaN and
-    # the assertion on it fails, so the run exits 1 with its report written
+    # a constant Hamiltonian moves nothing, so every drift is 0 and its log
+    # fit has no slope: the slope is NaN and the assertion on it fails, so
+    # the run exits 1 with its report written
     doc = json.loads((FIXTURES / "sweep_epsilon.json").read_text(encoding="utf-8"))
-    doc["sweep"]["epsilons"] = [0.01, 1e300]
+    doc["hamiltonian"] = "1"
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"

@@ -3,9 +3,10 @@ filters, hodograph families and generators) against the tree walker.
 
 Generated code must give the tree walker's numbers bit for bit and, where
 the tree walker raises, its error and message; fixture artifacts must not
-depend on which of the two ran, and a family whose expressions are
-reassigned must run the new ones."""
+depend on which of the two ran, and a family copied with new expressions
+(``dataclasses.replace``) must run them, not its source's cached code."""
 
+import dataclasses
 import math
 import struct
 from itertools import combinations
@@ -294,8 +295,8 @@ def test_reassigned_closed_form_family_runs_the_new_expressions():
     grid = Grid2D((-1.0, 1.0), (-1.0, 1.0), 9, 9, default_filters("linear", 0.05))
     family = build_family("linear", {"alpha": 1.0})
     assert pde_residual(family, grid)["max_res_u"] <= 1e-12
-    family.u_expr = family.u_expr + parse("0.1*x")
-    family.v_expr = family.u_expr
+    shifted = family.u_expr + parse("0.1*x")
+    family = dataclasses.replace(family, u_expr=shifted, v_expr=shifted)
     fresh = HodographFamily("linear", {"alpha": 1.0}, family.u_expr, family.v_expr)
     assert pde_residual(family, grid) == pde_residual(fresh, grid)
     assert pde_residual(family, grid)["max_res_u"] >= 0.05
@@ -305,10 +306,17 @@ def test_reassigned_closed_form_family_runs_the_new_expressions():
 def test_reassigned_generators_run_the_new_expressions():
     family = build_family("custom-fg", {}, f="s", g="s^3")
     before = family.evaluate_uv(0.4, -0.3)
-    family.f_expr = parse("2*s")
+    family = dataclasses.replace(family, f_expr=parse("2*s"))
     after = family.evaluate_uv(0.4, -0.3)
     assert after != before
     assert after == build_family("custom-fg", {}, f="2*s", g="s^3").evaluate_uv(0.4, -0.3)
+
+
+def test_a_family_field_cannot_be_reassigned():
+    # the family's code is a plain memo over its fields, so they are frozen
+    family = build_family("linear", {"alpha": 1.0})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        family.u_expr = parse("x")
 
 
 def test_values_survive_a_derivative_the_tree_walker_never_takes():
