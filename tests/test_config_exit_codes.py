@@ -95,8 +95,8 @@ CASES = {
     ),
     "partial_underflows_on_a_grid": (
         "hodograph",
-        _with(LINEAR, "hodograph", "grid", value={"x": [1e-170, 2e-170, 3], "y": [-1, 1, 3],
-                                                  "band": 0}),
+        _with(LINEAR, "hodograph", "grid",
+              value={"x": [1e-170, 2e-170, 3], "y": [-1, 1, 3], "band": 0}),
         3, "division by zero",
     ),
     "hamiltonian_nested_3000_deep": (
@@ -104,8 +104,9 @@ CASES = {
         "$.hamiltonian",
     ),
     "hamiltonian_beyond_max_depth": (
-        "integrate", _with(OSCILLATOR, "hamiltonian", value=_deeper("(p1^2 + q1^2)/2", MAX_DEPTH + 1)), 2,
-        "$.hamiltonian",
+        "integrate",
+        _with(OSCILLATOR, "hamiltonian", value=_deeper("(p1^2 + q1^2)/2", MAX_DEPTH + 1)),
+        2, "$.hamiltonian",
     ),
     # config mistakes that were runtime errors
     "family_kind_unknown": ("hodograph", _with(LINEAR, "hodograph", "kind", value="bogus"), 2,

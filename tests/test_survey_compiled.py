@@ -288,7 +288,7 @@ def test_generator_slope_raises_the_tree_error():
     assert message == "log of non-positive value in 'log(s - 1.0)'"
 
 
-# --- reassigned family expressions ----------------------------------------------
+# --- families copied with new expressions ---------------------------------------
 
 
 def test_reassigned_closed_form_family_runs_the_new_expressions():
