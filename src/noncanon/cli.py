@@ -163,8 +163,12 @@ def _expr(source, path: str, names=None):
     except ParseError as err:
         raise ConfigError(path, str(err)) from None
     except RecursionError:
-        expr = None
-    if expr is None or _depth(expr) > MAX_DEPTH:
+        # the parser recurses about five frames per parenthesis or call, so
+        # this can happen to a tree well within MAX_DEPTH
+        raise ConfigError(
+            path, "expression nests parentheses or calls too deeply to parse"
+        ) from None
+    if _depth(expr) > MAX_DEPTH:
         raise ConfigError(path, f"expected an expression at most {MAX_DEPTH} levels deep")
     unknown = set() if names is None else free_names(expr) - set(names)
     if unknown:

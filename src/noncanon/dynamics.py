@@ -11,10 +11,12 @@ trajectory runs through a numerically degenerate region.
 
 Each flow runs two pieces of code generated for it on Python floats: one
 straight-line step (four RK4 stages and their combination, or the velocity
-that the implicit midpoint iterates) and one monitor row (every monitor and
-every stored bracket entry at a state).  Both read the state tuple, bound
-to locals, and load each parameter once per call.  The tree walker
-(``_Velocity``, ``_reference_row``) stays the reference: it redoes any
+that the implicit midpoint iterates) and one row per stored state.  For
+:func:`integrate` the row holds every monitor and every stored bracket
+entry; an epsilon sweep's row holds only the frozen combinations it
+reports.  Both read the state tuple, bound to locals, and load each
+parameter once per call.  The tree walker (``_Velocity``,
+``_reference_row``) stays the reference: it redoes any
 step or row whose generated code raises, once, and is bit-identical where
 the generated code succeeds.  The reduced flow of :mod:`reduction` is
 stepped by the same :func:`_flow_step`, its constant bracket on q1..qn
@@ -47,6 +49,7 @@ from .expressions import (  # noqa: F401
     Name,
     _Codegen,
     _eval,
+    _product,
     as_expression,
     free_names,
     gradient,
@@ -140,12 +143,14 @@ def _generate_step(
     function of four velocity stages and the RK4 combination; for
     ``"midpoint"`` it is one velocity stage, ``velocity(x) -> tuple``, which
     :func:`_midpoint_step` iterates.  Each stage binds the phase-space names
-    to its state's locals, and parameters are loaded once per call.  Every
-    float operation keeps the operands and their order of
-    :class:`_Velocity` (entries accumulated in ``structure.entries`` order,
-    ``0.0 + v*grad[b]`` then ``- v*grad[a]``) and of :func:`_rk4_step`, so
-    a call that succeeds is bit-identical to the tree walker.  The code
-    does not fall back: the caller redoes a raising step on the tree walker.
+    to its state's locals, and parameters are loaded once per call.  The
+    float operations are those of :class:`_Velocity` (entries accumulated
+    in ``structure.entries`` order, ``0.0 + v*grad[b]`` then
+    ``- v*grad[a]``) and of :func:`_rk4_step`, in their order, less the
+    exact no-ops that ``_Codegen`` folds (a factor 1.0, a test
+    ``1.0 != 0.0``, a line already computed), so a call that succeeds is
+    bit-identical to the tree walker.  The code does not fall back: the
+    caller redoes a raising step on the tree walker.
     """
     names = structure.variable_names
     entries = list(structure.entries.items())
@@ -160,8 +165,8 @@ def _generate_step(
         out = ["0.0"] * len(names)
         for (a, b), expr in entries:
             v = gen.emit(expr)[0]
-            out[a] = gen.assign(f"{out[a]} + {v} * {grad[b]}")
-            out[b] = gen.assign(f"{out[b]} - {v} * {grad[a]}")
+            out[a] = gen.assign(f"{out[a]} + {_product(v, grad[b])}")
+            out[b] = gen.assign(f"{out[b]} - {_product(v, grad[a])}")
         return out
 
     if method == "midpoint":
@@ -318,44 +323,38 @@ def default_monitors(structure: PoissonStructure) -> dict[str, Expression]:
 
 
 def _generate_row(structure: PoissonStructure, exprs: Sequence[Expression]) -> Callable:
-    """Generated code for one monitor row, ``row(x) -> tuple``: the value of
-    every expression of ``exprs`` and then of every stored bracket entry, at
-    the state tuple ``x``.  A call that succeeds is bit-identical to
-    :func:`_reference_row`; the code does not fall back, so the caller
-    redoes a raising row on the tree walker."""
+    """Generated code for one row, ``row(x) -> tuple``: the value of every
+    expression of ``exprs`` at the state tuple ``x``.  A call that succeeds
+    is bit-identical to :func:`_reference_row`; the code does not fall back,
+    so the caller redoes a raising row on the tree walker."""
     gen, _ = _state_codegen(structure)
-    values = [gen.emit(e)[0] for e in (*exprs, *structure.entries.values())]
+    values = [gen.emit(e)[0] for e in exprs]
     return gen.function("x", f"({''.join(f'{v}, ' for v in values)})")
 
 
-def _reference_row(structure: PoissonStructure, exprs, x: np.ndarray) -> tuple[list, list]:
-    """Monitor values and stored entry values at one state, by tree walking."""
+def _reference_row(
+    structure: PoissonStructure, exprs, x: np.ndarray, entries=()
+) -> tuple[list, list]:
+    """The values of ``exprs`` and then of ``entries`` at one state, by
+    tree walking."""
     env = dict(structure.parameters)
     env.update(zip(structure.variable_names, x))
-    monitors = [_eval(expr, env) for expr in exprs]
-    return monitors, [_eval(expr, env) for expr in structure.entries.values()]
+    return [_eval(expr, env) for expr in exprs], [_eval(expr, env) for expr in entries]
 
 
-def _monitor_pass(
-    structure: PoissonStructure, monitor_exprs: Mapping[str, Expression], states: np.ndarray
-) -> tuple[dict[str, np.ndarray], float]:
-    """Monitor series over the stored states, and min |det Theta| along them.
+def _row_blocks(structure: PoissonStructure, exprs, states: np.ndarray, entries=()):
+    """The rows of :func:`_generate_row` over ``exprs`` and then ``entries``
+    at the stored states, as ``(start, rows)`` for each block of at most
+    ``_DET_BLOCK`` states.
 
-    One generated function per flow (:func:`_generate_row`) computes a
-    state's row, the monitors and then the stored bracket entries, from the
-    state tuple, with parameters loaded once per call.  A state whose row
-    raises is redone once, by :func:`_reference_row`, so errors are the tree
-    walker's, in its order: monitors first, then the stored entries.  Rows are
-    written block by block, and ``det Theta`` is taken over the stacked
-    block, which keeps the extra memory to one block.
-    """
-    exprs = list(monitor_exprs.values())
-    row = _generate_row(structure, exprs)
-    width = len(exprs)
-    monitors = np.empty((width, len(states)))
-    rows = np.empty((_DET_BLOCK, width + len(structure.entries)))
-    theta = np.zeros((_DET_BLOCK, structure.dim, structure.dim))
-    min_abs_det = np.inf
+    One generated function computes a state's row from the state tuple,
+    with parameters loaded once per call.  A state whose row raises is
+    redone once, by :func:`_reference_row`, so errors are the tree
+    walker's, in its order: ``exprs`` first, then ``entries``.  Every block
+    is written into one reused array, which keeps the extra memory to one
+    block; read ``rows`` before the next block replaces it."""
+    row = _generate_row(structure, [*exprs, *entries])
+    rows = np.empty((_DET_BLOCK, len(exprs) + len(entries)))
     for start in range(0, len(states), _DET_BLOCK):
         block = states[start : start + _DET_BLOCK]
         values = []
@@ -363,25 +362,58 @@ def _monitor_pass(
             try:
                 values.append(row(x))
             except EVALUATION_ERRORS:
-                monitor_values, entry_values = _reference_row(structure, exprs, block[j])
-                values.append(monitor_values + entry_values)
-        size = len(block)
-        rows[:size] = values
-        monitors[:, start : start + size] = rows[:size, :width].T
+                head, tail = _reference_row(structure, exprs, block[j], entries)
+                values.append(head + tail)
+        rows[: len(block)] = values
+        yield start, rows[: len(block)]
+
+
+def _monitor_pass(
+    structure: PoissonStructure, monitor_exprs: Mapping[str, Expression], states: np.ndarray
+) -> tuple[dict[str, np.ndarray], float]:
+    """Monitor series over the stored states, and min |det Theta| along them.
+
+    Each row holds the monitors and then the stored bracket entries
+    (:func:`_row_blocks`), and ``det Theta`` is taken over each stacked
+    block of entries.
+    """
+    exprs = list(monitor_exprs.values())
+    width = len(exprs)
+    monitors = np.empty((width, len(states)))
+    theta = np.zeros((_DET_BLOCK, structure.dim, structure.dim))
+    min_abs_det = np.inf
+    for start, rows in _row_blocks(structure, exprs, states, structure.entries.values()):
+        size = len(rows)
+        monitors[:, start : start + size] = rows[:, :width].T
         for column, (a, b) in enumerate(structure.entries, width):
-            theta[:size, a, b] = rows[:size, column]
-            theta[:size, b, a] = -rows[:size, column]
+            theta[:size, a, b] = rows[:, column]
+            theta[:size, b, a] = -rows[:, column]
         # a NaN determinant never lowers the minimum, as in a running min()
         dets = np.abs(np.linalg.det(theta[:size]))
         min_abs_det = np.fmin.reduce(dets, initial=min_abs_det)
     return dict(zip(monitor_exprs, monitors)), min_abs_det
 
 
-def integrate(
-    problem: FlowProblem,
-    extra_monitors: Mapping[str, Expression] | None = None,
-) -> Trajectory:
-    """Fixed-step integration with per-step monitor sampling.
+def _max_drift(
+    structure: PoissonStructure, exprs: Sequence[Expression], states: np.ndarray
+) -> list[float]:
+    """``max |c - c[0]|`` of each expression over the stored states, the
+    first value of :meth:`Trajectory.monitor_drift`, bit for bit, read
+    block by block (:func:`_row_blocks`) without a series of its own."""
+    drift = np.zeros(len(exprs))  # every deviation is >= 0 or NaN
+    first = None
+    for _, rows in _row_blocks(structure, exprs, states):
+        if first is None:
+            first = rows[0].copy()
+        # np.maximum and ndarray.max propagate a NaN, as dev.max() does
+        drift = np.maximum(drift, np.abs(rows - first).max(axis=0))
+    return drift.tolist()
+
+
+def _flow_states(problem: FlowProblem) -> tuple[float, np.ndarray, bool]:
+    """``(dt, states, truncated)`` of a fixed-step flow: the adjusted step,
+    the stored states up to the first one that is not finite, and whether
+    the flow stopped there.
 
     The step is adjusted by at most half a step so that an integer number
     of equal steps lands exactly on t_end."""
@@ -406,8 +438,18 @@ def integrate(
             truncated = True
             break
         states[k] = x
-    states = states[:count]
-    times = dt * np.arange(count)
+    return dt, states[:count], truncated
+
+
+def integrate(
+    problem: FlowProblem,
+    extra_monitors: Mapping[str, Expression] | None = None,
+) -> Trajectory:
+    """Fixed-step integration (:func:`_flow_states`) with per-step monitor
+    sampling."""
+    structure = problem.structure
+    dt, states, truncated = _flow_states(problem)
+    times = dt * np.arange(len(states))
 
     monitor_exprs: dict[str, Expression] = {"H": problem.hamiltonian}
     monitor_exprs.update(default_monitors(structure))

@@ -32,6 +32,13 @@ one binds bare ``math.pow``, and on an overflow it reruns the other, which
 binds :func:`_pow_ieee`.  An overflow therefore stays in generated code and
 never reaches the tree walker.
 
+For the same reason the emitter leaves out what IEEE arithmetic makes an
+exact no-op: a factor spelled as the literal 1.0, the test ``1.0 != 0.0``
+of a variable's own dual part, and a line whose right-hand side the
+function has already emitted.  It folds nothing that could move a bit:
+not ``0.0 + y`` (``-0.0`` would become ``+0.0``), not ``(2.0*x)/2.0``
+(which differs from ``x`` on overflow), and no reassociation.
+
 Grammar::
 
     expr   := term (('+'|'-') term)*
@@ -620,6 +627,27 @@ _GENERATED_GLOBALS = {
 
 
 _LOCAL_RE = re.compile(r"\bt\d+\b")
+#: a text that names a value without computing it: a local, a bound global,
+#: a bare literal or a parenthesized constant
+_ATOM_RE = re.compile(r"[tx]\d+|_g\d+|\d+\.\d*|\(-?\d[\d.e+-]*\)")
+#: the spellings of the literal 1.0, a factor that drops out of a product
+_ONES = ("1.0", "(1.0)")
+
+
+def _product(a: str, b: str) -> str:
+    """``a * b``, where a factor spelled as the literal 1.0 drops out:
+    ``y * 1.0`` is ``y`` bit for bit, signed zeros and infinities included."""
+    if a in _ONES:
+        return b
+    if b in _ONES:
+        return a
+    return f"{a} * {b}"
+
+
+def _nonzero_guard(d: str) -> str:
+    """The test ``d != 0.0 and `` of a dual part, empty where ``d`` is the
+    literal 1.0 and the test always holds."""
+    return "" if d in _ONES else f"{d} != 0.0 and "
 
 
 class _Codegen:
@@ -632,6 +660,7 @@ class _Codegen:
         self.loads: dict[str, str] = {}
         self.count = 0
         self.pure: set[str] = set()  # locals whose line cannot raise
+        self.defined: dict[str, str] = {}  # right-hand side -> its local
 
     def bind(self, obj) -> str:
         """A global name for an object the source cannot spell."""
@@ -640,10 +669,23 @@ class _Codegen:
         return name
 
     def assign(self, text: str, pure: bool = False) -> str:
-        """A new local holding ``text``; ``pure`` marks a line that cannot
-        raise, which is dropped when nothing uses its value."""
+        """A local holding ``text``; ``pure`` marks a line that cannot
+        raise, which is dropped when nothing uses its value.
+
+        An atom is returned as it is, and a text already assigned in this
+        function returns that line's local.  Both are exact: the code is
+        straight-line and every local is assigned once, so an identical
+        right-hand side has the same value, and had it raised, the second
+        copy would never be reached."""
+        if _ATOM_RE.fullmatch(text):
+            return text
+        local = self.defined.get(text)
+        if local is not None:
+            if not pure:
+                self.pure.discard(local)
+            return local
         self.count += 1
-        local = f"t{self.count}"
+        local = self.defined[text] = f"t{self.count}"
         self.lines.append(f"{local} = {text}")
         if pure:
             self.pure.add(local)
@@ -721,7 +763,9 @@ class _Codegen:
         if op == "exp":
             v = self.assign(f"_exp({a})", True)  # overflow is caught inside
             return v, {
-                n: self.assign(f"{v} * {d} if {d} != 0.0 else 0.0", True)
+                n: self.assign(
+                    v if d in _ONES else f"{v} * {d} if {d} != 0.0 else 0.0", True
+                )
                 for n, d in da.items()
             }
         if op in ("sin", "cos"):
@@ -729,7 +773,7 @@ class _Codegen:
             if not da:
                 return v, {}
             slope = self.assign(f"_cos({a})" if op == "sin" else f"-_sin({a})")
-            return v, {n: self.assign(f"{slope} * {d}", True) for n, d in da.items()}
+            return v, {n: self.assign(_product(slope, d), True) for n, d in da.items()}
         if op == "log":
             v = self.assign(f"_log({a})")
             return v, {n: self.assign(f"{d} / {a}") for n, d in da.items()}
@@ -763,8 +807,8 @@ class _Codegen:
                     lower = l if c == 2.0 else f"_pow({l}, ({c - 1.0!r}))"
                     return v, {
                         n: self.assign(
-                            f"0.0 + {r} * {lower} * {d} "
-                            f"if {d} != 0.0 and {l} != 0.0 else 0.0",
+                            f"0.0 + {_product(_product(r, lower), d)} "
+                            f"if {_nonzero_guard(d)}{l} != 0.0 else 0.0",
                             True,
                         )
                         for n, d in dl.items()
@@ -784,30 +828,30 @@ class _Codegen:
             }
         # only a division raises, and not by a nonzero constant
         pure = op != "/" or (isinstance(e.right, Const) and e.right.value != 0.0)
-        v = self.assign(f"{l} {op} {r}", pure)
+        v = self.assign(_product(l, r) if op == "*" else f"{l} {op} {r}", pure)
         derivs = {}
         for n in self.variables:
             # the formulas of the Dual method that handles this operand mix
-            if n in dl and n in dr:
+            ld, rd = dl.get(n), dr.get(n)
+            if ld is not None and rd is not None:
                 text = {
-                    "+": "{ld} + {rd}",
-                    "-": "{ld} - {rd}",
-                    "*": "{l} * {rd} + {ld} * {r}",
-                    "/": "({ld} * {r} - {l} * {rd}) / ({r} * {r})",
+                    "+": f"{ld} + {rd}",
+                    "-": f"{ld} - {rd}",
+                    "*": f"{_product(l, rd)} + {_product(ld, r)}",
+                    "/": f"({_product(ld, r)} - {_product(l, rd)}) / ({_product(r, r)})",
                 }[op]
-            elif n in dl:
-                text = {"+": "{ld}", "-": "{ld}", "*": "{ld} * {r}", "/": "{ld} / {r}"}[op]
-            elif n in dr:
+            elif ld is not None:
+                text = {"+": ld, "-": ld, "*": _product(ld, r), "/": f"{ld} / {r}"}[op]
+            elif rd is not None:
                 text = {
-                    "+": "{rd}",
-                    "-": "-{rd}",
-                    "*": "{rd} * {l}",
-                    "/": "-{l} * {rd} / ({r} * {r})",
+                    "+": rd,
+                    "-": f"-{rd}",
+                    "*": _product(rd, l),
+                    "/": f"{_product(f'-{l}', rd)} / ({_product(r, r)})",
                 }[op]
             else:
                 continue
-            text = text.format(l=l, r=r, ld=dl.get(n), rd=dr.get(n))
-            derivs[n] = text if text in (dl.get(n), dr.get(n)) else self.assign(text, pure)
+            derivs[n] = self.assign(text, pure)
         return v, derivs
 
 
