@@ -18,9 +18,10 @@ reports.  Both read the state tuple, bound to locals, and load each
 parameter once per call.  The tree walker (``_Velocity``,
 ``_reference_row``) stays the reference: it redoes any
 step or row whose generated code raises, once, and is bit-identical where
-the generated code succeeds.  The reduced flow of :mod:`reduction` is
-stepped by the same :func:`_flow_step`, its constant bracket on q1..qn
-read like any structure's, and has no monitor row.
+the generated code succeeds.  Every flow, the reduced flow of
+:mod:`reduction` included (its constant bracket on q1..qn read like any
+structure's, with no monitor row), is stepped by the one loop of
+:func:`_flow_states`.
 """
 
 from __future__ import annotations
@@ -209,10 +210,11 @@ class FlowProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "hamiltonian", as_expression(self.hamiltonian))
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end <= self.dt:
-            raise ValueError("t_end must exceed dt")
+        # written so that NaN fails each test
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not self.dt < self.t_end < math.inf:
+            raise ValueError("t_end must exceed dt and be finite")
         if self.method not in ("rk4", "midpoint"):
             raise ValueError(f"unknown method '{self.method}'")
         allowed = set(self.structure.variable_names) | set(self.structure.parameters)
@@ -262,10 +264,9 @@ def _midpoint_step(v: Callable, x: Sequence, dt: float) -> list:
 
 
 def _flow_step(structure: PoissonStructure, hamiltonian: Expression, method: str) -> Callable:
-    """``step(x, dt)`` for :func:`integrate` and the reduced flow: the next
-    state, as Python floats.  ``structure`` is anything with the
-    ``variable_names``, ``entries`` and ``parameters`` of a structure, such
-    as a reduced system.
+    """``step(x, dt)`` for :func:`_flow_states`: the next state, as Python
+    floats.  ``structure`` is anything with the ``variable_names``,
+    ``entries`` and ``parameters`` of a structure, such as a reduced system.
 
     Each step runs the code generated for this flow (:func:`_generate_step`).
     A step whose generated code raises is redone from the same state by the
@@ -332,29 +333,26 @@ def _generate_row(structure: PoissonStructure, exprs: Sequence[Expression]) -> C
     return gen.function("x", f"({''.join(f'{v}, ' for v in values)})")
 
 
-def _reference_row(
-    structure: PoissonStructure, exprs, x: np.ndarray, entries=()
-) -> tuple[list, list]:
-    """The values of ``exprs`` and then of ``entries`` at one state, by
-    tree walking."""
+def _reference_row(structure: PoissonStructure, exprs, x: np.ndarray) -> list:
+    """The values of ``exprs`` at one state, by tree walking."""
     env = dict(structure.parameters)
     env.update(zip(structure.variable_names, x))
-    return [_eval(expr, env) for expr in exprs], [_eval(expr, env) for expr in entries]
+    return [_eval(expr, env) for expr in exprs]
 
 
-def _row_blocks(structure: PoissonStructure, exprs, states: np.ndarray, entries=()):
-    """The rows of :func:`_generate_row` over ``exprs`` and then ``entries``
-    at the stored states, as ``(start, rows)`` for each block of at most
-    ``_DET_BLOCK`` states.
+def _row_blocks(structure: PoissonStructure, exprs, states: np.ndarray):
+    """The rows of :func:`_generate_row` over ``exprs`` at the stored
+    states, as ``(start, rows)`` for each block of at most ``_DET_BLOCK``
+    states.
 
     One generated function computes a state's row from the state tuple,
     with parameters loaded once per call.  A state whose row raises is
     redone once, by :func:`_reference_row`, so errors are the tree
-    walker's, in its order: ``exprs`` first, then ``entries``.  Every block
-    is written into one reused array, which keeps the extra memory to one
-    block; read ``rows`` before the next block replaces it."""
-    row = _generate_row(structure, [*exprs, *entries])
-    rows = np.empty((_DET_BLOCK, len(exprs) + len(entries)))
+    walker's, in the order of ``exprs``.  Every block is written into one
+    reused array, which keeps the extra memory to one block; read ``rows``
+    before the next block replaces it."""
+    row = _generate_row(structure, exprs)
+    rows = np.empty((_DET_BLOCK, len(exprs)))
     for start in range(0, len(states), _DET_BLOCK):
         block = states[start : start + _DET_BLOCK]
         values = []
@@ -362,8 +360,7 @@ def _row_blocks(structure: PoissonStructure, exprs, states: np.ndarray, entries=
             try:
                 values.append(row(x))
             except EVALUATION_ERRORS:
-                head, tail = _reference_row(structure, exprs, block[j], entries)
-                values.append(head + tail)
+                values.append(_reference_row(structure, exprs, block[j]))
         rows[: len(block)] = values
         yield start, rows[: len(block)]
 
@@ -382,7 +379,7 @@ def _monitor_pass(
     monitors = np.empty((width, len(states)))
     theta = np.zeros((_DET_BLOCK, structure.dim, structure.dim))
     min_abs_det = np.inf
-    for start, rows in _row_blocks(structure, exprs, states, structure.entries.values()):
+    for start, rows in _row_blocks(structure, [*exprs, *structure.entries.values()], states):
         size = len(rows)
         monitors[:, start : start + size] = rows[:, :width].T
         for column, (a, b) in enumerate(structure.entries, width):
@@ -410,10 +407,10 @@ def _max_drift(
     return drift.tolist()
 
 
-def _flow_states(problem: FlowProblem) -> tuple[float, np.ndarray, bool]:
-    """``(dt, states, truncated)`` of a fixed-step flow: the adjusted step,
-    the stored states up to the first one that is not finite, and whether
-    the flow stopped there.
+def _flow_states(problem: FlowProblem) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``(times, states, truncated)`` of a fixed-step flow: the stored
+    states up to the first one that is not finite, their times, and
+    whether the flow stopped there.  The one stepping loop of every flow.
 
     The step is adjusted by at most half a step so that an integer number
     of equal steps lands exactly on t_end."""
@@ -421,10 +418,11 @@ def _flow_states(problem: FlowProblem) -> tuple[float, np.ndarray, bool]:
     n_steps = max(1, int(round(problem.t_end / problem.dt)))
     dt = problem.t_end / n_steps
 
-    states = np.empty((n_steps + 1, structure.dim))
+    dim = len(structure.variable_names)
+    states = np.empty((n_steps + 1, dim))
     x = np.array(problem.x0, dtype=float)
-    if x.shape != (structure.dim,):
-        raise ValueError(f"x0 must have length {structure.dim}")
+    if x.shape != (dim,):
+        raise ValueError(f"x0 must have length {dim}")
     states[0] = x
     x = x.tolist()
     step = _flow_step(structure, problem.hamiltonian, problem.method)
@@ -438,7 +436,7 @@ def _flow_states(problem: FlowProblem) -> tuple[float, np.ndarray, bool]:
             truncated = True
             break
         states[k] = x
-    return dt, states[:count], truncated
+    return dt * np.arange(count), states[:count], truncated
 
 
 def integrate(
@@ -448,8 +446,7 @@ def integrate(
     """Fixed-step integration (:func:`_flow_states`) with per-step monitor
     sampling."""
     structure = problem.structure
-    dt, states, truncated = _flow_states(problem)
-    times = dt * np.arange(len(states))
+    times, states, truncated = _flow_states(problem)
 
     monitor_exprs: dict[str, Expression] = {"H": problem.hamiltonian}
     monitor_exprs.update(default_monitors(structure))

@@ -32,8 +32,8 @@ from .brackets import (
 )
 from .dynamics import (
     FlowProblem,
+    IntegrationError,
     _flow_states,
-    _flow_step,
     _max_drift,
     constant_combination_expressions,
     integrate,
@@ -429,7 +429,7 @@ class ReducedSystem:
     theta_matrix: np.ndarray  # n x n constant coordinate bracket
     hamiltonian: Expression   # in q1..qn only
     parameters: Mapping[str, float]
-    reference: np.ndarray | None = None
+    reference: np.ndarray     # q1..qn of the reference point
 
     @property
     def n(self) -> int:
@@ -455,7 +455,8 @@ def build_reduced(
     structure: PoissonStructure,
     hamiltonian,
     constants=None,
-    reference=None,
+    *,
+    reference,
     tol: float = DEFAULT_TOL,
 ) -> ReducedSystem:
     """Eliminate the momenta via q_m = -theta_mn p_n + c_m.
@@ -463,8 +464,6 @@ def build_reduced(
     Requires a reference point where the degeneracy condition holds within
     ``tol``; the constant bracket matrix is read off there."""
     _require_delta_kind(structure, "building a reduced system")
-    if reference is None:
-        raise ReductionError("a reference point on the degenerate locus is required")
     reference = np.asarray(reference, dtype=float)
     _, condition = _point_condition(structure, structure.degeneracy(reference))
     if condition > tol:
@@ -509,28 +508,19 @@ def build_reduced(
 
 def reduced_velocity(system: ReducedSystem, q) -> np.ndarray:
     """dq_i/dt = theta_ij dh/dq_j with the constant reduced bracket, by the
-    tree walker that redoes a raising step of :func:`integrate_reduced`."""
+    tree walker that redoes a raising step of every flow."""
     return velocity(system, system.hamiltonian, q)
 
 
 def integrate_reduced(
     system: ReducedSystem, q0, dt: float, t_end: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 on the reduced coordinates, with ``dt`` as given.
-
-    The reduced system steps on the flow engine of :func:`integrate`: the
-    generated RK4 step on Python floats, and a step whose generated code
-    raises redone by :func:`_rk4_step` over :class:`_Velocity`.  No monitor
-    row is computed."""
-    step = _flow_step(system, system.hamiltonian, "rk4")
-    n_steps = max(1, int(round(t_end / dt)))
-    qs = np.empty((n_steps + 1, system.n))
-    qs[0] = q0
-    q = qs[0].tolist()
-    for k in range(1, n_steps + 1):
-        q = step(q, dt)
-        qs[k] = q
-    return dt * np.arange(n_steps + 1), qs
+    """Fixed-step RK4 on the reduced coordinates: ``(times, qs)`` from the
+    stepping loop of every flow (:func:`dynamics._flow_states`), with its
+    step rule and its stop before the first state that is not finite.  No
+    monitor row is computed."""
+    times, qs, _ = _flow_states(FlowProblem(system, system.hamiltonian, q0, dt, t_end))
+    return times, qs
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +579,6 @@ def spectrum_and_frequency(system: ReducedSystem, n_max: int) -> SpectrumReport:
     if theta == 0.0:
         raise ReductionError("reduced bracket is zero; no oscillator structure")
     ref = system.reference
-    if ref is None:
-        raise ReductionError("a reference point in the reduced plane is required")
     r0 = float(np.hypot(ref[0], ref[1]))
     if r0 == 0.0:
         raise ReductionError("reference orbit has zero radius")
@@ -686,12 +674,19 @@ def epsilon_sweep(
     Each flow is stepped as :func:`integrate` steps it, and its stored
     states are read for the combinations alone: the drifts are those of
     ``integrate(...).monitor_drift``, bit for bit, without the Hamiltonian,
-    the entry monitors or ``det Theta`` that the sweep does not report."""
+    the entry monitors or ``det Theta`` that the sweep does not report.  A
+    flow that leaves the finite range raises :class:`IntegrationError`:
+    the fitted slope compares drifts over equal horizons."""
     h = as_expression(hamiltonian)
     rows = []
     for eps in epsilons:
         structure = constant_theta_f(theta, (1.0 - eps) / theta, parameters)
-        _, states, _ = _flow_states(FlowProblem(structure, h, x0, dt, t_end, method))
+        _, states, truncated = _flow_states(FlowProblem(structure, h, x0, dt, t_end, method))
+        if truncated:
+            raise IntegrationError(
+                f"sweep flow at epsilon {eps} left the finite range after "
+                f"{len(states) - 1} steps"
+            )
         combinations = constant_combination_expressions(structure)
         drifts = _max_drift(structure, list(combinations.values()), states)
         row: dict[str, float] = {"epsilon": float(eps)}

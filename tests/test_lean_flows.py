@@ -137,13 +137,19 @@ def _same(a: float, b: float) -> bool:
 )
 def test_sweep_drifts_equal_integrate_drifts(theta, epsilons, x0, h, method):
     # 301 stored states span two blocks of the row pass; a flow that fails
-    # fails the sweep with integrate's error
+    # fails the sweep with integrate's error, and a flow that integrate
+    # truncates fails it with the sweep's own
     dt, t_end = 0.01, 3.0
     want = []
     try:
         for eps in epsilons:
             structure = constant_theta_f(theta, (1.0 - eps) / theta)
             traj = integrate(FlowProblem(structure, parse(h), x0, dt, t_end, method))
+            if traj.truncated:
+                raise IntegrationError(
+                    f"sweep flow at epsilon {eps} left the finite range after "
+                    f"{len(traj.states) - 1} steps"
+                )
             want.append([traj.monitor_drift(f"c_{m}")[0] for m in (1, 2)])
     except (*EVALUATION_ERRORS, IntegrationError) as err:
         with pytest.raises(type(err)) as raised:

@@ -2,9 +2,10 @@
 
 A reduced system is a Poisson structure with constant entries on q1..qn, so
 ``integrate_reduced`` must give, bit for bit, the states of RK4 over the
-tree walker (``_rk4_step`` iterated over ``_Velocity``) from ``q0``, or
-raise the tree walker's error with its message; and its states must not
-depend on whether the generated step ran."""
+tree walker (``_rk4_step`` iterated over ``_Velocity``) from ``q0``, with
+the step adjusted and the flow stopped before its first non-finite state as
+for every flow, or raise the tree walker's error with its message; and its
+states must not depend on whether the generated step ran."""
 
 import math
 import struct
@@ -69,18 +70,23 @@ def _same(a: float, b: float) -> bool:
 
 
 def _tree_flow(system, q0, dt, t_end):
-    """The states of RK4 over the tree walker, or the error it raises."""
+    """The adjusted step and the states of RK4 over the tree walker up to
+    the first non-finite one, or the error it raises."""
     velocity = _Velocity(system, system.hamiltonian)
+    n_steps = max(1, int(round(t_end / dt)))
+    dt = t_end / n_steps
     q = np.array(q0, dtype=float)
     states = [q]
     with np.errstate(all="ignore"):
         try:
-            for _ in range(max(1, int(round(t_end / dt)))):
+            for _ in range(n_steps):
                 q = _rk4_step(velocity, q, dt)
+                if not np.all(np.isfinite(q)):
+                    break
                 states.append(q)
         except EVALUATION_ERRORS as err:
             return err
-    return np.array(states)
+    return dt, np.array(states)
 
 
 def assert_matches_tree_flow(system, q0, dt, t_end):
@@ -92,6 +98,7 @@ def assert_matches_tree_flow(system, q0, dt, t_end):
             assert str(raised.value) == str(want)
             return
         times, qs = integrate_reduced(system, q0, dt, t_end)
+    dt, want = want
     assert times.tobytes() == (dt * np.arange(len(want))).tobytes()
     assert qs.shape == want.shape
     assert all(_same(a, b) for a, b in zip(qs.ravel().tolist(), want.ravel().tolist()))
@@ -118,7 +125,7 @@ def field_systems(draw):
     st.one_of(planar_systems(), field_systems()),
     st.data(),
     st.sampled_from([1e-3, 0.1, 1.0]),
-    st.integers(1, 12),
+    st.integers(2, 12),
 )
 def test_reduced_flow_matches_tree_walker(system, data, dt, steps):
     q0 = data.draw(st.lists(_coordinates, min_size=system.n, max_size=system.n))
@@ -160,3 +167,11 @@ def test_states_do_not_depend_on_the_generated_step():
     assert calls == ["rk4"] * 200
     assert tree_times.tobytes() == times.tobytes()
     assert tree_qs.tobytes() == qs.tobytes()
+
+
+def test_reduced_flow_needs_more_than_one_step():
+    # the gate of every flow: t_end must exceed dt
+    structure = constant_theta_f(1.0, 1.0)
+    system = build_reduced(structure, _PLANAR_HAMILTONIANS[0], reference=[1.0, 0.0, 0.0, -1.0])
+    with pytest.raises(ValueError, match="t_end must exceed dt"):
+        integrate_reduced(system, [1.0, 0.0], 0.1, 0.1)
