@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import Mapping
 
@@ -95,7 +95,8 @@ class JacobiReport:
     """Pointwise Jacobi residuals: the generic triple sum plus, where the
     structure names its bracket functions, each constraint separately.
     ``theta`` is the bracket matrix the residuals were computed from, for
-    :meth:`PoissonStructure.degeneracy_of` at the same point."""
+    :meth:`PoissonStructure.degeneracy_of` at the same point.  For a block
+    of points each value is an array over the block, ``theta`` a stack."""
 
     generic_max: float
     identities: dict[str, float] = field(default_factory=dict)
@@ -103,11 +104,14 @@ class JacobiReport:
 
     @property
     def max_identity(self) -> float:
+        """The largest identity residual of a one-point report."""
         return max(self.identities.values()) if self.identities else 0.0
 
 
 @dataclass(frozen=True, eq=False)
 class DegeneracyReport:
+    """Degeneracy measures at one point, or arrays of them over a stack."""
+
     det: float
     inverse_pairing_residual: float | None = None
     planar_condition: float | None = None
@@ -177,7 +181,10 @@ class PoissonStructure:
     # Every point runs generated code (``expressions.compile``), built once
     # per structure on first use.  Entries run in the tree walker's order
     # and each falls back to the tree walker when its code raises, so
-    # errors, and which of them wins, are the tree walker's.
+    # errors, and which of them wins, are the tree walker's.  A (k, dim)
+    # block of points is evaluated point by point in order, so its first
+    # raising point raises first, and read as stacks of k matrices; one
+    # point is a block of one.
 
     @cached_property
     def _entry_values(self) -> list:
@@ -190,15 +197,38 @@ class PoissonStructure:
         names = self.variable_names
         return [compile(expr, names) for expr in self.entries.values()]
 
+    def _at_points(self, x, code) -> tuple[bool, list]:
+        """Whether ``x`` is a block, and ``[fn(env) for fn in code]`` at each
+        of its points (at ``x`` itself when it is one point)."""
+        x = np.asarray(x, dtype=float)
+        block = x if x.ndim == 2 else x[None]
+        return x.ndim == 2, [[fn(env) for fn in code] for env in map(self.env_at, block)]
+
+    @cached_property
+    def _flat_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat positions in a dim x dim matrix of the stored entries
+        and of their mirror entries, in entry order."""
+        dim = self.dim
+        keys = np.array(list(self.entries), dtype=np.intp).reshape(-1, 2)
+        return keys[:, 0] * dim + keys[:, 1], keys[:, 1] * dim + keys[:, 0]
+
+    def _antisymmetric(self, values: np.ndarray) -> np.ndarray:
+        """The (k, dim, dim, ...) stack holding ``values[:, e]`` at the e-th
+        stored entry and its negation at the mirror entry."""
+        k, rest = len(values), values.shape[2:]
+        upper, lower = self._flat_entries
+        out = np.zeros((k, self.dim * self.dim, *rest))
+        out[:, upper] = values
+        out[:, lower] = -values
+        return out.reshape(k, self.dim, self.dim, *rest)
+
     def theta_matrix(self, x) -> np.ndarray:
-        """Numeric antisymmetric matrix Theta_ab(x)."""
-        env = self.env_at(x)
-        values = [fn(env)[0] for fn in self._entry_values]
-        m = np.zeros((self.dim, self.dim))
-        for (a, b), v in zip(self.entries, values):
-            m[a, b] = v
-            m[b, a] = -v
-        return m
+        """Numeric antisymmetric matrix Theta_ab(x); over a (k, dim) block,
+        the (k, dim, dim) stack of them."""
+        many, rows = self._at_points(x, self._entry_values)
+        values = np.array([[v for v, _ in row] for row in rows])
+        m = self._antisymmetric(values.reshape(len(rows), len(self.entries)))
+        return m if many else m[0]
 
     def theta_block(self, x) -> np.ndarray:
         """The n x n coordinate-coordinate block {q_i, q_j}."""
@@ -221,72 +251,92 @@ class PoissonStructure:
     # -- consistency ---------------------------------------------------------
 
     def _entry_gradients(self, x):
-        """Values and gradients of every Theta_ab at x, with antisymmetry."""
-        env = self.env_at(x)
-        duals = [fn(env) for fn in self._entry_duals]
-        dim = self.dim
-        m = np.zeros((dim, dim))
-        grads = np.zeros((dim, dim, dim))
-        for (a, b), (v, g) in zip(self.entries, duals):
-            m[a, b] = v
-            m[b, a] = -v
-            g = np.array(g)
-            grads[a, b] = g
-            grads[b, a] = -g
-        return m, grads
+        """Values and gradients of every Theta_ab at x, with antisymmetry:
+        ``m[a, b]`` and ``grads[a, b, c]`` = d Theta_ab / d x_c, stacked
+        over a (k, dim) block."""
+        many, rows = self._at_points(x, self._entry_duals)
+        k, width = len(rows), len(self.entries)
+        values = np.array([[v for v, _ in row] for row in rows]).reshape(k, width)
+        partials = np.array([[g for _, g in row] for row in rows]).reshape(k, width, self.dim)
+        m, grads = self._antisymmetric(values), self._antisymmetric(partials)
+        return (m, grads) if many else (m[0], grads[0])
 
     def jacobi_report(self, x) -> JacobiReport:
         """Residuals of {x_a,{x_b,x_c}} + cyclic over all index triples,
-        plus the named constraints for kinds with named bracket functions."""
-        m, grads = self._entry_gradients(x)
-        generic = 0.0
+        plus the named constraints for kinds with named bracket functions,
+        at one point or over a (k, dim) block.
+
+        Each triple's residual is three stacked dot products, ``m[a] @
+        grads[b, c]`` at every point of the block."""
+        x = np.asarray(x, dtype=float)
+        m, grads = self._entry_gradients(x if x.ndim == 2 else x[None])
+        generic = np.zeros(len(m))
         for a, b, c in combinations(range(self.dim), 3):
             r = (
-                m[a] @ grads[b, c]
-                + m[b] @ grads[c, a]
-                + m[c] @ grads[a, b]
+                m[:, a, None, :] @ grads[:, b, c, :, None]
+                + m[:, b, None, :] @ grads[:, c, a, :, None]
+                + m[:, c, None, :] @ grads[:, a, b, :, None]
             )
-            generic = max(generic, abs(r))
+            # a NaN never wins, as in a running max()
+            generic = np.fmax(generic, np.abs(r[:, 0, 0]))
         identities: dict[str, float] = {}
         if self.kind in DELTA_KINDS:
             identities = self._delta_kind_identities(x, m, grads)
         elif self.kind == "general-planar":
             identities = _planar_identities(m, grads)
-        return JacobiReport(generic_max=generic, identities=identities, theta=m)
+        if x.ndim == 2:
+            return JacobiReport(generic_max=generic, identities=identities, theta=m)
+        return JacobiReport(
+            generic_max=generic[0],
+            identities={name: v[0] for name, v in identities.items()},
+            theta=m[0],
+        )
 
     def _delta_kind_identities(self, x, m, grads) -> dict[str, float]:
+        """The transport and cyclic identities from :meth:`_entry_gradients`
+        at one point, or from stacks of them (arrays over the stack)."""
         n = self.n
         ids: dict[str, float] = {}
         if n == 2:
             # planar transport constraints on theta = {q1,q2}, f = {p1,p2}
-            tg = grads[0, 1]
-            fg = grads[2, 3]
-            tv = m[0, 1]
-            fv = m[2, 3]
-            ids["theta_transport_q1"] = abs(tg[0] - fv * tg[3])
-            ids["theta_transport_q2"] = abs(tg[1] + fv * tg[2])
-            ids["f_transport_p2"] = abs(fg[3] - tv * fg[0])
-            ids["f_transport_p1"] = abs(fg[2] + tv * fg[1])
+            tg = grads[..., 0, 1, :]
+            fg = grads[..., 2, 3, :]
+            tv = m[..., 0, 1]
+            fv = m[..., 2, 3]
+            ids["theta_transport_q1"] = abs(tg[..., 0] - fv * tg[..., 3])
+            ids["theta_transport_q2"] = abs(tg[..., 1] + fv * tg[..., 2])
+            ids["f_transport_p2"] = abs(fg[..., 3] - tv * fg[..., 0])
+            ids["f_transport_p1"] = abs(fg[..., 2] + tv * fg[..., 1])
             # the halved pair valid on the degenerate locus theta*f = 1
-            ids["reduced_transport_q1"] = abs(tv * tg[0] - tg[3])
-            ids["reduced_transport_q2"] = abs(tv * tg[1] + tg[2])
+            ids["reduced_transport_q1"] = abs(tv * tg[..., 0] - tg[..., 3])
+            ids["reduced_transport_q2"] = abs(tv * tg[..., 1] + tg[..., 2])
             return ids
         # arbitrary n: aggregate the transport and cyclic constraints
+        points = m.shape[:-2]
         pairs = list(combinations(range(n), 2))
         ids["theta_transport"] = _max_abs(
-            _total_dq(grads[i, j], m, n, k) for i, j in pairs for k in range(n)
+            points,
+            (_total_dq(grads[..., i, j, :], m, n, k) for i, j in pairs for k in range(n)),
         )
         ids["f_transport"] = _max_abs(
-            _total_dp(grads[n + i, n + j], m, n, k) for i, j in pairs for k in range(n)
+            points,
+            (_total_dp(grads[..., n + i, n + j, :], m, n, k) for i, j in pairs for k in range(n)),
         )
         if n >= 3:
             cycles = [((i, j, k), (j, k, i), (k, i, j)) for i, j, k in combinations(range(n), 3)]
             ids["theta_cyclic"] = _max_abs(
-                sum(_total_dp(grads[a, b], m, n, c) for a, b, c in cyc) for cyc in cycles
+                points,
+                (
+                    sum(_total_dp(grads[..., a, b, :], m, n, c) for a, b, c in cyc)
+                    for cyc in cycles
+                ),
             )
             ids["f_cyclic"] = _max_abs(
-                sum(_total_dq(grads[n + a, n + b], m, n, c) for a, b, c in cyc)
-                for cyc in cycles
+                points,
+                (
+                    sum(_total_dq(grads[..., n + a, n + b, :], m, n, c) for a, b, c in cyc)
+                    for cyc in cycles
+                ),
             )
         return ids
 
@@ -295,18 +345,26 @@ class PoissonStructure:
         return self.degeneracy_of(self.theta_matrix(x))
 
     def degeneracy_of(self, m: np.ndarray) -> DegeneracyReport:
-        """:meth:`degeneracy` from a Theta matrix already built at the point."""
-        det = float(np.linalg.det(m))
+        """:meth:`degeneracy` from a Theta matrix already built at the point,
+        or from a (k, dim, dim) stack of them."""
+        stack = m if m.ndim == 3 else m[None]
+        det = np.linalg.det(stack)
         pairing = None
         planar = None
         if self.kind in DELTA_KINDS:
             n = self.n
-            pairing = float(np.max(np.abs(m[:n, :n] @ m[n:, n:] + np.eye(n))))
+            pairing = np.abs(stack[:, :n, :n] @ stack[:, n:, n:] + np.eye(n)).max(axis=(1, 2))
         elif self.kind == "general-planar":
-            theta, field, g11, g12, g21, g22 = planar_entries(m)
-            planar = theta * field - g11 * g22 + g12 * g21
+            theta, field, g11, g12, g21, g22 = _planar_columns(stack)
+            # silent on overflow, as the same arithmetic on Python floats
+            with np.errstate(over="ignore", invalid="ignore"):
+                planar = theta * field - g11 * g22 + g12 * g21
+        if m.ndim == 3:
+            return DegeneracyReport(det, pairing, planar)
         return DegeneracyReport(
-            det=det, inverse_pairing_residual=pairing, planar_condition=planar
+            det=float(det[0]),
+            inverse_pairing_residual=None if pairing is None else float(pairing[0]),
+            planar_condition=None if planar is None else float(planar[0]),
         )
 
     def nonconstant_entry_names(self) -> tuple[str, ...]:
@@ -323,22 +381,23 @@ class PoissonStructure:
 # The transport operator pair: total variations along the constraint surface
 # of a function E with gradient ``g`` over (q, p), for the bracket matrix
 # ``m`` (as ``_entry_gradients`` gives them) with canonical mixed brackets.
+# Over stacks of gradients and matrices they give arrays over the stack.
 
 
 def _total_dq(g, m, n: int, k: int):
     """dE/dq_k + f_sk dE/dp_s, that is {E, p_k}."""
-    return g[k] + sum(g[n + s] * m[n + s, n + k] for s in range(n))
+    return g[..., k] + sum(g[..., n + s] * m[..., n + s, n + k] for s in range(n))
 
 
 def _total_dp(g, m, n: int, k: int):
     """dE/dp_k - theta_sk dE/dq_s, that is -{E, q_k}."""
-    return g[n + k] - sum(g[s] * m[s, k] for s in range(n))
+    return g[..., n + k] - sum(g[..., s] * m[..., s, k] for s in range(n))
 
 
-def _max_abs(values) -> float:
-    """The fold max(acc, |v|) from 0.0: 0.0 for no values, and a NaN never
-    wins."""
-    return max([0.0, *map(abs, values)])
+def _max_abs(shape, values):
+    """The fold max(acc, |v|) from 0.0, elementwise over arrays of
+    ``shape``: 0.0 for no values, and a NaN never wins."""
+    return reduce(np.fmax, map(abs, values), np.zeros(shape))
 
 
 def entry_label(n: int, a: int, b: int) -> str:
@@ -472,21 +531,28 @@ def _d_operators(theta, f, g11, g12, g21, g22, partials) -> tuple[float, ...]:
     )
 
 
-def _planar_identities(m: np.ndarray, grads: np.ndarray) -> dict[str, float]:
+def _planar_columns(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`planar_entries` over a (k, 4, 4) stack, as arrays."""
+    return tuple(stack[:, a, b] for _, (a, b) in _PLANAR_ENTRIES)
+
+
+def _planar_identities(m: np.ndarray, grads: np.ndarray) -> dict[str, np.ndarray]:
     """The four general-planar Jacobi identities, each a sum of D operators
-    applied to the bracket functions, from the values and gradients of
-    :meth:`PoissonStructure._entry_gradients`."""
-    values = planar_entries(m)
-    d = {
-        name: _d_operators(*values, grads[key].tolist())
-        for name, key in _PLANAR_ENTRIES
-    }
-    return {
-        "theta_d3": abs(d["theta"][2] + d["g21"][0] + d["g11"][1]),
-        "theta_d4": abs(d["theta"][3] + d["g22"][0] + d["g12"][1]),
-        "f_d1": abs(d["f"][0] - d["g12"][2] + d["g11"][3]),
-        "f_d2": abs(d["f"][1] - d["g22"][2] + d["g21"][3]),
-    }
+    applied to the bracket functions, from the stacked values and gradients
+    of :meth:`PoissonStructure._entry_gradients`."""
+    values = _planar_columns(m)
+    # silent on overflow, as the same arithmetic on Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = {
+            name: _d_operators(*values, grads[:, a, b].T)
+            for name, (a, b) in _PLANAR_ENTRIES
+        }
+        return {
+            "theta_d3": abs(d["theta"][2] + d["g21"][0] + d["g11"][1]),
+            "theta_d4": abs(d["theta"][3] + d["g22"][0] + d["g12"][1]),
+            "f_d1": abs(d["f"][0] - d["g12"][2] + d["g11"][3]),
+            "f_d2": abs(d["f"][1] - d["g22"][2] + d["g21"][3]),
+        }
 
 
 def d_operator_values(structure: PoissonStructure, expr, x) -> np.ndarray:

@@ -47,7 +47,13 @@ from .brackets import (
     phase_variable_names,
     theta_f_field,
 )
-from .dynamics import FlowProblem, IntegrationError, integrate, zero_crossing_frequency
+from .dynamics import (
+    _DET_BLOCK,
+    FlowProblem,
+    IntegrationError,
+    integrate,
+    zero_crossing_frequency,
+)
 from .expressions import ExpressionError, ParseError, _depth, free_names, parse
 
 CONFIG_VERSION = 1
@@ -58,6 +64,9 @@ RNG_ALGORITHM = "pcg64"
 MAX_POINTS = 1_000_000
 # the most degrees of freedom (phase_space.n) a config may ask for
 MAX_N = 32
+# the most values in one check-jacobi block's (k, dim, dim, dim) gradient
+# stack, so a large phase space is checked fewer points at a time
+_GRADIENT_VALUES = 2**20
 # the deepest expression tree a config may give, in nodes from the root to
 # the deepest leaf; generated code and the tree walker recurse on each level
 MAX_DEPTH = 300
@@ -138,6 +147,15 @@ def _numbers(values, path: str, length: int | None = None) -> list[float]:
     numbers = [_as(v, float, f"{path}[{i}]") for i, v in enumerate(_as(values, list, path))]
     if length is not None and len(numbers) != length:
         raise ConfigError(path, f"expected {length} numbers, got {len(numbers)}")
+    return numbers
+
+
+def _point(values, path: str, length: int) -> list[float]:
+    """A config phase-space point: ``length`` finite numbers."""
+    numbers = _numbers(values, path, length)
+    for i, x in enumerate(numbers):
+        if not math.isfinite(x):
+            raise ConfigError(f"{path}[{i}]", "expected a finite number")
     return numbers
 
 
@@ -451,23 +469,32 @@ def evaluate_assertions(specs: list[tuple[str, str, str, float]], results: dict)
 def _cmd_check_jacobi(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     structure = cfg.structure
     cloud = sample_cloud(cfg, rng)
+    # a block's gradient stack holds dim**3 values per point
+    size = max(1, min(_DET_BLOCK, _GRADIENT_VALUES // structure.dim**3))
     generic_max = 0.0
     identity_max: dict[str, float] = {}
     det_min = np.inf
     det_max = -np.inf
     pairing_max = 0.0
     rows = []
-    for x in cloud:
-        rep = structure.jacobi_report(x)
-        generic_max = max(generic_max, rep.generic_max)
+    for start in range(0, len(cloud), size):
+        block = cloud[start : start + size]
+        rep = structure.jacobi_report(block)
+        # residuals are never negative, so np.fmax folds them as a running
+        # max() does: a NaN never wins
+        generic_max = np.fmax.reduce(rep.generic_max, initial=generic_max)
         for k, v in rep.identities.items():
-            identity_max[k] = max(identity_max.get(k, 0.0), v)
+            identity_max[k] = np.fmax.reduce(v, initial=identity_max.get(k, 0.0))
         deg = structure.degeneracy_of(rep.theta)
-        det_min = min(det_min, deg.det)
-        det_max = max(det_max, deg.det)
+        # min() and max() over a list keep the first of equal values, so a
+        # zero determinant keeps its sign as in a running fold; np.fmin
+        # does not promise which of 0.0 and -0.0 it returns
+        dets = deg.det.tolist()
+        det_min = min([det_min, *dets])
+        det_max = max([det_max, *dets])
         if deg.inverse_pairing_residual is not None:
-            pairing_max = max(pairing_max, deg.inverse_pairing_residual)
-        rows.append([*x.tolist(), float(rep.generic_max), float(deg.det)])
+            pairing_max = np.fmax.reduce(deg.inverse_pairing_residual, initial=pairing_max)
+        rows += np.column_stack([block, rep.generic_max, deg.det]).tolist()
     results = {
         "cloud": {"count": len(cloud), "seed": cfg.seed, "rng": RNG_ALGORITHM},
         "generic_max": generic_max,
@@ -487,7 +514,7 @@ def _cmd_integrate(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
     names = {*structure.variable_names, *cfg.parameters}
     ham = _expr(_read(cfg.raw, "hamiltonian", str, "$"), "$.hamiltonian", names)
     integ = _read(cfg.raw, "integrator", dict, "$")
-    x0 = _numbers(_read(cfg.raw, "initial_state", list, "$"), "$.initial_state", structure.dim)
+    x0 = _point(_read(cfg.raw, "initial_state", list, "$"), "$.initial_state", structure.dim)
     dt = _read(integ, "dt", float, "$.integrator")
     t_end = _read(integ, "t_end", float, "$.integrator")
     method = _read(integ, "method", str, "$.integrator", "rk4")
@@ -521,7 +548,7 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     n = structure.n
     names = {*structure.variable_names, *cfg.parameters}
     reference = _read(block, "reference_point", list, path)
-    reference = np.array(_numbers(reference, f"{path}.reference_point", structure.dim))
+    reference = np.array(_point(reference, f"{path}.reference_point", structure.dim))
 
     ham = None
     if _read(block, "spectrum", bool, path, False):
@@ -610,7 +637,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
             raise ConfigError(f"$.sweep.epsilons[{i}]", "expected a number below 1")
     names = {*phase_variable_names(2), *cfg.parameters}
     ham = _expr(_read(cfg.raw, "hamiltonian", str, "$"), "$.hamiltonian", names)
-    x0 = _numbers(_read(cfg.raw, "initial_state", list, "$"), "$.initial_state", 4)
+    x0 = _point(_read(cfg.raw, "initial_state", list, "$"), "$.initial_state", 4)
     integ = _read(cfg.raw, "integrator", dict, "$", {})
     dt = _read(integ, "dt", float, "$.integrator", 1e-3)
     t_end = _read(integ, "t_end", float, "$.integrator", 10.0)

@@ -217,6 +217,8 @@ class FlowProblem:
             raise ValueError("t_end must exceed dt and be finite")
         if self.method not in ("rk4", "midpoint"):
             raise ValueError(f"unknown method '{self.method}'")
+        if not np.isfinite(np.asarray(self.x0, dtype=float)).all():
+            raise ValueError("x0 must be finite")
         allowed = set(self.structure.variable_names) | set(self.structure.parameters)
         unknown = free_names(self.hamiltonian) - allowed
         if unknown:

@@ -31,6 +31,7 @@ from .brackets import (
     planar_entries,
 )
 from .dynamics import (
+    _DET_BLOCK,
     FlowProblem,
     IntegrationError,
     _flow_states,
@@ -268,17 +269,22 @@ def check_reduction(
     condition_max = 0.0
     det_max = 0.0
     admissible = []
-    # the bracket matrix at each admissible point, read by the checks below
+    # the bracket matrices at the admissible points, read by the checks below
     thetas = []
-    for x in points:
-        m = structure.theta_matrix(x)
+    for start in range(0, len(points), _DET_BLOCK):
+        block = points[start : start + _DET_BLOCK]
+        m = structure.theta_matrix(block)
         report = structure.degeneracy_of(m)
         key, c = _point_condition(structure, report)
-        condition_max = max(condition_max, c)
-        det_max = max(det_max, abs(report.det))
-        if c <= tol:
-            admissible.append(x)
-            thetas.append(m)
+        # both measures are never negative: np.fmax folds them as a running
+        # max() does, and a NaN never wins
+        condition_max = np.fmax.reduce(c, initial=condition_max)
+        det_max = np.fmax.reduce(np.abs(report.det), initial=det_max)
+        keep = c <= tol
+        admissible.append(block[keep])
+        thetas.append(m[keep])
+    admissible = np.concatenate(admissible)
+    thetas = np.concatenate(thetas)
 
     condition_residuals = {key: condition_max, "det_max": det_max}
 
@@ -298,7 +304,7 @@ def check_reduction(
                 ratio_max = max(ratio_max, abs(theta * fv / (g11 * g22) - 1.0))
             condition_residuals["product_ratio_minus_one"] = ratio_max
 
-    if not admissible:
+    if not len(admissible):
         notes.append("no admissible points: not reduced")
         return ReductionReport(
             reduced=False,
@@ -309,7 +315,6 @@ def check_reduction(
             notes=tuple(notes),
         )
 
-    admissible = np.array(admissible)
     reference = sample.reference if sample is not None else admissible[0]
 
     entry_spreads: dict[str, float] = {}
@@ -321,16 +326,14 @@ def check_reduction(
     if check_spread:
         for (a, b), expr in sorted(structure.entries.items()):
             varying = thetas if free_names(expr) & names else thetas[:1]
-            values = [m[a, b] for m in varying]
-            entry_spreads[entry_label(structure.n, a, b)] = float(
-                max(values) - min(values)
-            )
+            values = varying[:, a, b].tolist()
+            entry_spreads[entry_label(structure.n, a, b)] = max(values) - min(values)
         if structure.n >= 2 and (
             (0, 1) in structure.entries or structure.kind in DELTA_KINDS
         ):
             theta_red = float(structure.theta_matrix(reference)[0, 1])
-            theta_values = [m[0, 1] for m in thetas]
-            spread = float(max(theta_values) - min(theta_values))
+            theta_values = thetas[:, 0, 1].tolist()
+            spread = max(theta_values) - min(theta_values)
 
     constants = None
     if structure.kind in DELTA_KINDS:

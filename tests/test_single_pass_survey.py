@@ -4,8 +4,8 @@ A ``hodograph`` run takes the partials of its family once per admissible
 grid point and builds that grid once (``limit_sweep``'s grids, one per
 alpha, aside); both transport residuals and the Jacobian minimum come from
 that one pass.  A ``check-jacobi`` run evaluates the bracket entries once
-per cloud point: the degeneracy report reads the matrix the Jacobi report
-was built from."""
+per cloud point: the cloud is checked in blocks of points, and the
+degeneracy report reads the matrix stack the Jacobi report was built from."""
 
 import json
 from pathlib import Path
@@ -92,5 +92,7 @@ def test_check_jacobi_evaluates_entries_once_per_point(tmp_path, monkeypatch, na
     points = report.results["cloud"]["count"]
     assert points > 0
     assert len(matrices) == 0
-    assert len(gradients) == points
-    assert len(reports) == points
+    # one stacked entry pass and one report per block, covering every point once
+    assert len(gradients) == len(reports)
+    assert sum(len(m) for m, _ in gradients) == points
+    assert sum(len(r.theta) for r in reports) == points
