@@ -76,24 +76,25 @@ def _outcome(fn):
 
 
 def _report_bits(jacobi, degeneracy):
-    return (
-        _bits(jacobi.generic_max),
-        {k: _bits(v) for k, v in jacobi.identities.items()},
-        _bits(jacobi.theta),
-        _bits(degeneracy.det),
-        None if degeneracy.inverse_pairing_residual is None
-        else _bits(degeneracy.inverse_pairing_residual),
-        None if degeneracy.planar_condition is None else _bits(degeneracy.planar_condition),
-    )
+    """Every value of a Jacobi and degeneracy report pair as bytes, one
+    list per field (``None`` for a measure the kind does not have)."""
+    fields = {
+        "generic_max": jacobi.generic_max,
+        "theta": jacobi.theta,
+        "det": degeneracy.det,
+        "pairing": degeneracy.inverse_pairing_residual,
+        "planar": degeneracy.planar_condition,
+        **{f"identity {k}": v for k, v in jacobi.identities.items()},
+    }
+    return {k: None if v is None else _bits(v) for k, v in fields.items()}
 
 
-def _stacked(reports):
-    """Per-point reports as one block's values: one list per field."""
-    columns = list(zip(*reports))
-    out = [sum(column, []) for column in (columns[0], columns[2], columns[3])]
-    identities = {k: sum((r[1][k] for r in reports), []) for k in reports[0][1]}
-    optional = [None if column[0] is None else sum(column, []) for column in columns[4:]]
-    return out[0], identities, out[1], out[2], *optional
+def _joined(reports):
+    """One-point report bits as a block's: each field's lists joined."""
+    return {
+        k: None if reports[0][k] is None else sum((r[k] for r in reports), [])
+        for k in reports[0]
+    }
 
 
 def _blocks(dim):
@@ -110,9 +111,7 @@ def test_block_reports_equal_point_reports(name, data):
     block = data.draw(_blocks(s.dim))
 
     def one_at_a_time():
-        return _stacked(
-            [_report_bits(s.jacobi_report(x), s.degeneracy(x)) for x in block]
-        )
+        return _joined([_report_bits(s.jacobi_report(x), s.degeneracy(x)) for x in block])
 
     def at_once():
         rep = s.jacobi_report(block)
@@ -122,7 +121,7 @@ def test_block_reports_equal_point_reports(name, data):
     assert _outcome(at_once) == want
     if want[0] == "ok":
         # the stack of the matrix pass is the stack of the gradient pass
-        assert _outcome(lambda: _bits(s.theta_matrix(block))) == ("ok", want[1][2])
+        assert _outcome(lambda: _bits(s.theta_matrix(block))) == ("ok", want[1]["theta"])
 
 
 @pytest.mark.parametrize("name", ["reduce_singular_field.json", "theta-f-field-3"])
@@ -202,8 +201,8 @@ def _check(s, points, tol):
 
 
 def _degenerate_points(s, count, rng):
-    """Points on the degenerate locus of the fixture structures, where
-    there is one, so that part of the cloud is admissible."""
+    """Random points, every third one on the singular field's degenerate
+    locus, so that part of its cloud is admissible."""
     points = rng.uniform(0.3, 1.8, (count, s.dim))
     if s.kind in DELTA_KINDS and s.n == 2:
         # theta*f = (-q1/p2)*(-p2/q1) = 1 for the singular field
