@@ -34,11 +34,13 @@ import numpy as np
 # ``parse`` and ``evaluate`` stay bound here: perfbench/tracing.py wraps them
 # under these names
 from .expressions import (  # noqa: F401
+    EVALUATION_ERRORS,
     Const,
     Expression,
     Unary,
+    _generate_row,
+    _reference_row,
     as_expression,
-    compile,
     evaluate,
     free_names,
     gradient,
@@ -154,7 +156,9 @@ class PoissonStructure:
     def variable_names(self) -> tuple[str, ...]:
         return phase_variable_names(self.n)
 
-    def env_at(self, x) -> dict:
+    def _coordinates(self, x) -> list[float]:
+        """One phase point as a list of Python floats, once its shape and
+        the finiteness of every coordinate are checked."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise StructureError(
@@ -163,9 +167,10 @@ class PoissonStructure:
         values = x.tolist()
         if not all(map(math.isfinite, values)):
             raise StructureError("phase point has non-finite entries")
-        env = dict(self.parameters)
-        env.update(zip(self.variable_names, values))
-        return env
+        return values
+
+    def env_at(self, x) -> dict:
+        return {**self.parameters, **dict(zip(self.variable_names, self._coordinates(x)))}
 
     def entry_expression(self, a: int, b: int) -> Expression:
         """Signed expression for Theta_ab, including the implicit zeros."""
@@ -178,31 +183,43 @@ class PoissonStructure:
 
     # -- evaluation ----------------------------------------------------------
     #
-    # Every point runs generated code (``expressions.compile``), built once
-    # per structure on first use.  Entries run in the tree walker's order
-    # and each falls back to the tree walker when its code raises, so
+    # Every point runs the row that the flows run on a state tuple
+    # (``expressions._generate_row``): one generated function per structure,
+    # built on first use, for every stored entry's value, or its value and
+    # then its partials.  A row that raises is redone by the tree walker
+    # (``_reference_row``), entry by entry, value before partials, so
     # errors, and which of them wins, are the tree walker's.  A (k, dim)
     # block of points is evaluated point by point in order, so its first
     # raising point raises first, and read as stacks of k matrices; one
     # point is a block of one.
 
     @cached_property
-    def _entry_values(self) -> list:
-        """Generated value code for each stored entry, in entry order."""
-        return [compile(expr) for expr in self.entries.values()]
+    def _value_row(self):
+        """Generated code for every stored entry's value, in entry order."""
+        return _generate_row(self, self.entries.values())
 
     @cached_property
-    def _entry_duals(self) -> list:
-        """Generated value-and-gradient code for each stored entry."""
-        names = self.variable_names
-        return [compile(expr, names) for expr in self.entries.values()]
+    def _dual_row(self):
+        """Generated code for every stored entry's value and then its
+        partials with respect to every phase-space name."""
+        return _generate_row(self, self.entries.values(), self.variable_names)
 
-    def _at_points(self, x, code) -> tuple[bool, list]:
-        """Whether ``x`` is a block, and ``[fn(env) for fn in code]`` at each
-        of its points (at ``x`` itself when it is one point)."""
+    def _at_points(self, x, variables=()) -> tuple[bool, np.ndarray]:
+        """Whether ``x`` is a block, and the (k, entries, 1 + len(variables))
+        stack of every entry's value and partials with respect to
+        ``variables`` (none, or every phase-space name) at its k points;
+        k = 1 for one point."""
+        row = self._dual_row if variables else self._value_row
         x = np.asarray(x, dtype=float)
-        block = x if x.ndim == 2 else x[None]
-        return x.ndim == 2, [[fn(env) for fn in code] for env in map(self.env_at, block)]
+        rows = []
+        for point in x if x.ndim == 2 else x[None]:
+            values = self._coordinates(point)
+            try:
+                rows.append(row(values))
+            except EVALUATION_ERRORS:
+                rows.append(_reference_row(self, self.entries.values(), values, variables))
+        shape = (len(rows), len(self.entries), 1 + len(variables))
+        return x.ndim == 2, np.array(rows, dtype=float).reshape(shape)
 
     @cached_property
     def _flat_entries(self) -> tuple[np.ndarray, np.ndarray]:
@@ -225,9 +242,8 @@ class PoissonStructure:
     def theta_matrix(self, x) -> np.ndarray:
         """Numeric antisymmetric matrix Theta_ab(x); over a (k, dim) block,
         the (k, dim, dim) stack of them."""
-        many, rows = self._at_points(x, self._entry_values)
-        values = np.array([[v for v, _ in row] for row in rows])
-        m = self._antisymmetric(values.reshape(len(rows), len(self.entries)))
+        many, rows = self._at_points(x)
+        m = self._antisymmetric(rows[..., 0])
         return m if many else m[0]
 
     def theta_block(self, x) -> np.ndarray:
@@ -254,11 +270,8 @@ class PoissonStructure:
         """Values and gradients of every Theta_ab at x, with antisymmetry:
         ``m[a, b]`` and ``grads[a, b, c]`` = d Theta_ab / d x_c, stacked
         over a (k, dim) block."""
-        many, rows = self._at_points(x, self._entry_duals)
-        k, width = len(rows), len(self.entries)
-        values = np.array([[v for v, _ in row] for row in rows]).reshape(k, width)
-        partials = np.array([[g for _, g in row] for row in rows]).reshape(k, width, self.dim)
-        m, grads = self._antisymmetric(values), self._antisymmetric(partials)
+        many, rows = self._at_points(x, self.variable_names)
+        m, grads = self._antisymmetric(rows[..., 0]), self._antisymmetric(rows[..., 1:])
         return (m, grads) if many else (m[0], grads[0])
 
     def jacobi_report(self, x) -> JacobiReport:
@@ -271,26 +284,24 @@ class PoissonStructure:
         x = np.asarray(x, dtype=float)
         m, grads = self._entry_gradients(x if x.ndim == 2 else x[None])
         generic = np.zeros(len(m))
-        for a, b, c in combinations(range(self.dim), 3):
-            r = (
-                m[:, a, None, :] @ grads[:, b, c, :, None]
-                + m[:, b, None, :] @ grads[:, c, a, :, None]
-                + m[:, c, None, :] @ grads[:, a, b, :, None]
-            )
-            # a NaN never wins, as in a running max()
-            generic = np.fmax(generic, np.abs(r[:, 0, 0]))
         identities: dict[str, float] = {}
-        if self.kind in DELTA_KINDS:
-            identities = self._delta_kind_identities(x, m, grads)
-        elif self.kind == "general-planar":
-            identities = _planar_identities(m, grads)
+        # silent on overflow, as the same arithmetic on Python floats
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b, c in combinations(range(self.dim), 3):
+                r = (
+                    m[:, a, None, :] @ grads[:, b, c, :, None]
+                    + m[:, b, None, :] @ grads[:, c, a, :, None]
+                    + m[:, c, None, :] @ grads[:, a, b, :, None]
+                )
+                # a NaN never wins, as in a running max()
+                generic = np.fmax(generic, np.abs(r[:, 0, 0]))
+            if self.kind in DELTA_KINDS:
+                identities = self._delta_kind_identities(x, m, grads)
+            elif self.kind == "general-planar":
+                identities = _planar_identities(m, grads)
         if x.ndim == 2:
-            return JacobiReport(generic_max=generic, identities=identities, theta=m)
-        return JacobiReport(
-            generic_max=generic[0],
-            identities={name: v[0] for name, v in identities.items()},
-            theta=m[0],
-        )
+            return JacobiReport(generic, identities, m)
+        return JacobiReport(generic[0], {name: v[0] for name, v in identities.items()}, m[0])
 
     def _delta_kind_identities(self, x, m, grads) -> dict[str, float]:
         """The transport and cyclic identities from :meth:`_entry_gradients`
@@ -348,16 +359,17 @@ class PoissonStructure:
         """:meth:`degeneracy` from a Theta matrix already built at the point,
         or from a (k, dim, dim) stack of them."""
         stack = m if m.ndim == 3 else m[None]
-        det = np.linalg.det(stack)
         pairing = None
         planar = None
-        if self.kind in DELTA_KINDS:
-            n = self.n
-            pairing = np.abs(stack[:, :n, :n] @ stack[:, n:, n:] + np.eye(n)).max(axis=(1, 2))
-        elif self.kind == "general-planar":
-            theta, field, g11, g12, g21, g22 = _planar_columns(stack)
-            # silent on overflow, as the same arithmetic on Python floats
-            with np.errstate(over="ignore", invalid="ignore"):
+        # silent on overflow, as the same arithmetic on Python floats
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = np.linalg.det(stack)
+            if self.kind in DELTA_KINDS:
+                n = self.n
+                product = stack[:, :n, :n] @ stack[:, n:, n:]
+                pairing = np.abs(product + np.eye(n)).max(axis=(1, 2))
+            elif self.kind == "general-planar":
+                theta, field, g11, g12, g21, g22 = _planar_columns(stack)
                 planar = theta * field - g11 * g22 + g12 * g21
         if m.ndim == 3:
             return DegeneracyReport(det, pairing, planar)
@@ -541,18 +553,13 @@ def _planar_identities(m: np.ndarray, grads: np.ndarray) -> dict[str, np.ndarray
     applied to the bracket functions, from the stacked values and gradients
     of :meth:`PoissonStructure._entry_gradients`."""
     values = _planar_columns(m)
-    # silent on overflow, as the same arithmetic on Python floats
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = {
-            name: _d_operators(*values, grads[:, a, b].T)
-            for name, (a, b) in _PLANAR_ENTRIES
-        }
-        return {
-            "theta_d3": abs(d["theta"][2] + d["g21"][0] + d["g11"][1]),
-            "theta_d4": abs(d["theta"][3] + d["g22"][0] + d["g12"][1]),
-            "f_d1": abs(d["f"][0] - d["g12"][2] + d["g11"][3]),
-            "f_d2": abs(d["f"][1] - d["g22"][2] + d["g21"][3]),
-        }
+    d = {name: _d_operators(*values, grads[:, a, b].T) for name, (a, b) in _PLANAR_ENTRIES}
+    return {
+        "theta_d3": abs(d["theta"][2] + d["g21"][0] + d["g11"][1]),
+        "theta_d4": abs(d["theta"][3] + d["g22"][0] + d["g12"][1]),
+        "f_d1": abs(d["f"][0] - d["g12"][2] + d["g11"][3]),
+        "f_d2": abs(d["f"][1] - d["g22"][2] + d["g21"][3]),
+    }
 
 
 def d_operator_values(structure: PoissonStructure, expr, x) -> np.ndarray:

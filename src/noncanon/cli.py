@@ -558,7 +558,7 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
         _check_integrator(dt, t_end, path=path)
         constants = block.get("constants")
         if constants is not None:
-            constants = _numbers(constants, f"{path}.constants", n)
+            constants = _point(constants, f"{path}.constants", n)
         if "hamiltonian" in cfg.raw:
             ham = _expr(cfg.raw["hamiltonian"], "$.hamiltonian", names)
 

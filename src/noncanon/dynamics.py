@@ -11,17 +11,19 @@ trajectory runs through a numerically degenerate region.
 
 Each flow runs two pieces of code generated for it on Python floats: one
 straight-line step (four RK4 stages and their combination, or the velocity
-that the implicit midpoint iterates) and one row per stored state.  For
-:func:`integrate` the row holds every monitor and every stored bracket
-entry; an epsilon sweep's row holds only the frozen combinations it
-reports.  Both read the state tuple, bound to locals, and load each
-parameter once per call.  The tree walker (``_Velocity``,
-``_reference_row``) stays the reference: it redoes any
-step or row whose generated code raises, once, and is bit-identical where
-the generated code succeeds.  Every flow, the reduced flow of
-:mod:`reduction` included (its constant bracket on q1..qn read like any
-structure's, with no monitor row), is stepped by the one loop of
-:func:`_flow_states`.
+that the implicit midpoint iterates) and one row per stored state, from
+the row generator that structures also evaluate their entries with
+(``expressions._generate_row``).  For :func:`integrate` the row holds
+every monitor and every stored bracket entry, and ``det Theta`` is taken
+over the structure's own assembly of those entries; an epsilon sweep's
+row holds only the frozen combinations it reports.  Both read the state
+tuple, bound to locals, and load each parameter once per call.  The tree
+walker (``_Velocity``, ``expressions._reference_row``) stays the
+reference: it redoes any step or row whose generated code raises, once,
+and is bit-identical where the generated code succeeds.  Every flow, the
+reduced flow of :mod:`reduction` included (its constant bracket on q1..qn
+read like any structure's, with no monitor row), is stepped by the one
+loop of :func:`_flow_states`.
 """
 
 from __future__ import annotations
@@ -48,9 +50,11 @@ from .expressions import (  # noqa: F401
     Dual,
     Expression,
     Name,
-    _Codegen,
     _eval,
+    _generate_row,
     _product,
+    _reference_row,
+    _state_codegen,
     as_expression,
     free_names,
     gradient,
@@ -119,20 +123,6 @@ class _Velocity:
             out[a] += v * grad[b]
             out[b] -= v * grad[a]
         return out
-
-
-def _state_codegen(structure: PoissonStructure) -> tuple[_Codegen, list[str]]:
-    """A code generator for a function of the state tuple ``x``, and the
-    locals ``x0, x1, ...`` its first line unpacks ``x`` into.  The
-    phase-space names load from those locals, and each parameter is
-    loaded once per call from ``structure.parameters``."""
-    names = structure.variable_names
-    gen = _Codegen(())
-    gen.namespace["env"] = structure.parameters
-    x = [f"x{i}" for i in range(len(names))]
-    gen.lines.append(f"{', '.join(x)}, = x")
-    gen.loads.update(zip(names, x))
-    return gen, x
 
 
 def _generate_step(
@@ -325,23 +315,6 @@ def default_monitors(structure: PoissonStructure) -> dict[str, Expression]:
     return monitors
 
 
-def _generate_row(structure: PoissonStructure, exprs: Sequence[Expression]) -> Callable:
-    """Generated code for one row, ``row(x) -> tuple``: the value of every
-    expression of ``exprs`` at the state tuple ``x``.  A call that succeeds
-    is bit-identical to :func:`_reference_row`; the code does not fall back,
-    so the caller redoes a raising row on the tree walker."""
-    gen, _ = _state_codegen(structure)
-    values = [gen.emit(e)[0] for e in exprs]
-    return gen.function("x", f"({''.join(f'{v}, ' for v in values)})")
-
-
-def _reference_row(structure: PoissonStructure, exprs, x: np.ndarray) -> list:
-    """The values of ``exprs`` at one state, by tree walking."""
-    env = dict(structure.parameters)
-    env.update(zip(structure.variable_names, x))
-    return [_eval(expr, env) for expr in exprs]
-
-
 def _row_blocks(structure: PoissonStructure, exprs, states: np.ndarray):
     """The rows of :func:`_generate_row` over ``exprs`` at the stored
     states, as ``(start, rows)`` for each block of at most ``_DET_BLOCK``
@@ -373,22 +346,19 @@ def _monitor_pass(
     """Monitor series over the stored states, and min |det Theta| along them.
 
     Each row holds the monitors and then the stored bracket entries
-    (:func:`_row_blocks`), and ``det Theta`` is taken over each stacked
-    block of entries.
+    (:func:`_row_blocks`), and ``det Theta`` is taken over each block's
+    stack of matrices, assembled by the structure from those entries.
     """
     exprs = list(monitor_exprs.values())
     width = len(exprs)
     monitors = np.empty((width, len(states)))
-    theta = np.zeros((_DET_BLOCK, structure.dim, structure.dim))
     min_abs_det = np.inf
     for start, rows in _row_blocks(structure, [*exprs, *structure.entries.values()], states):
-        size = len(rows)
-        monitors[:, start : start + size] = rows[:, :width].T
-        for column, (a, b) in enumerate(structure.entries, width):
-            theta[:size, a, b] = rows[:, column]
-            theta[:size, b, a] = -rows[:, column]
+        monitors[:, start : start + len(rows)] = rows[:, :width].T
+        # silent on overflow, as the same arithmetic on Python floats
+        with np.errstate(over="ignore", invalid="ignore"):
+            dets = np.abs(np.linalg.det(structure._antisymmetric(rows[:, width:])))
         # a NaN determinant never lowers the minimum, as in a running min()
-        dets = np.abs(np.linalg.det(theta[:size]))
         min_abs_det = np.fmin.reduce(dets, initial=min_abs_det)
     return dict(zip(monitor_exprs, monitors)), min_abs_det
 

@@ -11,12 +11,15 @@ Two evaluators apply the same dual-number rules.  The tree walker
 and walks the tree once per variable; it is the reference and the error
 reporter.  ``compile`` unrolls those rules into generated straight-line
 code that returns the value and every partial in one pass, bit for bit
-equal to the tree walker.  The survey runs it, compiled once per
-structure, family or filter, and reruns the tree walker whenever it
-raises: bracket matrices, Jacobi and degeneracy checks, surface solves,
-domain filters, hodograph families and generators.  The same emitter
-(``_Codegen``) also writes each flow's whole integration step
-(``dynamics._generate_step``) and monitor row (``dynamics._generate_row``).
+equal to the tree walker.  Domain filters, hodograph families and
+generators run it, compiled once per filter or family, and it reruns the
+tree walker whenever it raises.  The same emitter (``_Codegen``) also
+writes functions of a whole state tuple: each flow's integration step
+(``dynamics._generate_step``) and the one row generator
+(``_generate_row``) of the flows' monitors and of a structure's entries
+at a phase point, with each entry's partials when asked for (bracket
+matrices, Jacobi and degeneracy checks, surface solves).  A row does not
+fall back; its caller redoes a raising row by :func:`_reference_row`.
 
 Both evaluators call one set of helpers for the rules that branch on
 runtime values (``_exp``, ``_sqrt_partial`` and the ``_pow_*`` helpers), so
@@ -876,6 +879,53 @@ def compile(e: Expression, variables: Sequence[str] = ()) -> Callable:
     partials = "".join(f"{derivs.get(n, '0.0')}, " for n in variables)
     fallback = functools.partial(_reference, e, variables)
     return gen.function("env", f"{value}, ({partials})", fallback)
+
+
+# ---------------------------------------------------------------------------
+# Rows over the state tuple
+#
+# A "structure" here is anything with the ``variable_names`` and
+# ``parameters`` of a Poisson structure: the flows' steps and monitor rows
+# and a structure's entry values at a phase point all read the state as one
+# tuple of Python floats.
+
+
+def _state_codegen(structure, variables: Sequence[str] = ()) -> tuple[_Codegen, list[str]]:
+    """A code generator for a function of the state tuple ``x`` and its
+    partials with respect to ``variables``, and the locals ``x0, x1, ...``
+    its first line unpacks ``x`` into.  The phase-space names load from
+    those locals, and each parameter is loaded once per call from
+    ``structure.parameters``."""
+    names = structure.variable_names
+    gen = _Codegen(tuple(variables))
+    gen.namespace["env"] = structure.parameters
+    x = [f"x{i}" for i in range(len(names))]
+    gen.lines.append(f"{', '.join(x)}, = x")
+    gen.loads.update(zip(names, x))
+    return gen, x
+
+
+def _generate_row(structure, exprs, variables: Sequence[str] = ()) -> Callable:
+    """Generated code for one row, ``row(x) -> tuple``: for every
+    expression of ``exprs``, its value at the state tuple ``x`` and then its
+    partials with respect to ``variables``.  A call that succeeds is
+    bit-identical to :func:`_reference_row`; the code does not fall back,
+    so the caller redoes a raising row on the tree walker."""
+    gen, _ = _state_codegen(structure, variables)
+    emitted = [gen.emit(e) for e in exprs]
+    row = [v for value, d in emitted for v in (value, *(d.get(n, "0.0") for n in variables))]
+    return gen.function("x", f"({''.join(f'{v}, ' for v in row)})")
+
+
+def _reference_row(structure, exprs, x, variables: Sequence[str] = ()) -> list:
+    """The row of :func:`_generate_row` at one state, by tree walking.  Each
+    expression's value comes before its partials, as in ``compile``'s
+    fallback, so the first error raised is the tree walker's first."""
+    env = {**structure.parameters, **dict(zip(structure.variable_names, x))}
+    row = []
+    for e in exprs:
+        row += [_eval(e, env), *(gradient(e, variables, env) if variables else ())]
+    return row
 
 
 # ---------------------------------------------------------------------------

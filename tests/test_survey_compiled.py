@@ -4,7 +4,11 @@ filters, hodograph families and generators) against the tree walker.
 Generated code must give the tree walker's numbers bit for bit and, where
 the tree walker raises, its error and message; fixture artifacts must not
 depend on which of the two ran, and a family copied with new expressions
-(``dataclasses.replace``) must run them, not its source's cached code."""
+(``dataclasses.replace``) must run them, not its source's cached code.
+Structures evaluate their entries with the flows' generated row
+(``expressions._generate_row``) and redo a raising row on the tree walker;
+filters and hodograph families run ``compile``, whose fallback is the tree
+walker."""
 
 import dataclasses
 import math
@@ -360,7 +364,16 @@ def test_survey_artifacts_match_tree_fallback(name, tmp_path, monkeypatch):
 
         return fallback
 
-    for module in (brackets, hodograph):  # every module that calls compile
-        monkeypatch.setattr(module, "compile", raising_compile)
+    def raising_row(structure, exprs, variables=()):
+        # a structure's entry row whose body always raises: every point is
+        # redone by the tree walker (``_reference_row``)
+        def disabled(x):
+            calls.append(exprs)
+            raise DomainError("generated code disabled", "")
+
+        return disabled
+
+    monkeypatch.setattr(hodograph, "compile", raising_compile)
+    monkeypatch.setattr(brackets, "_generate_row", raising_row)
     assert _artifacts(name, tmp_path / "tree") == generated
     assert calls
