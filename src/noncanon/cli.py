@@ -150,13 +150,16 @@ def _numbers(values, path: str, length: int | None = None) -> list[float]:
     return numbers
 
 
+def _finite(x: float, path: str) -> float:
+    """``x``, a number read from the config at ``path``, if it is finite."""
+    if not math.isfinite(x):
+        raise ConfigError(path, "expected a finite number")
+    return x
+
+
 def _point(values, path: str, length: int) -> list[float]:
     """A config phase-space point: ``length`` finite numbers."""
-    numbers = _numbers(values, path, length)
-    for i, x in enumerate(numbers):
-        if not math.isfinite(x):
-            raise ConfigError(f"{path}[{i}]", "expected a finite number")
-    return numbers
+    return [_finite(x, f"{path}[{i}]") for i, x in enumerate(_numbers(values, path, length))]
 
 
 def _fit_abscissae(values, path: str) -> list[float]:
@@ -260,8 +263,8 @@ def _build_structure(cfg: dict, n: int, parameters: dict) -> PoissonStructure:
         if kind == "canonical":
             return canonical(n, parameters)
         if kind == "constant-theta-f":
-            theta = _read(spec, "theta", float, path)
-            f = _read(spec, "f", float, path)
+            theta = _finite(_read(spec, "theta", float, path), f"{path}.theta")
+            f = _finite(_read(spec, "f", float, path), f"{path}.f")
             if n != 2:
                 raise ConfigError(path, "constant-theta-f requires n = 2")
             return constant_theta_f(theta, f, parameters)
@@ -355,20 +358,18 @@ def sample_cloud(cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
     names = cfg.structure.variable_names
     lo, hi = np.array(_ranges(block, "ranges", names, [-1.5, 1.5], "$.cloud")).T
     filters = _filters_from_config(block, "$.cloud", {*names, *cfg.parameters})
+    admits = hg.admission(filters, names, cfg.parameters)
     points = []
     attempts = 0
-    env = dict(cfg.parameters)
     while len(points) < count:
-        attempts += 1
-        if attempts > 200 * count:
-            raise ConfigError(
-                "$.cloud", "domain filters rejected too many samples"
-            )
-        x = lo + (hi - lo) * rng.random(len(names))
-        for name, v in zip(names, x):
-            env[name] = float(v)
-        if all(f.admits(env) for f in filters):
-            points.append(x)
+        # a block of draws never exceeds the points still missing, so the
+        # stream is used as by one draw per attempt
+        k = min(count - len(points), 200 * count - attempts)
+        if k == 0:
+            raise ConfigError("$.cloud", "domain filters rejected too many samples")
+        attempts += k
+        draws = lo + (hi - lo) * rng.random((k, len(names)))
+        points += filter(admits, draws.tolist())
     return np.array(points)
 
 
@@ -594,15 +595,6 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
                     tv_max = max(tv_max, max(tv.values()))
         results["total_variation_max"] = tv_max
 
-    artifacts = []
-    if len(points) > 0:
-        write_csv(
-            out_dir / "surface_points.csv",
-            list(structure.variable_names),
-            [list(map(float, x)) for x in points],
-        )
-        artifacts.append("surface_points.csv")
-
     if report.reduced and ham is not None:
         system = red.build_reduced(
             structure, ham, constants=constants, reference=reference, tol=cfg.tol
@@ -620,6 +612,15 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
             "levels": spec_rep.levels,
         }
 
+    # written once nothing can fail, so a failed run leaves no artifact
+    artifacts = []
+    if len(points) > 0:
+        write_csv(
+            out_dir / "surface_points.csv",
+            list(structure.variable_names),
+            [list(map(float, x)) for x in points],
+        )
+        artifacts.append("surface_points.csv")
     write_json(out_dir / "reduction_report.json", results)
     artifacts.append("reduction_report.json")
     return results, artifacts

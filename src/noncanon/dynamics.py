@@ -226,7 +226,9 @@ class Trajectory:
     def monitor_drift(self, name: str) -> tuple[float, float]:
         """(max drift, final drift) of a monitor from its initial value."""
         series = self.monitors[name]
-        dev = np.abs(series - series[0])
+        # a monitor that starts infinite drifts by inf - inf, a NaN, silently
+        with np.errstate(invalid="ignore"):
+            dev = np.abs(series - series[0])
         return float(dev.max()), float(dev[-1])
 
 

@@ -9,17 +9,21 @@ differences appear only as an independent cross-check in the test suite.
 Two evaluators apply the same dual-number rules.  The tree walker
 (``evaluate``, ``derivative``, ``gradient``) allocates a ``Dual`` per node
 and walks the tree once per variable; it is the reference and the error
-reporter.  ``compile`` unrolls those rules into generated straight-line
-code that returns the value and every partial in one pass, bit for bit
-equal to the tree walker.  Domain filters, hodograph families and
-generators run it, compiled once per filter or family, and it reruns the
-tree walker whenever it raises.  The same emitter (``_Codegen``) also
-writes functions of a whole state tuple: each flow's integration step
-(``dynamics._generate_step``) and the one row generator
-(``_generate_row``) of the flows' monitors and of a structure's entries
-at a phase point, with each entry's partials when asked for (bracket
-matrices, Jacobi and degeneracy checks, surface solves).  A row does not
-fall back; its caller redoes a raising row by :func:`_reference_row`.
+reporter.  The emitter (``_Codegen``) unrolls those rules into generated
+straight-line code that returns the value and every partial in one pass,
+bit for bit equal to the tree walker.  The library runs it on a whole
+state tuple: each flow's integration step (``dynamics._generate_step``)
+and the one row generator (``_generate_row``), which every phase point,
+grid point, cloud point and generator runs.  A row holds the flows'
+monitors, a structure's entries (with their partials for bracket
+matrices, Jacobi and degeneracy checks and surface solves), a grid's or a
+cloud's domain filters over its coordinates, a hodograph family's u and v
+over (x, y), with their partials for the transport checks, or a custom
+generator's value and slope over (s,).  A row does not fall back; its
+caller redoes a raising row on the tree walker, by :func:`_reference_row`
+or, for filters, filter by filter.  ``compile`` builds the same code for
+one expression over an env dict, and reruns the tree walker whenever it
+raises; no library module calls it.
 
 Both evaluators call one set of helpers for the rules that branch on
 runtime values (``_exp``, ``_sqrt_partial`` and the ``_pow_*`` helpers), so
@@ -599,7 +603,7 @@ def as_expression(src) -> Expression:
 # ---------------------------------------------------------------------------
 # Generated forward-mode code
 #
-# ``compile`` unrolls the rules of ``_eval`` and ``Dual`` at generation
+# ``_Codegen`` unrolls the rules of ``_eval`` and ``Dual`` at generation
 # time (source transformation in the sense of Griewank & Walther,
 # *Evaluating Derivatives*).  Whether a node carries a dual part for
 # variable v is fixed by ``v in free_names(node)``, so each node becomes one
@@ -885,9 +889,11 @@ def compile(e: Expression, variables: Sequence[str] = ()) -> Callable:
 # Rows over the state tuple
 #
 # A "structure" here is anything with the ``variable_names`` and
-# ``parameters`` of a Poisson structure: the flows' steps and monitor rows
-# and a structure's entry values at a phase point all read the state as one
-# tuple of Python floats.
+# ``parameters`` of a Poisson structure: the flows' steps and monitor rows,
+# a structure's entry values at a phase point, a grid's or a cloud's
+# filters, a hodograph family's (u, v) at (x, y) and a generator at s all
+# read the state as one tuple of Python floats, which the caller converts
+# from numpy values.
 
 
 def _state_codegen(structure, variables: Sequence[str] = ()) -> tuple[_Codegen, list[str]]:

@@ -19,20 +19,24 @@ f = 1/theta = -p2/q1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
+from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-# ``evaluate`` and ``derivative`` stay bound here: perfbench/tracing.py
-# wraps them under these names
+# ``derivative`` stays bound here: perfbench/tracing.py wraps it under this
+# name
 from .expressions import (  # noqa: F401
+    EVALUATION_ERRORS,
     DomainError,
     Expression,
     Name,
+    _generate_row,
+    _reference_row,
     as_expression,
-    compile,
     derivative,
     evaluate,
     parse,
@@ -59,9 +63,12 @@ __all__ = [
 
 FAMILY_KINDS = ("linear", "log", "loglog", "custom-fg")
 
-# Grid points, families and generators run generated code
-# (``expressions.compile``), built once per filter or family on first use;
-# an expression whose code raises is redone by compile's own fallback.
+# Grid points, cloud points, families and generators run the state-tuple row
+# of structures and flows (``expressions._generate_row``): a grid's or a
+# cloud's filters are one row over its coordinates, a closed-form family's
+# (x, y) is the state tuple of its (u, v) rows, and each generator is a row
+# over (s,).  A row is built on first use, and a row that raises is redone
+# on the tree walker, so outcomes and errors are the tree walker's.
 
 _XY = ("x", "y")
 _S = ("s",)
@@ -88,21 +95,43 @@ class DomainFilter:
     min_abs: float | None = None
     minimum: float | None = None
 
-    @cached_property
-    def _value(self) -> Callable:
-        """Generated value code for ``expr``."""
-        return compile(self.expr)
+    def keeps(self, v: float) -> bool:
+        """Whether the value ``v`` of ``expr`` at a point keeps the point; a
+        NaN is kept."""
+        return not (
+            (self.min_abs is not None and abs(v) < self.min_abs)
+            or (self.minimum is not None and v < self.minimum)
+        )
 
     def admits(self, env: Mapping[str, float]) -> bool:
+        """The filter at the point ``env`` by the tree walker, where leaving
+        the domain is a reject and any other error propagates."""
         try:
-            v = self._value(env)[0]
+            return self.keeps(evaluate(self.expr, env))
         except DomainError:
             return False
-        if self.min_abs is not None and abs(v) < self.min_abs:
-            return False
-        if self.minimum is not None and v < self.minimum:
-            return False
-        return True
+
+
+def admission(filters: Sequence[DomainFilter], names, parameters) -> Callable:
+    """``admits(x) -> bool``: whether every filter admits the point ``x``, a
+    sequence of Python floats over ``names``.
+
+    One generated row holds every filter's value.  A point whose row raises
+    is redone filter by filter, in order, by :meth:`DomainFilter.admits`,
+    and stops at the first reject, so its outcome and its error are those
+    of the filters taken one at a time."""
+    space = SimpleNamespace(variable_names=tuple(names), parameters=parameters)
+    row = _generate_row(space, [f.expr for f in filters])
+
+    def admits(x) -> bool:
+        try:
+            values = row(x)
+        except EVALUATION_ERRORS:
+            env = {**parameters, **dict(zip(space.variable_names, x))}
+            return all(f.admits(env) for f in filters)
+        return all(map(DomainFilter.keeps, filters, values))
+
+    return admits
 
 
 def _filter(src, min_abs=None, minimum=None) -> DomainFilter:
@@ -118,16 +147,10 @@ class Grid2D:
     filters: tuple[DomainFilter, ...] = ()
 
     def points(self, parameters: Mapping[str, float] | None = None) -> np.ndarray:
-        xs = np.linspace(self.x_range[0], self.x_range[1], self.nx)
-        ys = np.linspace(self.y_range[0], self.y_range[1], self.ny)
-        env = dict(parameters or {})
-        kept = []
-        for x in xs:
-            env["x"] = float(x)
-            for y in ys:
-                env["y"] = float(y)
-                if all(f.admits(env) for f in self.filters):
-                    kept.append((float(x), float(y)))
+        xs = np.linspace(self.x_range[0], self.x_range[1], self.nx).tolist()
+        ys = np.linspace(self.y_range[0], self.y_range[1], self.ny).tolist()
+        admits = admission(self.filters, _XY, dict(parameters or {}))
+        kept = list(filter(admits, product(xs, ys)))
         return np.array(kept) if kept else np.empty((0, 2))
 
 
@@ -164,21 +187,32 @@ class HodographFamily:
     v_expr: Expression | None = None
     f_expr: Expression | None = None  # generators, variable 's' (custom-fg)
     g_expr: Expression | None = None
-    # (field name, variables) -> generated code; frozen fields keep it current
-    _code: dict = field(default_factory=dict, init=False, repr=False)
+
+    # the state tuple of the (u, v) rows; not a field
+    variable_names = _XY
 
     @property
     def closed_form(self) -> bool:
         return self.u_expr is not None
 
-    def _compiled(self, name: str, variables: tuple[str, ...] = ()) -> Callable:
-        """Generated code for the expression in field ``name``, built on
-        first use."""
-        code = self._code.get((name, variables))
-        if code is None:
-            code = compile(getattr(self, name), variables)
-            self._code[(name, variables)] = code
-        return code
+    @cached_property
+    def _value_row(self) -> Callable:
+        """Generated code for (u, v) at a point (x, y)."""
+        return _generate_row(self, (self.u_expr, self.v_expr))
+
+    @cached_property
+    def _dual_row(self) -> Callable:
+        """Generated code for (u, u_x, u_y, v, v_x, v_y) at a point (x, y)."""
+        return _generate_row(self, (self.u_expr, self.v_expr), _XY)
+
+    def _fields(self, point: tuple[float, float], variables: tuple[str, ...] = ()):
+        """The row of u and v at ``point`` (Python floats), each followed by
+        its partials in ``variables`` (none, or x and y).  A raising row is
+        redone on the tree walker: u before v, value before partials."""
+        try:
+            return (self._dual_row if variables else self._value_row)(point)
+        except EVALUATION_ERRORS:
+            return _reference_row(self, (self.u_expr, self.v_expr), point, variables)
 
     @cached_property
     def _solver(self) -> _GeneratorSolver:
@@ -187,10 +221,7 @@ class HodographFamily:
 
     def evaluate_uv(self, x: float, y: float) -> tuple[float, float]:
         if self.closed_form:
-            env = dict(self.parameters)
-            env["x"] = float(x)
-            env["y"] = float(y)
-            return self._compiled("u_expr")(env)[0], self._compiled("v_expr")(env)[0]
+            return tuple(self._fields((float(x), float(y))))
         return self._solver(float(x), float(y))[:2]
 
 
@@ -294,21 +325,27 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float) -> float:
 class _GeneratorSolver:
     """Numeric inversion of x = f(u) + g(v), y = -Y_f(u) - Y_g(v)."""
 
+    # the state tuple of each generator's row
+    variable_names = _S
+
     def __init__(self, family: HodographFamily):
-        self.family = family
-        self.env = dict(family.parameters)
+        self.parameters = family.parameters
+        # each generator, named by its family field ("f_expr" or "g_expr"),
+        # and generated code for its value and slope at s
+        self._exprs = {n: [getattr(family, n)] for n in ("f_expr", "g_expr")}
+        self._rows = {n: _generate_row(self, e, _S) for n, e in self._exprs.items()}
 
-    # generators are named by their family field, "f_expr" or "g_expr"
-
-    def _gen(self, name, s):
-        env = self.env
-        env["s"] = s
-        return self.family._compiled(name)(env)[0]
+    def _gen(self, name, s, slope=0):
+        """The value (``slope`` 0) or the slope (1) of a generator at ``s``,
+        a Python float.  A raising row is redone on the tree walker: the
+        value, then the slope when it is asked for."""
+        try:
+            return self._rows[name]((s,))[slope]
+        except EVALUATION_ERRORS:
+            return _reference_row(self, self._exprs[name], (s,), _S[:slope])[slope]
 
     def _gen_prime(self, name, s):
-        env = self.env
-        env["s"] = s
-        return self.family._compiled(name, _S)(env)[1][0]
+        return self._gen(name, s, 1)
 
     def _antiderivative(self, name, upper):
         # int_0^upper s * d(generator)/ds ds
@@ -369,6 +406,7 @@ def inverse_map_from_generators(f, g, parameters=None):
     solver = family._solver
 
     def y_fn(u: float, v: float) -> float:
+        u, v = float(u), float(v)
         return -solver._antiderivative("f_expr", u) - solver._antiderivative("g_expr", v)
 
     return x_expr, y_fn
@@ -383,11 +421,7 @@ def _field_partials(family: HodographFamily, x: float, y: float):
     the inverse of the map's Jacobian [[f', g'], [-u f', -v g']] in (u, v)
     at the solved point (the implicit function theorem)."""
     if family.closed_form:
-        env = dict(family.parameters)
-        env["x"] = x
-        env["y"] = y
-        u, (ux, uy) = family._compiled("u_expr", _XY)(env)
-        v, (vx, vy) = family._compiled("v_expr", _XY)(env)
+        u, ux, uy, v, vx, vy = family._fields((float(x), float(y)), _XY)
         return u, v, ux, uy, vx, vy
     u, v, fu, gv = family._solver(float(x), float(y))
     fd = fu * (u - v)
@@ -411,11 +445,10 @@ def grid_checks(family: HodographFamily, grid: Grid2D) -> GridChecks:
     points = grid.points(family.parameters)
     if len(points) == 0:
         raise HodographError("grid has no admissible points")
-    res_u = 0.0
-    res_v = 0.0
+    res_u = res_v = 0.0
     j_min = np.inf
     values = []
-    for x, y in points:
+    for x, y in points.tolist():
         u, v, ux, uy, vx, vy = _field_partials(family, x, y)
         values.append((u, v))
         res_u = max(res_u, abs(ux - v * uy))
@@ -469,11 +502,9 @@ def limit_sweep(
         points = grid.points(params)
         if len(points) == 0:
             raise HodographError(f"grid empty at alpha = {alpha}")
-        dev_u = 0.0
-        dev_v = 0.0
-        dev_uv = 0.0
-        for x, y in points:
-            u, v = family.evaluate_uv(x, y)
+        dev_u = dev_v = dev_uv = 0.0
+        for x, y in points.tolist():
+            u, v = family._fields((x, y))
             limit = -y / x
             dev_u = max(dev_u, abs(u - limit))
             dev_v = max(dev_v, abs(v - limit))

@@ -4,7 +4,8 @@ of the one-point operations they replace.
 ``PoissonStructure.jacobi_report`` takes each dot product of a block as one
 stacked ``(k, 1, d) @ (k, d, 1)`` product, and ``degeneracy_of`` takes the
 determinants and the pairing products of a ``(k, d, d)`` stack at once.
-numpy gives these the kernels of the one-point calls, but does not promise
+``cli.sample_cloud`` draws a cloud as ``(k, dim)`` blocks of the random
+stream and scales each block onto the cloud's ranges at once.  numpy gives these the kernels of the one-point calls, but does not promise
 it; if a numpy release changes that, these tests fail first.  They use the
 exact views the library passes, at d = 4 and 6, with signed zeros,
 subnormals, infinities and NaNs among the values (any NaN equals any
@@ -83,3 +84,23 @@ def test_stacked_pairing_matches_one_matrix_pairing(dim):
         stacked = np.abs(stacked + np.eye(n)).max(axis=(1, 2))
         one_matrix = [np.max(np.abs(m[:n, :n] @ m[n:, n:] + np.eye(n))) for m in stack]
         _compare("stacked pairing residual against one-matrix residual", stacked, one_matrix)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2101])
+def test_block_draw_matches_one_draw_per_point(seed):
+    # ``cli.sample_cloud`` draws a (k, dim) block where it drew k rows of
+    # dim, and scales the block onto the cloud's ranges at once
+    k, dim = 97, 4
+    lo = np.array([-1.5, 0.3, -2.0, 1e-3])
+    hi = np.array([1.5, 1.8, 2.5, 1e3])
+    block = np.random.default_rng(seed).random((k, dim))
+    rng = np.random.default_rng(seed)
+    rows = [rng.random(dim) for _ in range(k)]
+    _compare("block draw against one draw per point", block, rows)
+    _compare(
+        "scaled block against scaled rows",
+        lo + (hi - lo) * block,
+        [lo + (hi - lo) * row for row in rows],
+    )
+    # the stream goes on where the rows left it
+    assert np.random.default_rng(seed).random((k + 1, dim))[-1].tolist() == rng.random(dim).tolist()

@@ -5,10 +5,10 @@ Generated code must give the tree walker's numbers bit for bit and, where
 the tree walker raises, its error and message; fixture artifacts must not
 depend on which of the two ran, and a family copied with new expressions
 (``dataclasses.replace``) must run them, not its source's cached code.
-Structures evaluate their entries with the flows' generated row
-(``expressions._generate_row``) and redo a raising row on the tree walker;
-filters and hodograph families run ``compile``, whose fallback is the tree
-walker."""
+Every phase point, grid point, cloud point and generator runs the flows'
+state-tuple row (``expressions._generate_row``) and redoes a raising row on
+the tree walker: structures their entries, filters one row of every filter,
+closed-form families their (u, v) rows and generators a row over s."""
 
 import dataclasses
 import math
@@ -254,11 +254,10 @@ def _raised(fn, *args):
     return str(err.value)
 
 
-# A survey expression whose generated code raises is redone by compile's
-# own fallback: the tree walker's value, then its gradient, of that one
-# expression.  So the error is the first that expression meets, in the
-# order the expressions are evaluated, even where another expression
-# would meet a value error first.
+# A survey row whose generated code raises is redone on the tree walker:
+# each expression's value, then its gradient, in row order.  So the error
+# is the first that expression meets, in the order the expressions are
+# evaluated, even where another expression would meet a value error first.
 
 
 def _tree_value_then_gradient(expr, names, env):
@@ -355,25 +354,16 @@ def test_survey_artifacts_match_tree_fallback(name, tmp_path, monkeypatch):
     generated = _artifacts(name, tmp_path / "generated")
     calls = []
 
-    def raising_compile(e, variables=()):
-        # generated code whose body always raises: every call takes the
-        # fallback to the tree walker that ``compile`` builds in
-        def fallback(env):
-            calls.append(e)
-            return evaluate(e, env), tuple(gradient(e, variables, env))
-
-        return fallback
-
     def raising_row(structure, exprs, variables=()):
-        # a structure's entry row whose body always raises: every point is
-        # redone by the tree walker (``_reference_row``)
+        # a generated row whose body always raises: every point is redone
+        # by the tree walker
         def disabled(x):
             calls.append(exprs)
             raise DomainError("generated code disabled", "")
 
         return disabled
 
-    monkeypatch.setattr(hodograph, "compile", raising_compile)
+    monkeypatch.setattr(hodograph, "_generate_row", raising_row)
     monkeypatch.setattr(brackets, "_generate_row", raising_row)
     assert _artifacts(name, tmp_path / "tree") == generated
     assert calls
