@@ -359,18 +359,19 @@ def sample_cloud(cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
     lo, hi = np.array(_ranges(block, "ranges", names, [-1.5, 1.5], "$.cloud")).T
     filters = _filters_from_config(block, "$.cloud", {*names, *cfg.parameters})
     admits = hg.admission(filters, names, cfg.parameters)
-    points = []
-    attempts = 0
-    while len(points) < count:
+    blocks = []
+    kept = attempts = 0
+    while kept < count:
         # a block of draws never exceeds the points still missing, so the
         # stream is used as by one draw per attempt
-        k = min(count - len(points), 200 * count - attempts)
+        k = min(count - kept, 200 * count - attempts)
         if k == 0:
             raise ConfigError("$.cloud", "domain filters rejected too many samples")
         attempts += k
         draws = lo + (hi - lo) * rng.random((k, len(names)))
-        points += filter(admits, draws.tolist())
-    return np.array(points)
+        blocks.append(draws[list(map(admits, draws.tolist()))])
+        kept += len(blocks[-1])
+    return np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------

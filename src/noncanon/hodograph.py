@@ -448,7 +448,9 @@ def grid_checks(family: HodographFamily, grid: Grid2D) -> GridChecks:
     res_u = res_v = 0.0
     j_min = np.inf
     values = []
-    for x, y in points.tolist():
+    # Python floats from two columns, which holds fewer objects at once than
+    # a list per point
+    for x, y in zip(*points.T.tolist()):
         u, v, ux, uy, vx, vy = _field_partials(family, x, y)
         values.append((u, v))
         res_u = max(res_u, abs(ux - v * uy))
@@ -496,14 +498,13 @@ def limit_sweep(
         raise HodographError(f"limit sweep supports linear and log, not '{kind}'")
     rows = []
     for alpha in alphas:
-        params = dict(parameters)
-        params["alpha"] = float(alpha)
+        params = {**parameters, "alpha": float(alpha)}
         family = build_family(kind, params)
         points = grid.points(params)
         if len(points) == 0:
             raise HodographError(f"grid empty at alpha = {alpha}")
         dev_u = dev_v = dev_uv = 0.0
-        for x, y in points.tolist():
+        for x, y in zip(*points.T.tolist()):
             u, v = family._fields((x, y))
             limit = -y / x
             dev_u = max(dev_u, abs(u - limit))
