@@ -67,8 +67,9 @@ FAMILY_KINDS = ("linear", "log", "loglog", "custom-fg")
 # of structures and flows (``expressions._generate_row``): a grid's or a
 # cloud's filters are one row over its coordinates, a closed-form family's
 # (x, y) is the state tuple of its (u, v) rows, and each generator is a row
-# over (s,).  A row is built on first use, and a row that raises is redone
-# on the tree walker, so outcomes and errors are the tree walker's.
+# over (s,).  A filter row is built once per grid pass or cloud, the others
+# once per family, and a row that raises is redone on the tree walker, so
+# outcomes and errors are the tree walker's.
 
 _XY = ("x", "y")
 _S = ("s",)
