@@ -10,20 +10,22 @@ structures integrate like any other; a warning is attached when the
 trajectory runs through a numerically degenerate region.
 
 Each flow runs two pieces of code generated for it on Python floats: one
-straight-line step (four RK4 stages and their combination, or the velocity
-that the implicit midpoint iterates) and one row per stored state, from
-the row generator that structures also evaluate their entries with
+stepping loop (:func:`_generate_step`), which holds the state in locals,
+takes every step (four RK4 stages and their combination, or the implicit
+midpoint's fixed-point iteration over one velocity stage) and writes each
+new state into the stored states, and one row per stored state, from the
+row generator that structures also evaluate their entries with
 (``expressions._generate_row``).  For :func:`integrate` the row holds
 every monitor and every stored bracket entry, and ``det Theta`` is taken
 over the structure's own assembly of those entries; an epsilon sweep's
-row holds only the frozen combinations it reports.  Both read the state
-tuple, bound to locals, and load each parameter once per call.  The tree
+row holds only the frozen combinations it reports.  Both bind the state
+to locals, and the row loads each parameter once per call.  The tree
 walker (``_Velocity``, ``expressions._reference_row``) stays the
 reference: it redoes any step or row whose generated code raises, once,
-and is bit-identical where the generated code succeeds.  Every flow, the
-reduced flow of :mod:`reduction` included (its constant bracket on q1..qn
-read like any structure's, with no monitor row), is stepped by the one
-loop of :func:`_flow_states`.
+and is bit-identical where the generated code succeeds; the loop then
+resumes after the redone step.  Every flow, the reduced flow of
+:mod:`reduction` included (its constant bracket on q1..qn read like any
+structure's, with no monitor row), is stepped by :func:`_flow_states`.
 """
 
 from __future__ import annotations
@@ -79,6 +81,43 @@ __all__ = [
 
 DEGENERACY_WARNING_CUTOFF = 1e-8
 _DET_BLOCK = 256
+_UNCONVERGED = "implicit midpoint iteration did not converge"
+# The generated stepping loop (see ``_generate_step``).  Its back edge is
+# ``while True:``, an unconditional JUMP_BACKWARD: in CPython 3.11 the
+# conditional back edge of ``while k < n:`` never warms the code up.
+_LOOP = """\
+def _compiled(x, dt, k, n, out):
+    {unpack}
+    try:
+        i = k * {dim}
+        while True:
+{step}\
+            k += 1
+            i += {dim}
+{store}\
+            s = {total}
+            if s - s != 0.0 or k == n:
+                return k
+{advance}\
+    except _overflow:
+        return _ieee(({state},), dt, k, k + 1, out)
+    except _errors as err:
+        err.steps = k
+        raise
+"""
+# A step of the implicit midpoint: the fixed-point iteration of
+# ``_midpoint_step``, whose first pass takes the velocity at the state.
+_MIDPOINT = """\
+{start}\
+            tol = 1e-14 * ({largest} + 1.0)
+            for j in range(101):
+{body}\
+                if j and {converged}:
+                    break
+{iterate}\
+            else:
+                raise _IntegrationError({message!r})
+"""
 
 
 class IntegrationError(RuntimeError):
@@ -128,24 +167,38 @@ class _Velocity:
 def _generate_step(
     structure: PoissonStructure, hamiltonian: Expression, method: str
 ) -> Callable:
-    """Generated code for one step of ``method`` on Python floats.
+    """Generated code for the stepping loop of ``method`` on Python floats,
+    ``loop(x, dt, k, n, out) -> k``.
 
-    For ``"rk4"`` the result is ``step(x, dt) -> tuple``, one straight-line
-    function of four velocity stages and the RK4 combination; for
-    ``"midpoint"`` it is one velocity stage, ``velocity(x) -> tuple``, which
-    :func:`_midpoint_step` iterates.  Each stage binds the phase-space names
-    to its state's locals, and parameters are loaded once per call.  The
-    float operations are those of :class:`_Velocity` (entries accumulated
-    in ``structure.entries`` order, ``0.0 + v*grad[b]`` then
-    ``- v*grad[a]``) and of :func:`_rk4_step`, in their order, less the
-    exact no-ops that ``_Codegen`` folds (a factor 1.0, a test
-    ``1.0 != 0.0``, a line already computed), so a call that succeeds is
-    bit-identical to the tree walker.  The code does not fall back: the
-    caller redoes a raising step on the tree walker.
+    From ``x``, the stored state ``k``, the loop takes steps up to state
+    ``n``, holding the state in locals, and writes each new state into
+    ``out``, the flat memoryview of the ``(n + 1, dim)`` states, before it
+    tests it.  It returns the index of the last state written: ``n``, or
+    the first state whose sum is not finite, which the caller rechecks
+    component by component (a finite sum needs every component finite, but
+    finite components can overflow their sum).  A step that raises
+    writes nothing, and its error leaves the call with ``steps`` set to the
+    index of the last stored state.  A step in which ``_pow`` overflows is
+    rerun alone on ``_ieee`` (``_Codegen.define``), and the call returns
+    after it.  A midpoint iteration that does not converge raises
+    :class:`IntegrationError`.
+
+    An ``"rk4"`` step runs four velocity stages and their combination, a
+    ``"midpoint"`` step the fixed-point iteration of :func:`_midpoint_step`
+    over one velocity stage.  Each stage binds the phase-space names to its
+    state's locals.  The float operations are those of :class:`_Velocity`
+    (entries accumulated in ``structure.entries`` order, ``0.0 +
+    v*grad[b]`` then ``- v*grad[a]``) and of :func:`_rk4_step` or
+    :func:`_midpoint_step`, in their order, less the exact no-ops that
+    ``_Codegen`` folds (a factor 1.0, a test ``1.0 != 0.0``, a line already
+    computed), so a step that succeeds is bit-identical to the tree walker.
+    The code does not fall back: the caller redoes a raising step on the
+    tree walker.
     """
     names = structure.variable_names
     entries = list(structure.entries.items())
     gen, x = _state_codegen(structure)
+    gen.namespace["_IntegrationError"] = IntegrationError
 
     def stage(state: list[str]) -> list[str]:
         gen.loads.update(zip(names, state))
@@ -161,22 +214,53 @@ def _generate_step(
         return out
 
     if method == "midpoint":
-        result = f"({', '.join(stage(x))},)"
-        gen.prune(result)
-        return gen.function("x", result)
-    half = gen.assign("0.5 * dt")
-    k1 = stage(x)
-    k2 = stage([gen.assign(f"{a} + {half} * {k}") for a, k in zip(x, k1)])
-    k3 = stage([gen.assign(f"{a} + {half} * {k}") for a, k in zip(x, k2)])
-    k4 = stage([gen.assign(f"{a} + dt * {k}") for a, k in zip(x, k3)])
-    sixth = gen.assign("dt / 6.0")
-    combined = "".join(
-        f"{a} + {sixth} * ({p} + 2.0 * {q} + 2.0 * {r} + {t}), "
-        for a, p, q, r, t in zip(x, k1, k2, k3, k4)
+        m = [f"m{i}" for i in range(len(names))]  # the midpoint's point
+        new = [gen.assign(f"{a} + dt * {v}", True) for a, v in zip(x, stage(m))]
+    else:
+        half = gen.assign("0.5 * dt")
+        k1 = stage(x)
+        k2 = stage([gen.assign(f"{a} + {half} * {k}") for a, k in zip(x, k1)])
+        k3 = stage([gen.assign(f"{a} + {half} * {k}") for a, k in zip(x, k2)])
+        k4 = stage([gen.assign(f"{a} + dt * {k}") for a, k in zip(x, k3)])
+        sixth = gen.assign("dt / 6.0")
+        new = [
+            gen.assign(f"{a} + {sixth} * ({p} + 2.0 * {q} + 2.0 * {r} + {t})", True)
+            for a, p, q, r, t in zip(x, k1, k2, k3, k4)
+        ]
+    gen.prune(", ".join(new))
+
+    unpack, *body = gen.lines
+
+    def block(lines, indent: int) -> str:
+        return "".join(f"{' ' * indent}{line}\n" for line in lines)
+
+    if method == "midpoint":
+        y = [f"y{i}" for i in range(len(names))]
+        largest = ", ".join(f"abs({a})" for a in x)
+        step = _MIDPOINT.format(
+            start=block(map("{} = {}".format, m, x), 12),
+            largest=f"max({largest})" if len(x) > 1 else largest,
+            body=block(body, 16),
+            converged=" and ".join(f"abs({z} - {a}) <= tol" for z, a in zip(new, y)),
+            iterate=block(
+                [*map("{} = {}".format, y, new), *map("{} = 0.5 * ({} + {})".format, m, x, y)],
+                16,
+            ),
+            message=_UNCONVERGED,
+        )
+    else:
+        step = block(body, 12)
+    stores = [f"out[i + {j}] = {z}" if j else f"out[i] = {z}" for j, z in enumerate(new)]
+    source = _LOOP.format(
+        unpack=unpack,
+        state=", ".join(x),
+        dim=len(x),
+        step=step,
+        store=block(stores, 12),
+        total=" + ".join(new),
+        advance=block(map("{} = {}".format, x, new), 12),
     )
-    result = f"({combined})"
-    gen.prune(result)
-    return gen.function("x, dt", result)
+    return gen.define(source)
 
 
 def velocity(structure: PoissonStructure, hamiltonian, x) -> np.ndarray:
@@ -241,10 +325,9 @@ def _rk4_step(v: Callable, x: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _midpoint_step(v: Callable, x: Sequence, dt: float) -> list:
-    """Implicit midpoint by fixed-point iteration on the step map.
-
-    Runs element by element, so the same code serves generated velocities
-    on Python floats and :class:`_Velocity` on an array (numpy scalars)."""
+    """Implicit midpoint by fixed-point iteration on the step map, element
+    by element: the reference for the iteration that :func:`_generate_step`
+    generates."""
     y = [a + dt * b for a, b in zip(x, v(x))]
     tol = 1e-14 * (max(map(abs, x)) + 1.0)
     for _ in range(100):
@@ -254,36 +337,51 @@ def _midpoint_step(v: Callable, x: Sequence, dt: float) -> list:
         if all(abs(a - b) <= tol for a, b in zip(y_next, y)):
             return y_next
         y = y_next
-    raise IntegrationError("implicit midpoint iteration did not converge")
+    raise IntegrationError(_UNCONVERGED)
 
 
 def _flow_step(structure: PoissonStructure, hamiltonian: Expression, method: str) -> Callable:
-    """``step(x, dt)`` for :func:`_flow_states`: the next state, as Python
-    floats.  ``structure`` is anything with the ``variable_names``,
-    ``entries`` and ``parameters`` of a structure, such as a reduced system.
+    """``advance(states, dt) -> count`` for :func:`_flow_states`: fills
+    ``states[1:]`` by steps of ``dt`` from ``states[0]`` and returns the
+    number of states up to the first that is not finite.  ``structure`` is
+    anything with the ``variable_names``, ``entries`` and ``parameters`` of
+    a structure, such as a reduced system.
 
-    Each step runs the code generated for this flow (:func:`_generate_step`).
-    A step whose generated code raises is redone from the same state by the
-    tree walker (:func:`_rk4_step` or :func:`_midpoint_step` over
-    :class:`_Velocity`), which is bit-identical where the generated code
-    succeeds, so values, errors and the error that wins are the tree
-    walker's."""
-    generated = _generate_step(structure, hamiltonian, method)
-    reference = _Velocity(structure, hamiltonian)
-    if method == "rk4":
-        fast, redo = generated, functools.partial(_rk4_step, reference)
-    else:
-        fast = functools.partial(_midpoint_step, generated)
-        redo = functools.partial(_midpoint_step, reference)
+    The steps run in the loop generated for this flow
+    (:func:`_generate_step`), which writes each state through a flat
+    memoryview of ``states``.  A step whose generated code raises is redone
+    from the stored state by the tree walker (:func:`_rk4_step` or
+    :func:`_midpoint_step` over :class:`_Velocity`), which is bit-identical
+    where the generated code succeeds, and the loop resumes after it; so
+    values, errors and the error that wins are the tree walker's.  An error
+    without the loop's ``steps`` counts as raised by the step after the
+    state the call started from."""
+    loop = _generate_step(structure, hamiltonian, method)
+    redo = functools.partial(
+        _rk4_step if method == "rk4" else _midpoint_step, _Velocity(structure, hamiltonian)
+    )
+    isfinite = math.isfinite
 
-    def step(x: Sequence[float], dt: float) -> Sequence[float]:
-        try:
-            return fast(x, dt)
-        except EVALUATION_ERRORS:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return list(map(float, redo(np.array(x), dt)))
+    def advance(states: np.ndarray, dt: float) -> int:
+        n = len(states) - 1
+        out = memoryview(states.reshape(-1))
+        k = 0
+        while True:
+            try:
+                k = loop(states[k].tolist(), dt, k, n, out)
+            except EVALUATION_ERRORS as err:
+                k = getattr(err, "steps", k)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    states[k + 1] = redo(states[k], dt)
+                k += 1
+            # the loop stops at a sum that is not finite; finite components
+            # whose sum overflows make a finite state, stored, and it goes on
+            if not all(map(isfinite, states[k].tolist())):
+                return k
+            if k == n:
+                return k + 1
 
-    return step
+    return advance
 
 
 def constant_combination_expressions(structure: PoissonStructure) -> dict[str, Expression]:
@@ -384,7 +482,8 @@ def _max_drift(
 def _flow_states(problem: FlowProblem) -> tuple[np.ndarray, np.ndarray, bool]:
     """``(times, states, truncated)`` of a fixed-step flow: the stored
     states up to the first one that is not finite, their times, and
-    whether the flow stopped there.  The one stepping loop of every flow.
+    whether the flow stopped there.  Every flow steps here, in the loop
+    that :func:`_flow_step` builds for it.
 
     The step is adjusted by at most half a step so that an integer number
     of equal steps lands exactly on t_end."""
@@ -398,19 +497,8 @@ def _flow_states(problem: FlowProblem) -> tuple[np.ndarray, np.ndarray, bool]:
     if x.shape != (dim,):
         raise ValueError(f"x0 must have length {dim}")
     states[0] = x
-    x = x.tolist()
-    step = _flow_step(structure, problem.hamiltonian, problem.method)
-    isfinite = math.isfinite
-    truncated = False
-    count = n_steps + 1
-    for k in range(1, n_steps + 1):
-        x = step(x, dt)
-        if not all(map(isfinite, x)):
-            count = k
-            truncated = True
-            break
-        states[k] = x
-    return dt * np.arange(count), states[:count], truncated
+    count = _flow_step(structure, problem.hamiltonian, problem.method)(states, dt)
+    return dt * np.arange(count), states[:count], count <= n_steps
 
 
 def integrate(

@@ -12,7 +12,7 @@ and walks the tree once per variable; it is the reference and the error
 reporter.  The emitter (``_Codegen``) unrolls those rules into generated
 straight-line code that returns the value and every partial in one pass,
 bit for bit equal to the tree walker.  The library runs it on a whole
-state tuple: each flow's integration step (``dynamics._generate_step``)
+state tuple: each flow's stepping loop (``dynamics._generate_step``)
 and the one row generator (``_generate_row``), which every phase point,
 grid point, cloud point and generator runs.  A row holds the flows'
 monitors, a structure's entries (with their partials for bracket
@@ -636,7 +636,7 @@ _GENERATED_GLOBALS = {
 _LOCAL_RE = re.compile(r"\bt\d+\b")
 #: a text that names a value without computing it: a local, a bound global,
 #: a bare literal or a parenthesized constant
-_ATOM_RE = re.compile(r"[tx]\d+|_g\d+|\d+\.\d*|\(-?\d[\d.e+-]*\)")
+_ATOM_RE = re.compile(r"[a-z]\d+|_g\d+|\d+\.\d*|\(-?\d[\d.e+-]*\)")
 #: the spellings of the literal 1.0, a factor that drops out of a product
 _ONES = ("1.0", "(1.0)")
 
@@ -713,11 +713,7 @@ class _Codegen:
     def function(self, params: str, result: str, fallback: Callable | None = None) -> Callable:
         """``def (params)`` running the emitted lines and returning ``result``.
         With a ``fallback``, an evaluation error reruns it on the arguments.
-
-        ``_pow`` is bare ``math.pow``, whose only error for a fixed exponent
-        is ``OverflowError``; a call that overflows reruns the same code
-        with ``_pow`` bound to :func:`_pow_ieee`, so the result keeps the
-        tree walker's signed infinities without reaching the fallback."""
+        A call that overflows reruns its arguments on ``_ieee`` (:meth:`define`)."""
         body = "".join(f"        {line}\n" for line in self.lines)
         source = (
             f"def _compiled({params}):\n"
@@ -729,20 +725,31 @@ class _Codegen:
         )
         if fallback is not None:
             source += f"    except _errors:\n        return _fallback({params})\n"
-        code = builtins.compile(source, "<noncanon.expressions.compile>", "exec")
-        namespace = dict(_GENERATED_GLOBALS, **self.namespace, _fallback=fallback)
+        return self.define(source, _fallback=fallback)
 
-        def define(**names) -> Callable:
-            variant = dict(namespace, **names)
-            exec(code, variant)
+    def define(self, source: str, **names) -> Callable:
+        """The function ``_compiled`` that ``source`` defines, over the globals
+        of the emitted lines and ``names``.
+
+        ``_pow`` is bare ``math.pow``, whose only error for a fixed exponent
+        is ``OverflowError``.  The source catches ``_overflow`` and reruns on
+        ``_ieee``, the same code with ``_pow`` bound to :func:`_pow_ieee` and
+        an ``_overflow`` that catches nothing, so the result keeps the tree
+        walker's signed infinities without reaching any fallback."""
+        code = builtins.compile(source, "<noncanon.expressions.compile>", "exec")
+        namespace = dict(_GENERATED_GLOBALS, **self.namespace, **names)
+
+        def variant(**names) -> Callable:
+            bound = dict(namespace, **names)
+            exec(code, bound)
             # popped, so the function and its globals form no cycle and are
             # freed by reference counting as soon as the caller drops it
-            return variant.pop("_compiled")
+            return bound.pop("_compiled")
 
-        ieee = define(_pow=_pow_ieee, _overflow=())  # ``except ()`` catches nothing
+        ieee = variant(_pow=_pow_ieee, _overflow=())  # ``except ()`` catches nothing
         if "_pow(" not in source:
             return ieee
-        return define(_pow=math.pow, _overflow=OverflowError, _ieee=ieee)
+        return variant(_pow=math.pow, _overflow=OverflowError, _ieee=ieee)
 
     def emit(self, e: Expression) -> tuple[str, dict[str, str]]:
         """Emit ``e``; return the atom holding its value and, per variable

@@ -98,9 +98,10 @@ class DomainFilter:
 
     def keeps(self, v: float) -> bool:
         """Whether the value ``v`` of ``expr`` at a point keeps the point; a
-        NaN is kept."""
+        NaN, a value that cannot be compared, rejects it."""
         return not (
-            (self.min_abs is not None and abs(v) < self.min_abs)
+            v != v
+            or (self.min_abs is not None and abs(v) < self.min_abs)
             or (self.minimum is not None and v < self.minimum)
         )
 

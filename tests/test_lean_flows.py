@@ -57,21 +57,22 @@ _ONE_FACTOR = re.compile(r"(?<![\w.-])\(?1\.0\)? \*|\* \(?1\.0(?![\w.])")
 _ONE_GUARD = re.compile(r"(?<![\w.-])\(?1\.0\)? != 0\.0")
 
 
-def _sources(monkeypatch) -> list[tuple[list[str], str]]:
-    """The lines and the result of every function ``_Codegen`` builds."""
+def _sources(monkeypatch) -> list[list[str]]:
+    """The lines of every function ``_Codegen`` builds; each returns only
+    atoms, so its lines hold all of its arithmetic."""
     built = []
-    function = _Codegen.function
+    define = _Codegen.define
 
-    def spy(self, params, result, fallback=None):
-        built.append((list(self.lines), result))
-        return function(self, params, result, fallback)
+    def spy(self, source, **names):
+        built.append(list(self.lines))
+        return define(self, source, **names)
 
-    monkeypatch.setattr(_Codegen, "function", spy)
+    monkeypatch.setattr(_Codegen, "define", spy)
     return built
 
 
-def _assert_folded(lines: list[str], result: str) -> None:
-    source = "\n".join([*lines, result])
+def _assert_folded(lines: list[str]) -> None:
+    source = "\n".join(lines)
     assert not _ONE_FACTOR.search(source), source
     assert not _ONE_GUARD.search(source), source
     right_sides = [line.partition(" = ")[2] for line in lines]
@@ -95,15 +96,15 @@ def test_generated_step_has_no_exact_no_ops(monkeypatch, name, method):
     for h in hamiltonians:
         _generate_step(structure, parse(h), method)
     assert len(built) == len(hamiltonians)
-    for lines, result in built:
-        _assert_folded(lines, result)
+    for lines in built:
+        _assert_folded(lines)
 
 
 def test_compiled_expression_has_no_exact_no_ops(monkeypatch):
     built = _sources(monkeypatch)
     compile(parse("exp(q1) * 1.0 + q1^3 + (q1 + 1)*(q1 + 1) + p1*q1"), ("q1", "p1"))
-    (lines, result), = built
-    _assert_folded(lines, result)
+    lines, = built
+    _assert_folded(lines)
 
 
 def test_theta_f_one_shares_the_equal_velocities(monkeypatch):
@@ -111,8 +112,8 @@ def test_theta_f_one_shares_the_equal_velocities(monkeypatch):
     # each stage computes them once: 41 multiplies and 16 zero tests in all
     built = _sources(monkeypatch)
     _generate_step(constant_theta_f(1.0, 1.0), parse(_HAMILTONIANS[0]), "rk4")
-    (lines, result), = built
-    source = "\n".join([*lines, result])
+    lines, = built
+    source = "\n".join(lines)
     assert source.count(" * ") == 41
     assert source.count("!= 0.0") == 16
 

@@ -63,6 +63,8 @@ def _filter_by_compile(flt, env):
         v = compile(flt.expr)(env)[0]
     except DomainError:
         return False
+    if math.isnan(v):
+        return False
     if flt.min_abs is not None and abs(v) < flt.min_abs:
         return False
     if flt.minimum is not None and v < flt.minimum:
@@ -82,7 +84,7 @@ FILTERS = [
     DomainFilter(parse("log(y) + beta"), minimum=-1.0),
     DomainFilter(parse("1/(x - y)"), min_abs=0.5),
     DomainFilter(parse("sqrt(x*y)^3 - x"), minimum=-2.0),
-    # inf - inf: a NaN value keeps its point
+    # inf - inf: a NaN value rejects its point
     DomainFilter(parse("(1e308*y)^2 - (1e308*y)^2"), min_abs=1.0),
 ]
 
@@ -106,6 +108,24 @@ def test_a_filter_error_is_raised_unless_an_earlier_filter_rejects():
     assert str(err.value) == "unbound name 'gamma'"
     with pytest.raises(type(err.value), match="unbound name 'gamma'"):
         _filters_one_at_a_time(filters, ("x", "y"), {}, (1.0, 1.0))
+
+
+def test_a_grid_whose_filter_values_are_all_nan_has_no_admissible_points(tmp_path, capsys):
+    # each point's loglog filter is inf - inf: a value that cannot be
+    # compared rejects its point, so no point is left to check
+    doc = {
+        "version": 1,
+        "hodograph": {
+            "kind": "loglog",
+            "parameters": {"alpha": 1.0, "u0": 1e200, "v0": 1e200},
+            "grid": {"x": [-1.0, 1.0, 3], "y": [1e200, 2e200, 3]},
+        },
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli.main(["hodograph", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime error: grid has no admissible points\n"
 
 
 @pytest.mark.parametrize("kind", ["linear", "log", "loglog"])
