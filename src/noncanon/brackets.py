@@ -164,7 +164,12 @@ class PoissonStructure:
             raise StructureError(
                 f"phase point must have length {self.dim}, got shape {x.shape}"
             )
-        values = x.tolist()
+        return self._finite(x.tolist())
+
+    @staticmethod
+    def _finite(values: list) -> list:
+        """``values``, one phase point's coordinates, once each is checked
+        finite."""
         if not all(map(math.isfinite, values)):
             raise StructureError("phase point has non-finite entries")
         return values
@@ -209,17 +214,21 @@ class PoissonStructure:
         stack of every entry's value and partials with respect to
         ``variables`` (none, or every phase-space name) at its k points;
         k = 1 for one point."""
-        row = self._dual_row if variables else self._value_row
         x = np.asarray(x, dtype=float)
-        rows = []
-        for point in x if x.ndim == 2 else x[None]:
-            values = self._coordinates(point)
-            try:
-                rows.append(row(values))
-            except EVALUATION_ERRORS:
-                rows.append(_reference_row(self, self.entries.values(), values, variables))
+        rows = [
+            self._row(self._coordinates(point), variables)
+            for point in (x if x.ndim == 2 else x[None])
+        ]
         shape = (len(rows), len(self.entries), 1 + len(variables))
         return x.ndim == 2, np.array(rows, dtype=float).reshape(shape)
+
+    def _row(self, values: list, variables=()):
+        """The row of :meth:`_at_points` at one point's coordinates, redone
+        by the tree walker if the generated code raises."""
+        try:
+            return (self._dual_row if variables else self._value_row)(values)
+        except EVALUATION_ERRORS:
+            return _reference_row(self, self.entries.values(), values, variables)
 
     @cached_property
     def _flat_entries(self) -> tuple[np.ndarray, np.ndarray]:

@@ -738,12 +738,15 @@ def _cmd_hodograph(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
         # symmetric bit for bit, so the grid pass gives both branches' numbers
         min_uv = np.inf
         product_residual = 0.0
-        for (x, y), (u, v) in zip(checks.points, checks.values):
-            min_uv = min(min_uv, abs(u - v))
-            product_residual = max(
-                product_residual,
-                abs(u * v - params["u0"] * params["v0"] * np.exp(x / params["alpha"])),
-            )
+        # an overflowing product or exp stays silent, as the library's other
+        # overflows do; an inf - inf residual is NaN and never wins the max
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (x, y), (u, v) in zip(checks.points, checks.values):
+                min_uv = min(min_uv, abs(u - v))
+                product_residual = max(
+                    product_residual,
+                    abs(u * v - params["u0"] * params["v0"] * np.exp(x / params["alpha"])),
+                )
         stats = {
             "min_u_minus_v": float(min_uv),
             "root_product_residual": float(product_residual),

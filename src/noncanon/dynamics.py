@@ -431,11 +431,11 @@ def _row_blocks(structure: PoissonStructure, exprs, states: np.ndarray):
     for start in range(0, len(states), _DET_BLOCK):
         block = states[start : start + _DET_BLOCK]
         values = []
-        for j, x in enumerate(block.tolist()):
+        for x in block.tolist():
             try:
                 values.append(row(x))
             except EVALUATION_ERRORS:
-                values.append(_reference_row(structure, exprs, block[j]))
+                values.append(_reference_row(structure, exprs, x))
         rows[: len(block)] = values
         yield start, rows[: len(block)]
 

@@ -130,38 +130,113 @@ class SurfaceSample:
     rejected: int = 0
 
 
-def _damped_fixed_point(step: Callable, seed, tol: float, max_iter: int, message: str):
-    """Iterate x -> step(x) from ``seed`` until max |step(x) - x| <= tol and
-    return that last step(x).  A clearly diverging plain iteration is
-    retried once with damping 0.5; persistent failure raises with the last
-    iterate attached."""
-    x = seed
-    for damping in (1.0, 0.5):
-        x = seed
-        delta0 = None
-        for _ in range(max_iter):
-            target = step(x)
-            delta = np.max(np.abs(target - x))
-            if delta <= tol:
-                return target
-            if delta0 is None:
-                delta0 = delta
-            if not np.isfinite(delta) or delta > 10.0 * delta0 + 1.0:
-                break  # clearly diverging under this damping
-            x = x + damping * (target - x)
-    raise FixedPointError(message, x)
+def _damped_fixed_point(row, targets, seeds, tol: float, max_iter: int):
+    """Iterate x -> target(x) at each point of the (k, n) block ``seeds``
+    until max |target - x| <= tol there, and keep that last target.
+
+    Every point sees the iterates it would see alone.  A plain pass ends at
+    a delta that is not finite or exceeds 10 * delta0 + 1, delta0 being the
+    pass's first, or after ``max_iter`` steps; the point then restarts once
+    from its seed with damping 0.5, and a second failure rejects it.
+
+    Each round calls ``row(i, x)`` at every running point i, in order, with
+    its iterate as a list of floats, and then ``targets(running, rows)`` for
+    the (m, n) targets of the m running points.  A point whose row raises
+    :class:`DomainError` is rejected and the others go on; any other error
+    propagates.  The arithmetic is silent on overflow, as on Python
+    floats.
+
+    Returns ``(x, failed)``: ``x[i]`` is point i's last target, or its last
+    iterate if it failed, and ``failed`` maps every failed point to the
+    DomainError its row raised, or to None if it did not converge."""
+    seeds = np.asarray(seeds, dtype=float)
+    x = seeds.copy()
+    k = len(x)
+    damping = np.ones(k)
+    delta0 = np.zeros(k)
+    steps = np.zeros(k, dtype=np.intp)
+    failed: dict = {}
+    running = np.arange(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(running):
+            rows, live = [], []
+            for i, xi in zip(running.tolist(), x[running].tolist()):
+                try:
+                    rows.append(row(i, xi))
+                except DomainError as err:
+                    failed[i] = err
+                else:
+                    live.append(i)
+            running = np.array(live, dtype=np.intp)
+            if not len(running):
+                break
+            target = targets(running, rows)
+            current = x[running]
+            delta = np.max(np.abs(target - current), axis=1)
+            done = delta <= tol
+            x[running[done]] = target[done]
+            if done.all():
+                break
+            going = ~done
+            running, target, current, delta = (
+                a[going] for a in (running, target, current, delta)
+            )
+            first = steps[running] == 0
+            delta0[running[first]] = delta[first]
+            diverged = ~np.isfinite(delta) | (delta > 10.0 * delta0[running] + 1.0)
+            go = ~diverged
+            step = running[go]
+            x[step] = current[go] + damping[step, None] * (target[go] - current[go])
+            steps[running] += 1
+            ended = diverged | (steps[running] >= max_iter)
+            plain = damping[running] == 1.0
+            restart = running[ended & plain]
+            x[restart] = seeds[restart]
+            damping[restart] = 0.5
+            steps[restart] = 0
+            for i in running[ended & ~plain].tolist():
+                failed[i] = None
+            running = running[~ended | plain]
+    return x, failed
+
+
+def _one_point(x, failed: dict, message: str):
+    """The value that :func:`_damped_fixed_point` solved for a block of one
+    point, or its failure raised with its last iterate."""
+    if failed:
+        raise failed[0] or FixedPointError(message, x[0])
+    return x[0]
+
+
+def _surface_q(structure, constants, theta_ref, p, tol, max_iter):
+    """Solve q = c - theta(q, p) p at a (k, n) block of momenta ``p`` by
+    :func:`_damped_fixed_point`, seeded with the reference bracket values so
+    each iteration starts on the intended leaf.  Each round evaluates the
+    structure's value row at the running points only, every stored entry
+    included, and takes the theta blocks' products as one stack."""
+    n = structure.n
+    p_rows = p.tolist()
+
+    def leaf(theta, momenta):
+        return constants - (theta @ momenta[:, :, None])[:, :, 0]
+
+    def row(i, q):
+        return structure._row(structure._finite(q + p_rows[i]))
+
+    def targets(running, rows):
+        theta = structure._antisymmetric(np.array(rows, dtype=float))
+        return leaf(theta[:, :n, :n], p[running])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        seeds = leaf(theta_ref[None], p)
+    return _damped_fixed_point(row, targets, seeds, tol, max_iter)
 
 
 def _solve_surface_q(structure, constants, theta_ref, p, tol, max_iter):
-    """Solve q = c - theta(q, p) p by fixed-point iteration, seeded with the
-    reference bracket values so the iteration starts on the intended leaf."""
-
-    def step(q):
-        return constants - structure.theta_block(np.concatenate([q, p])) @ p
-
-    return _damped_fixed_point(
-        step, constants - theta_ref @ p, tol, max_iter, "surface solve did not converge"
-    )
+    """The surface solve of :func:`_surface_q` at one momentum point: its q,
+    or its failure raised."""
+    q, failed = _surface_q(structure, constants, theta_ref, np.asarray(p)[None], tol, max_iter)
+    return _one_point(q, failed, "surface solve did not converge")
 
 
 def surface_cloud(structure: PoissonStructure, reference, p_points) -> SurfaceSample:
@@ -169,8 +244,9 @@ def surface_cloud(structure: PoissonStructure, reference, p_points) -> SurfaceSa
 
     Momenta are chosen freely (``p_points``, shape (k, n)); coordinates are
     solved from q_m = -theta_mn(q, p) p_n + c_m with the constants taken at
-    the reference point.  Points whose solve fails to converge or leaves
-    the expression domain are dropped and counted."""
+    the reference point, in blocks of at most ``_DET_BLOCK`` momenta.
+    Points whose solve fails to converge or leaves the expression domain
+    are dropped and counted; the others keep their order."""
     _require_delta_kind(structure, "surface sampling")
     reference = np.asarray(reference, dtype=float)
     constants = reduction_constants(structure, reference)
@@ -182,18 +258,20 @@ def surface_cloud(structure: PoissonStructure, reference, p_points) -> SurfaceSa
             structure, constants, theta_ref, p, _FIXED_POINT_TOL, _FIXED_POINT_MAX_ITER
         )
 
-    points = []
+    points = [np.empty((0, structure.dim))]
     rejected = 0
-    for p in p_points:
-        try:
-            q = solve_q(p)
-        except (FixedPointError, DomainError):
-            rejected += 1
-            continue
-        points.append(np.concatenate([q, p]))
+    for start in range(0, len(p_points), _DET_BLOCK):
+        p = p_points[start : start + _DET_BLOCK]
+        q, failed = _surface_q(
+            structure, constants, theta_ref, p, _FIXED_POINT_TOL, _FIXED_POINT_MAX_ITER
+        )
+        keep = np.ones(len(p), dtype=bool)
+        keep[list(failed)] = False
+        points.append(np.concatenate([q[keep], p[keep]], axis=1))
+        rejected += len(failed)
     return SurfaceSample(
         reference=reference,
-        points=np.array(points) if points else np.empty((0, structure.dim)),
+        points=np.concatenate(points),
         solve_q=solve_q,
         rejected=rejected,
     )
@@ -616,20 +694,26 @@ def implicit_theta(
 ) -> float:
     """Solve theta = phi(q1 + theta p2, q2 - theta p1) by fixed point.
 
-    ``phi`` is an expression in the surface labels c1, c2.  Divergence
-    triggers a damped retry; persistent failure raises with the last
-    iterate attached."""
+    ``phi`` is an expression in the surface labels c1, c2.  The solve is a
+    block of one point of the surface solve's loop,
+    :func:`_damped_fixed_point`: divergence triggers a damped retry, and
+    persistent failure raises with the last iterate attached."""
     phi = as_expression(phi)
     q1, q2, p1, p2 = (float(v) for v in np.asarray(x, dtype=float))
     env = dict(parameters or {})
 
-    def step(theta):
-        env["c1"] = q1 + theta * p2
-        env["c2"] = q2 - theta * p1
-        return evaluate(phi, env)
+    def row(i, theta):
+        env["c1"] = q1 + theta[0] * p2
+        env["c2"] = q2 - theta[0] * p1
+        return (evaluate(phi, env),)
 
-    message = "implicit bracket solve did not converge"
-    return _damped_fixed_point(step, theta0, _FIXED_POINT_TOL, _FIXED_POINT_MAX_ITER, message)
+    def targets(running, rows):
+        return np.array(rows, dtype=float)
+
+    theta, failed = _damped_fixed_point(
+        row, targets, [[theta0]], _FIXED_POINT_TOL, _FIXED_POINT_MAX_ITER
+    )
+    return _one_point(theta[:, 0].tolist(), failed, "implicit bracket solve did not converge")
 
 
 def implicit_theta_constraint_residuals(

@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import struct
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -193,7 +194,7 @@ def _row_exprs(structure, h):
 
 def _reference_outcome(structure, exprs, x):
     try:
-        return _reference_row(structure, exprs, np.array(x))
+        return _reference_row(structure, exprs, x)
     except EVALUATION_ERRORS as err:
         return err
 
@@ -232,6 +233,18 @@ def test_raising_row_is_redone_once_by_the_tree_walker():
     ):
         _monitor_pass(structure, _named(exprs), states)
     assert redo.call_count == 1
+
+
+def test_a_redone_row_overflows_silently():
+    # ``1/p1`` divides by zero, so the state is redone by the tree walker,
+    # whose first entry overflows on the state's Python floats, silently, as
+    # it would in generated code, before the division raises
+    structure = canonical(1)
+    exprs = [parse("q1*q1*1e300"), parse("1/p1")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="division by zero"):
+            _monitor_pass(structure, _named(exprs), np.array([[1e10, 0.0]]))
 
 
 def _reference_pass(structure, exprs, states):

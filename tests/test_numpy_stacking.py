@@ -5,11 +5,14 @@ of the one-point operations they replace.
 stacked ``(k, 1, d) @ (k, d, 1)`` product, and ``degeneracy_of`` takes the
 determinants and the pairing products of a ``(k, d, d)`` stack at once.
 ``cli.sample_cloud`` draws a cloud as ``(k, dim)`` blocks of the random
-stream and scales each block onto the cloud's ranges at once.  numpy gives these the kernels of the one-point calls, but does not promise
-it; if a numpy release changes that, these tests fail first.  They use the
-exact views the library passes, at d = 4 and 6, with signed zeros,
-subnormals, infinities and NaNs among the values (any NaN equals any
-other)."""
+stream and scales each block onto the cloud's ranges at once.
+``reduction._surface_q`` takes the theta blocks' products with the momenta
+as one ``(k, n, n) @ (k, n, 1)`` stack, and its seeds as
+``theta_ref[None] @ P[:, :, None]``.  numpy gives these the kernels of the
+one-point calls, but does not promise it; if a numpy release changes that,
+these tests fail first.  They use the exact views the library passes, at
+d = 4 and 6, with signed zeros, subnormals, infinities and NaNs among the
+values (any NaN equals any other)."""
 
 import math
 import struct
@@ -104,3 +107,24 @@ def test_block_draw_matches_one_draw_per_point(seed):
     )
     # the stream goes on where the rows left it
     assert np.random.default_rng(seed).random((k + 1, dim))[-1].tolist() == rng.random(dim).tolist()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_theta_products_match_one_point_products(n):
+    # the surface solve's targets: the n x n theta block of each (2n, 2n)
+    # bracket matrix times that point's momenta, against the one-point
+    # ``theta_block(x) @ p``; and its seeds, one reference block times every
+    # momentum point.  The seeds' ``P @ theta_ref.T`` would not be
+    # bit-identical (112 of the 500 points differ at n = 3).
+    rng = np.random.default_rng(30 + n)
+    stack = _values(rng, (K, 2 * n, 2 * n))
+    momenta = _values(rng, (K, n))
+    with np.errstate(all="ignore"):
+        matrices = stack - stack.transpose(0, 2, 1)
+        stacked = (matrices[:, :n, :n] @ momenta[:, :, None])[:, :, 0]
+        one_point = [matrices[j][:n, :n] @ momenta[j] for j in range(K)]
+        _compare("(k,n,n)@(k,n,1) against (n,n)@(n,)", stacked, one_point)
+        theta_ref = matrices[0][:n, :n]
+        stacked = (theta_ref[None] @ momenta[:, :, None])[:, :, 0]
+        one_point = [theta_ref @ momenta[j] for j in range(K)]
+        _compare("theta_ref[None]@(k,n,1) against (n,n)@(n,)", stacked, one_point)

@@ -2,11 +2,14 @@
 
 Entries of about 1e200 overflow in the Jacobi residuals, the stacked
 determinants and the inverse pairing products of ``check-jacobi``, and in
-the determinant that ``integrate`` takes along the flow.  Each of
-``jacobi_report``, ``degeneracy_of`` and the monitor pass's determinant
-runs under one ``np.errstate``, so these runs print no numpy
-``RuntimeWarning``, and their exit codes and artifacts are the ones they
-had when they warned (pinned by SHA-256)."""
+the determinant that ``integrate`` takes along the flow.  A loglog family
+with alpha = 0.01 and u0 * v0 < 0 admits grid points where exp(x/alpha)
+overflows in ``hodograph``'s root-product statistics, which then subtract
+inf from inf.  Each of ``jacobi_report``, ``degeneracy_of``, the monitor
+pass's determinant and the loglog statistics runs under one
+``np.errstate``, so these runs print no numpy ``RuntimeWarning``, and their
+exit codes and artifacts are the ones they had when they warned (pinned by
+SHA-256)."""
 
 import hashlib
 import json
@@ -81,6 +84,22 @@ CASES = {
             ),
             "trajectory.csv": (
                 "a8f163c0282960a5436b8638d2125d1fa6c0646f5acac7fc32e57ff97b6d709d"
+            ),
+        },
+    ),
+    "loglog_hodograph": (
+        "hodograph",
+        {
+            "version": 1,
+            "hodograph": {
+                "kind": "loglog",
+                "parameters": {"alpha": 0.01, "u0": -1.0, "v0": 1.0},
+                "grid": {"x": [-1.0, 10.0, 5], "y": [1.0, 3.0, 5]},
+            },
+        },
+        {
+            "hodograph_report.json": (
+                "d25475d4d3664bee98ecf90118955444ac072acdaaeb84c19bfe4559cb11c9cc"
             ),
         },
     ),
