@@ -8,9 +8,9 @@ driven by a versioned JSON config, writes deterministic artifacts (CSV at
 and evaluates the config's assertion list against the produced report.
 
 Every config value is read through one typed reader, :func:`_read` (and
-:func:`_as` for a list element): a number is any JSON number and an
-integer a JSON integer, neither of them a bool; a count is an integer in
-its bounds; a flag, a string, a list and an object are exactly that JSON
+:func:`_as` for a list element): a number is any finite JSON number and
+an integer a JSON integer, neither of them a bool; a count is an integer
+in its bounds; a flag, a string, a list and an object are exactly that JSON
 type.  Every expression is read by :func:`_expr`, which parses it and
 rejects names it may not use and trees deeper than :data:`MAX_DEPTH`.  A
 value that does not read is a config error that names its JSON path.
@@ -105,9 +105,11 @@ _SEEDS = range(2**64)
 def _as(value, kind, path: str):
     """``value`` read as ``kind``, a config error at ``path`` otherwise.
 
-    ``float`` takes any JSON number and ``int`` a JSON integer, neither of
-    them a bool; a ``range`` takes an integer in it; ``bool``, ``str``,
-    ``list`` and ``dict`` take exactly that JSON type."""
+    ``float`` takes any finite JSON number (so not ``1e309``, which JSON
+    reads as an infinity, nor an integer too large for a float) and
+    ``int`` a JSON integer, neither of them a bool; a ``range`` takes an
+    integer in it; ``bool``, ``str``, ``list`` and ``dict`` take exactly
+    that JSON type."""
     if isinstance(kind, range):
         value = _as(value, int, path)
         if value not in kind:
@@ -118,16 +120,19 @@ def _as(value, kind, path: str):
         raise ConfigError(path, f"expected {_TYPE_NAMES[kind]}, got {type(value).__name__}")
     if kind is float:
         try:
-            return float(value)
+            value = float(value)
         except OverflowError:
-            raise ConfigError(path, "expected a number within the range of a float") from None
+            value = math.inf  # an integer too large for a float
+        if not math.isfinite(value):
+            raise ConfigError(path, "expected a finite number")
     return value
 
 
 def _tolerance(value, path: str) -> float:
-    """A tolerance from the config or ``--tol``: finite and at least 0."""
+    """A tolerance from the config or ``--tol``: a number (finite, as
+    :func:`_as` reads it) of at least 0."""
     tol = _as(value, float, path)
-    if not 0.0 <= tol < math.inf:
+    if tol < 0.0:
         raise ConfigError(path, "expected a finite number, at least 0")
     return tol
 
@@ -150,24 +155,13 @@ def _numbers(values, path: str, length: int | None = None) -> list[float]:
     return numbers
 
 
-def _finite(x: float, path: str) -> float:
-    """``x``, a number read from the config at ``path``, if it is finite."""
-    if not math.isfinite(x):
-        raise ConfigError(path, "expected a finite number")
-    return x
-
-
-def _point(values, path: str, length: int) -> list[float]:
-    """A config phase-space point: ``length`` finite numbers."""
-    return [_finite(x, f"{path}[{i}]") for i, x in enumerate(_numbers(values, path, length))]
-
-
 def _fit_abscissae(values, path: str) -> list[float]:
     """A config list of numbers that a log-log fit takes as its abscissae:
-    each finite and above 0, and at least two distinct values."""
+    each above 0 (and finite, as :func:`_as` reads it), and at least two
+    distinct values."""
     numbers = _numbers(values, path)
     for i, x in enumerate(numbers):
-        if not 0.0 < x < math.inf:
+        if not x > 0.0:
             raise ConfigError(f"{path}[{i}]", "expected a finite number above 0")
     if len(set(numbers)) < 2:
         raise ConfigError(path, "expected at least two distinct values")
@@ -224,8 +218,9 @@ def _check_integrator(dt: float, t_end: float, method="rk4", path="$.integrator"
 
 
 def _span(values, path: str) -> list[float]:
-    """The ``[low, high]`` sampling bounds at ``path``; ``high - low`` must be
-    finite (so no NaN, no infinity, no overflow), and ``low > high`` is fine."""
+    """The ``[low, high]`` sampling bounds at ``path``: two numbers, finite
+    as :func:`_as` reads them, whose difference ``high - low`` does not
+    overflow; ``low > high`` is fine."""
     low, high = _numbers(values, path, 2)
     if not math.isfinite(high - low):
         raise ConfigError(path, "expected [low, high] with a finite difference")
@@ -263,8 +258,8 @@ def _build_structure(cfg: dict, n: int, parameters: dict) -> PoissonStructure:
         if kind == "canonical":
             return canonical(n, parameters)
         if kind == "constant-theta-f":
-            theta = _finite(_read(spec, "theta", float, path), f"{path}.theta")
-            f = _finite(_read(spec, "f", float, path), f"{path}.f")
+            theta = _read(spec, "theta", float, path)
+            f = _read(spec, "f", float, path)
             if n != 2:
                 raise ConfigError(path, "constant-theta-f requires n = 2")
             return constant_theta_f(theta, f, parameters)
@@ -516,7 +511,7 @@ def _cmd_integrate(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
     names = {*structure.variable_names, *cfg.parameters}
     ham = _expr(_read(cfg.raw, "hamiltonian", str, "$"), "$.hamiltonian", names)
     integ = _read(cfg.raw, "integrator", dict, "$")
-    x0 = _point(_read(cfg.raw, "initial_state", list, "$"), "$.initial_state", structure.dim)
+    x0 = _numbers(_read(cfg.raw, "initial_state", list, "$"), "$.initial_state", structure.dim)
     dt = _read(integ, "dt", float, "$.integrator")
     t_end = _read(integ, "t_end", float, "$.integrator")
     method = _read(integ, "method", str, "$.integrator", "rk4")
@@ -550,7 +545,7 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     n = structure.n
     names = {*structure.variable_names, *cfg.parameters}
     reference = _read(block, "reference_point", list, path)
-    reference = np.array(_point(reference, f"{path}.reference_point", structure.dim))
+    reference = np.array(_numbers(reference, f"{path}.reference_point", structure.dim))
 
     ham = None
     if _read(block, "spectrum", bool, path, False):
@@ -560,7 +555,7 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
         _check_integrator(dt, t_end, path=path)
         constants = block.get("constants")
         if constants is not None:
-            constants = _point(constants, f"{path}.constants", n)
+            constants = _numbers(constants, f"{path}.constants", n)
         if "hamiltonian" in cfg.raw:
             ham = _expr(cfg.raw["hamiltonian"], "$.hamiltonian", names)
 
@@ -639,7 +634,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
             raise ConfigError(f"$.sweep.epsilons[{i}]", "expected a number below 1")
     names = {*phase_variable_names(2), *cfg.parameters}
     ham = _expr(_read(cfg.raw, "hamiltonian", str, "$"), "$.hamiltonian", names)
-    x0 = _point(_read(cfg.raw, "initial_state", list, "$"), "$.initial_state", 4)
+    x0 = _numbers(_read(cfg.raw, "initial_state", list, "$"), "$.initial_state", 4)
     integ = _read(cfg.raw, "integrator", dict, "$", {})
     dt = _read(integ, "dt", float, "$.integrator", 1e-3)
     t_end = _read(integ, "t_end", float, "$.integrator", 10.0)

@@ -363,7 +363,10 @@ class _Parser:
     def base(self) -> Expression:
         kind, text, pos = self.next()
         if kind == "num":
-            return Const(float(text))
+            value = float(text)
+            if math.isinf(value):
+                raise ParseError(f"number {text!r} overflows a float", self.source, pos)
+            return Const(value)
         if kind == "name":
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] == "(":

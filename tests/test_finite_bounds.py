@@ -3,10 +3,11 @@
 A ``[low, high]`` pair of ``cloud.ranges``,
 ``reduction.surface_parameter_ranges`` or a hodograph ``grid`` axis is
 drawn from as ``low + (high - low) * t``, so ``high - low`` must be finite:
-a NaN, an infinity or a pair whose difference overflows is a config error
-(exit 2) at the pair's JSON path, raised before any sample or grid point
-is drawn.  These used to end as a runtime error (exit 3) after a numpy
-warning, or, for a grid, as a vacuous pass (exit 0) over NaN points.
+a NaN or an infinity is a config error (exit 2) at the element's JSON
+path, and a pair whose difference overflows one at the pair's JSON path,
+raised before any sample or grid point is drawn.  These used to end as a
+runtime error (exit 3) after a numpy warning, or, for a grid, as a
+vacuous pass (exit 0) over NaN points.
 Reversed pairs such as ``[2, 1]`` sample as before."""
 
 import json
@@ -60,16 +61,16 @@ def run_config(tmp_path, capsys, command, doc):
 # name: ((command, config), JSON path named by the error)
 BAD = {
     "cloud_overflowing_span": (_cloud([-1e308, 1e308]), "$.cloud.ranges.q1"),
-    "cloud_infinite_low": (_cloud([-INF, 1.0]), "$.cloud.ranges.q1"),
-    "cloud_nan_low": (_cloud([NAN, 1.0]), "$.cloud.ranges.q1"),
-    "cloud_infinite_high": (_cloud([0.0, INF]), "$.cloud.ranges.q1"),
-    "surface_infinite_low": (_surface([INF, 1.0]), "$.reduction.surface_parameter_ranges.p1"),
+    "cloud_infinite_low": (_cloud([-INF, 1.0]), "$.cloud.ranges.q1[0]"),
+    "cloud_nan_low": (_cloud([NAN, 1.0]), "$.cloud.ranges.q1[0]"),
+    "cloud_infinite_high": (_cloud([0.0, INF]), "$.cloud.ranges.q1[1]"),
+    "surface_infinite_low": (_surface([INF, 1.0]), "$.reduction.surface_parameter_ranges.p1[0]"),
     "surface_overflowing_span": (_surface([-1e308, 1e308]),
                                  "$.reduction.surface_parameter_ranges.p1"),
-    "surface_nan_high": (_surface([0.8, NAN]), "$.reduction.surface_parameter_ranges.p1"),
+    "surface_nan_high": (_surface([0.8, NAN]), "$.reduction.surface_parameter_ranges.p1[1]"),
     "grid_x_overflowing_span": (_grid("x", [-1e308, 1e308, 5]), "$.hodograph.grid.x"),
-    "grid_y_nan_low": (_grid("y", [NAN, 1.0, 5]), "$.hodograph.grid.y"),
-    "grid_x_infinite_high": (_grid("x", [0.5, INF, 5]), "$.hodograph.grid.x"),
+    "grid_y_nan_low": (_grid("y", [NAN, 1.0, 5]), "$.hodograph.grid.y[0]"),
+    "grid_x_infinite_high": (_grid("x", [0.5, INF, 5]), "$.hodograph.grid.x[1]"),
 }
 
 
