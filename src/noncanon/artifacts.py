@@ -1,5 +1,7 @@
 """Deterministic artifact output: CSV at 17 significant digits, standard JSON
-with stable key order.  Identical inputs must yield byte-identical files."""
+with stable key order.  Identical inputs must yield byte-identical files.
+A CSV is a table of floats, written a float64 block at a time through one
+``%.17g`` row template (:func:`write_csv`)."""
 
 from __future__ import annotations
 
@@ -10,41 +12,25 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# trajectory rows are converted to Python floats this many at a time
+# the most rows one template formats, and the states per trajectory block
 ROW_BLOCK = 512
 
-_only_floats = frozenset({float}).issuperset
 
+def write_csv(path, header: Sequence[str], blocks: Iterable[np.ndarray]) -> None:
+    """Header line, then the rows of ``blocks``, streamed to ``path``.
 
-def format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int,)) and not isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Header line, then one line per row, streamed to ``path``.
-
-    A row of as many Python floats as the header has names goes through
-    one ``%.17g`` template, which gives the bytes of :func:`format_value`;
-    any other row is formatted value by value."""
-    width = len(header)
-    template = ",".join(["%.17g"] * width) + "\n"
-
-    def lines():
-        for row in rows:
-            if len(row) == width and _only_floats(map(type, row)):
-                yield template % tuple(row)
-            else:
-                yield ",".join(map(format_value, row)) + "\n"
-
+    Each block is a 2-D float64 array with one column per header name.
+    Each slice of at most :data:`ROW_BLOCK` of its rows is formatted by one
+    ``%`` of the row template repeated per row.  ``tolist()`` hands the
+    template Python floats, which ``%.17g`` formats as ``format(v, ".17g")``
+    does: NaN, infinities, -0.0 and subnormals included."""
+    template = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(lines())
+        for block in blocks:
+            for start in range(0, len(block), ROW_BLOCK):
+                rows = block[start : start + ROW_BLOCK]
+                fh.write((template * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _plain(obj):
@@ -70,11 +56,11 @@ def write_json(path, obj) -> None:
 
 
 def trajectory_rows(trajectory, variable_names: Sequence[str]):
-    """Header and row iterator for the trajectory export: t, the state
+    """Header and block iterator for the trajectory export: t, the state
     components, H, then the remaining monitors in insertion order.
 
-    Rows are lists of Python floats, stacked :data:`ROW_BLOCK` states at a
-    time, so the whole table is never held at once."""
+    Blocks are float64 arrays of :data:`ROW_BLOCK` states at a time, so the
+    whole table is never held at once."""
     monitor_names = [m for m in trajectory.monitors if m != "H"]
     header = ["t", *variable_names, "H", *monitor_names]
     columns = [
@@ -84,9 +70,9 @@ def trajectory_rows(trajectory, variable_names: Sequence[str]):
         *(trajectory.monitors[m] for m in monitor_names),
     ]
 
-    def rows():
+    def blocks():
         for start in range(0, len(trajectory.times), ROW_BLOCK):
             stop = start + ROW_BLOCK
-            yield from np.column_stack([c[start:stop] for c in columns]).tolist()
+            yield np.column_stack([c[start:stop] for c in columns])
 
-    return header, rows()
+    return header, blocks()

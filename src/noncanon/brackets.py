@@ -371,7 +371,7 @@ class PoissonStructure:
         pairing = None
         planar = None
         # silent on overflow, as the same arithmetic on Python floats
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             det = np.linalg.det(stack)
             if self.kind in DELTA_KINDS:
                 n = self.n

@@ -23,6 +23,7 @@ quotient included).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -473,7 +474,7 @@ def _cmd_check_jacobi(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[st
     det_min = np.inf
     det_max = -np.inf
     pairing_max = 0.0
-    rows = []
+    blocks = []
     for start in range(0, len(cloud), size):
         block = cloud[start : start + size]
         rep = structure.jacobi_report(block)
@@ -491,7 +492,7 @@ def _cmd_check_jacobi(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[st
         det_max = max([det_max, *dets])
         if deg.inverse_pairing_residual is not None:
             pairing_max = np.fmax.reduce(deg.inverse_pairing_residual, initial=pairing_max)
-        rows += np.column_stack([block, rep.generic_max, deg.det]).tolist()
+        blocks.append(np.column_stack([block, rep.generic_max, deg.det]))
     results = {
         "cloud": {"count": len(cloud), "seed": cfg.seed, "rng": RNG_ALGORITHM},
         "generic_max": generic_max,
@@ -502,7 +503,7 @@ def _cmd_check_jacobi(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[st
         "inverse_pairing_max": pairing_max,
     }
     header = [*structure.variable_names, "generic_residual", "det"]
-    write_csv(out_dir / "jacobi_points.csv", header, rows)
+    write_csv(out_dir / "jacobi_points.csv", header, blocks)
     return results, ["jacobi_points.csv"]
 
 
@@ -533,8 +534,8 @@ def _cmd_integrate(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
         "monitors": monitors,
         "final_state": [float(v) for v in traj.states[-1]],
     }
-    header, rows = trajectory_rows(traj, structure.variable_names)
-    write_csv(out_dir / "trajectory.csv", header, rows)
+    header, blocks = trajectory_rows(traj, structure.variable_names)
+    write_csv(out_dir / "trajectory.csv", header, blocks)
     return results, ["trajectory.csv"]
 
 
@@ -611,11 +612,7 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     # written once nothing can fail, so a failed run leaves no artifact
     artifacts = []
     if len(points) > 0:
-        write_csv(
-            out_dir / "surface_points.csv",
-            list(structure.variable_names),
-            [list(map(float, x)) for x in points],
-        )
+        write_csv(out_dir / "surface_points.csv", list(structure.variable_names), [points])
         artifacts.append("surface_points.csv")
     write_json(out_dir / "reduction_report.json", results)
     artifacts.append("reduction_report.json")
@@ -653,8 +650,8 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     results = asdict(sweep)
     results["slope_error_from_unity"] = abs(sweep.fitted_slope - 1.0)
     header = ["epsilon", *(f"c_{m}_drift" for m in range(1, 3)), "max_drift"]
-    rows = [[float(r[key]) for key in header] for r in sweep.rows]
-    write_csv(out_dir / "epsilon_sweep.csv", header, rows)
+    rows = [[r[key] for key in header] for r in sweep.rows]
+    write_csv(out_dir / "epsilon_sweep.csv", header, [np.array(rows, dtype=float)])
     return results, ["epsilon_sweep.csv"]
 
 
@@ -753,9 +750,8 @@ def _cmd_hodograph(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
         sweep = hg.limit_sweep(kind, params, alphas, grid)
         results["sweep"] = asdict(sweep)
         header = ["alpha", "max_dev_u", "max_dev_v", "max_u_minus_v", "fitted_order"]
-        order = float(sweep.fitted_order)
-        rows = [[*(float(r[key]) for key in header[:-1]), order] for r in sweep.rows]
-        write_csv(out_dir / "alpha_sweep.csv", header, rows)
+        rows = [[*(r[key] for key in header[:-1]), sweep.fitted_order] for r in sweep.rows]
+        write_csv(out_dir / "alpha_sweep.csv", header, [np.array(rows, dtype=float)])
         artifacts.append("alpha_sweep.csv")
     return results, artifacts
 
@@ -810,7 +806,10 @@ def run(command: str, cfg: RunConfig, out_dir, seed=None, tol=None) -> RunReport
     )
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call to :func:`main`
+    and kept for the process: parsing holds no state between calls."""
     parser = argparse.ArgumentParser(
         prog="noncanon",
         description="bracket-consistency checks, non-canonical integration, "
@@ -823,7 +822,11 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     out_dir = args.out or f"out_{args.command.replace('-', '_')}"
     try:

@@ -1,10 +1,13 @@
 """Config ingestion, command dispatch, artifacts, exit codes."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from noncanon import cli
 from noncanon.cli import (
     EXIT_ASSERTION,
     EXIT_CONFIG,
@@ -185,6 +188,27 @@ class TestMainExitCodes:
         path = write_config(tmp_path, doc)
         code = main(["integrate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_RUNTIME
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # importing builds no parser: perfbench's setup_s times the import
+        src = Path(cli.__file__).resolve().parents[1]
+        probe = f"import sys; sys.path.insert(0, {str(src)!r}); import noncanon.cli as c; "
+        probe += "print(c._parser.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert out.stdout == "0\n", out.stderr
+        usage = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                main(["integrate", "--config", "x.json", "--seed", "abc"])
+            assert err.value.code == 2
+            usage.append(capsys.readouterr().err)
+        assert usage[0] == usage[1] and "invalid int value: 'abc'" in usage[0]
+        path = write_config(tmp_path, MINIMAL)
+        argv = ["integrate", "--config", str(path), "--out", str(tmp_path / "o"), "--seed", "5"]
+        assert main(argv) == EXIT_OK
+        # a call's options do not reach the next
+        args = cli._parser().parse_args(["reduce", "--config", "y.json"])
+        assert (args.command, args.out, args.seed, args.tol) == ("reduce", None, None, None)
 
 
 class TestFixturesAllPass:

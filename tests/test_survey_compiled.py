@@ -112,6 +112,12 @@ def tree_theta(s, x):
     return m
 
 
+# silent, as the library's stacked passes are, where an entry overflows to
+# inf and the det or a product meets inf * 0 or inf - inf
+_QUIET = np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
+@_QUIET
 def tree_jacobi(s, x):
     env = s.env_at(x)
     names = s.variable_names
@@ -152,6 +158,7 @@ def tree_jacobi(s, x):
     return generic, identities
 
 
+@_QUIET
 def tree_degeneracy(s, x):
     m = tree_theta(s, x)
     det = float(np.linalg.det(m))
@@ -228,8 +235,8 @@ def test_general_planar_identities_are_reported():
 @given(x=_coordinate, y=st.floats(-3.0, 3.0, allow_nan=False))
 def test_field_partials_match_the_tree_walker(kind, parameters, branch, x, y):
     family = build_family(kind, parameters, branch=branch)
-    # grid points arrive as numpy scalars
-    x, y = np.float64(x), np.float64(y)
+    # the draws are Python floats, as grid_checks hands them to
+    # _field_partials from points.T.tolist()
     assert _outcome(_field_partials, family, x, y) == _outcome(
         tree_field_partials, family, x, y
     )
