@@ -34,12 +34,10 @@ import numpy as np
 # ``parse`` and ``evaluate`` stay bound here: perfbench/tracing.py wraps them
 # under these names
 from .expressions import (  # noqa: F401
-    EVALUATION_ERRORS,
     Const,
     Expression,
     Unary,
     _generate_row,
-    _reference_row,
     as_expression,
     evaluate,
     free_names,
@@ -191,8 +189,8 @@ class PoissonStructure:
     # Every point runs the row that the flows run on a state tuple
     # (``expressions._generate_row``): one generated function per structure,
     # built on first use, for every stored entry's value, or its value and
-    # then its partials.  A row that raises is redone by the tree walker
-    # (``_reference_row``), entry by entry, value before partials, so
+    # then its partials.  A row whose generated code raises redoes itself
+    # on the tree walker, entry by entry, value before partials, so
     # errors, and which of them wins, are the tree walker's.  A (k, dim)
     # block of points is evaluated point by point in order, so its first
     # raising point raises first, and read as stacks of k matrices; one
@@ -215,20 +213,10 @@ class PoissonStructure:
         ``variables`` (none, or every phase-space name) at its k points;
         k = 1 for one point."""
         x = np.asarray(x, dtype=float)
-        rows = [
-            self._row(self._coordinates(point), variables)
-            for point in (x if x.ndim == 2 else x[None])
-        ]
+        row = self._dual_row if variables else self._value_row
+        rows = [row(self._coordinates(point)) for point in (x if x.ndim == 2 else x[None])]
         shape = (len(rows), len(self.entries), 1 + len(variables))
         return x.ndim == 2, np.array(rows, dtype=float).reshape(shape)
-
-    def _row(self, values: list, variables=()):
-        """The row of :meth:`_at_points` at one point's coordinates, redone
-        by the tree walker if the generated code raises."""
-        try:
-            return (self._dual_row if variables else self._value_row)(values)
-        except EVALUATION_ERRORS:
-            return _reference_row(self, self.entries.values(), values, variables)
 
     @cached_property
     def _flat_entries(self) -> tuple[np.ndarray, np.ndarray]:

@@ -20,10 +20,11 @@ every monitor and every stored bracket entry, and ``det Theta`` is taken
 over the structure's own assembly of those entries; an epsilon sweep's
 row holds only the frozen combinations it reports.  Both bind the state
 to locals, and the row loads each parameter once per call.  The tree
-walker (``_Velocity``, ``expressions._reference_row``) stays the
-reference: it redoes any step or row whose generated code raises, once,
-and is bit-identical where the generated code succeeds; the loop then
-resumes after the redone step.  Every flow, the reduced flow of
+walker stays the reference and is bit-identical where the generated code
+succeeds.  A row whose generated code raises redoes itself on it
+(``expressions._reference_row``); a step whose generated code raises is
+redone here, once, by ``_Velocity``, and the loop then resumes after the
+redone step.  Every flow, the reduced flow of
 :mod:`reduction` included (its constant bracket on q1..qn read like any
 structure's, with no monitor row), is stepped by :func:`_flow_states`.
 """
@@ -55,7 +56,6 @@ from .expressions import (  # noqa: F401
     _eval,
     _generate_row,
     _product,
-    _reference_row,
     _state_codegen,
     as_expression,
     free_names,
@@ -371,7 +371,7 @@ def _flow_step(structure: PoissonStructure, hamiltonian: Expression, method: str
                 k = loop(states[k].tolist(), dt, k, n, out)
             except EVALUATION_ERRORS as err:
                 k = getattr(err, "steps", k)
-                with np.errstate(over="ignore", invalid="ignore"):
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                     states[k + 1] = redo(states[k], dt)
                 k += 1
             # the loop stops at a sum that is not finite; finite components
@@ -421,22 +421,16 @@ def _row_blocks(structure: PoissonStructure, exprs, states: np.ndarray):
     states.
 
     One generated function computes a state's row from the state tuple,
-    with parameters loaded once per call.  A state whose row raises is
-    redone once, by :func:`_reference_row`, so errors are the tree
-    walker's, in the order of ``exprs``.  Every block is written into one
+    with parameters loaded once per call.  A state whose generated code
+    raises is redone inside the row by the tree walker, so errors are the
+    tree walker's, in the order of ``exprs``.  Every block is written into one
     reused array, which keeps the extra memory to one block; read ``rows``
     before the next block replaces it."""
     row = _generate_row(structure, exprs)
     rows = np.empty((_DET_BLOCK, len(exprs)))
     for start in range(0, len(states), _DET_BLOCK):
         block = states[start : start + _DET_BLOCK]
-        values = []
-        for x in block.tolist():
-            try:
-                values.append(row(x))
-            except EVALUATION_ERRORS:
-                values.append(_reference_row(structure, exprs, x))
-        rows[: len(block)] = values
+        rows[: len(block)] = list(map(row, block.tolist()))
         yield start, rows[: len(block)]
 
 

@@ -19,11 +19,18 @@ monitors, a structure's entries (with their partials for bracket
 matrices, Jacobi and degeneracy checks and surface solves), a grid's or a
 cloud's domain filters over its coordinates, a hodograph family's u and v
 over (x, y), with their partials for the transport checks, or a custom
-generator's value and slope over (s,).  A row does not fall back; its
-caller redoes a raising row on the tree walker, by :func:`_reference_row`
-or, for filters, filter by filter.  ``compile`` builds the same code for
-one expression over an env dict, and reruns the tree walker whenever it
-raises; no library module calls it.
+generator's value and slope over (s,).  ``compile`` builds the same code
+for one expression over an env dict; no library module calls it.
+
+Rows and ``compile`` redo themselves: where the generated code raises,
+they rerun the tree walker on the same arguments (:func:`_reference_row`
+for a row), so the result or the error is the tree walker's.  Three
+callers keep a rule of their own, none of them a redo of a row: a flow
+step is redone by the tree walker on numpy scalars
+(``dynamics._flow_step``), a filter pass takes its filters one at a time
+so that a reject before an error wins (``hodograph.admission``), and a
+generator's value survives an error in its slope
+(``hodograph._GeneratorSolver``).
 
 Both evaluators call one set of helpers for the rules that branch on
 runtime values (``_exp``, ``_sqrt_partial`` and the ``_pow_*`` helpers), so
@@ -66,6 +73,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
@@ -713,10 +721,10 @@ class _Codegen:
                 kept.append(line)
         self.lines = kept[::-1]
 
-    def function(self, params: str, result: str, fallback: Callable | None = None) -> Callable:
+    def function(self, params: str, result: str, fallback: Callable) -> Callable:
         """``def (params)`` running the emitted lines and returning ``result``.
-        With a ``fallback``, an evaluation error reruns it on the arguments.
-        A call that overflows reruns its arguments on ``_ieee`` (:meth:`define`)."""
+        A call that overflows reruns its arguments on ``_ieee`` (:meth:`define`),
+        and any other evaluation error reruns them on ``fallback``."""
         body = "".join(f"        {line}\n" for line in self.lines)
         source = (
             f"def _compiled({params}):\n"
@@ -725,9 +733,9 @@ class _Codegen:
             f"        return {result}\n"
             "    except _overflow:\n"
             f"        return _ieee({params})\n"
+            "    except _errors:\n"
+            f"        return _fallback({params})\n"
         )
-        if fallback is not None:
-            source += f"    except _errors:\n        return _fallback({params})\n"
         return self.define(source, _fallback=fallback)
 
     def define(self, source: str, **names) -> Callable:
@@ -922,15 +930,28 @@ def _state_codegen(structure, variables: Sequence[str] = ()) -> tuple[_Codegen, 
 
 
 def _generate_row(structure, exprs, variables: Sequence[str] = ()) -> Callable:
-    """Generated code for one row, ``row(x) -> tuple``: for every
-    expression of ``exprs``, its value at the state tuple ``x`` and then its
-    partials with respect to ``variables``.  A call that succeeds is
-    bit-identical to :func:`_reference_row`; the code does not fall back,
-    so the caller redoes a raising row on the tree walker."""
+    """Generated code for one row, ``row(x)``: for every expression of
+    ``exprs``, its value at the state tuple ``x`` and then its partials with
+    respect to ``variables``.  A call that succeeds is bit-identical to
+    :func:`_reference_row`; a call whose generated code raises returns
+    :func:`_reference_row` at ``x``, or raises the tree walker's first
+    error, as ``compile`` does.
+
+    The fallback holds the structure's names and parameters, not the
+    structure, which caches its rows: a row holding its structure would
+    form a cycle (see :meth:`_Codegen.define`)."""
     gen, _ = _state_codegen(structure, variables)
+    exprs, variables = tuple(exprs), tuple(variables)
     emitted = [gen.emit(e) for e in exprs]
     row = [v for value, d in emitted for v in (value, *(d.get(n, "0.0") for n in variables))]
-    return gen.function("x", f"({''.join(f'{v}, ' for v in row)})")
+    space = SimpleNamespace(
+        variable_names=structure.variable_names, parameters=structure.parameters
+    )
+
+    def fallback(x):
+        return _reference_row(space, exprs, x, variables)
+
+    return gen.function("x", f"({''.join(f'{v}, ' for v in row)})", fallback)
 
 
 def _reference_row(structure, exprs, x, variables: Sequence[str] = ()) -> list:

@@ -68,8 +68,11 @@ FAMILY_KINDS = ("linear", "log", "loglog", "custom-fg")
 # cloud's filters are one row over its coordinates, a closed-form family's
 # (x, y) is the state tuple of its (u, v) rows, and each generator is a row
 # over (s,).  A filter row is built once per grid pass or cloud, the others
-# once per family, and a row that raises is redone on the tree walker, so
-# outcomes and errors are the tree walker's.
+# once per family.  A row whose generated code raises redoes itself on the
+# tree walker, so outcomes and errors are the tree walker's.  Two rules stay
+# here: a filter pass that raises is redone filter by filter, so a reject
+# before an error wins, and a generator's value survives an error in its
+# slope.
 
 _XY = ("x", "y")
 _S = ("s",)
@@ -118,10 +121,11 @@ def admission(filters: Sequence[DomainFilter], names, parameters) -> Callable:
     """``admits(x) -> bool``: whether every filter admits the point ``x``, a
     sequence of Python floats over ``names``.
 
-    One generated row holds every filter's value.  A point whose row raises
-    is redone filter by filter, in order, by :meth:`DomainFilter.admits`,
-    and stops at the first reject, so its outcome and its error are those
-    of the filters taken one at a time."""
+    One generated row holds every filter's value.  A point whose row
+    raises, with the tree walker's error, is taken again filter by filter,
+    in order, by :meth:`DomainFilter.admits`, and stops at the first reject,
+    so its outcome and its error are those of the filters taken one at a
+    time."""
     space = SimpleNamespace(variable_names=tuple(names), parameters=parameters)
     row = _generate_row(space, [f.expr for f in filters])
 
@@ -207,15 +211,6 @@ class HodographFamily:
         """Generated code for (u, u_x, u_y, v, v_x, v_y) at a point (x, y)."""
         return _generate_row(self, (self.u_expr, self.v_expr), _XY)
 
-    def _fields(self, point: tuple[float, float], variables: tuple[str, ...] = ()):
-        """The row of u and v at ``point`` (Python floats), each followed by
-        its partials in ``variables`` (none, or x and y).  A raising row is
-        redone on the tree walker: u before v, value before partials."""
-        try:
-            return (self._dual_row if variables else self._value_row)(point)
-        except EVALUATION_ERRORS:
-            return _reference_row(self, (self.u_expr, self.v_expr), point, variables)
-
     @cached_property
     def _solver(self) -> _GeneratorSolver:
         """The numeric inversion of the generator map (custom-fg)."""
@@ -223,7 +218,7 @@ class HodographFamily:
 
     def evaluate_uv(self, x: float, y: float) -> tuple[float, float]:
         if self.closed_form:
-            return tuple(self._fields((float(x), float(y))))
+            return tuple(self._value_row((float(x), float(y))))
         return self._solver(float(x), float(y))[:2]
 
 
@@ -339,8 +334,9 @@ class _GeneratorSolver:
 
     def _gen(self, name, s, slope=0):
         """The value (``slope`` 0) or the slope (1) of a generator at ``s``,
-        a Python float.  A raising row is redone on the tree walker: the
-        value, then the slope when it is asked for."""
+        a Python float.  The row raises the tree walker's error, which may
+        be the slope's; the value is then taken on the tree walker alone,
+        and the slope too when it is asked for."""
         try:
             return self._rows[name]((s,))[slope]
         except EVALUATION_ERRORS:
@@ -423,7 +419,7 @@ def _field_partials(family: HodographFamily, x: float, y: float):
     the inverse of the map's Jacobian [[f', g'], [-u f', -v g']] in (u, v)
     at the solved point (the implicit function theorem)."""
     if family.closed_form:
-        u, ux, uy, v, vx, vy = family._fields((float(x), float(y)), _XY)
+        u, ux, uy, v, vx, vy = family._dual_row((float(x), float(y)))
         return u, v, ux, uy, vx, vy
     u, v, fu, gv = family._solver(float(x), float(y))
     fd = fu * (u - v)
@@ -507,7 +503,7 @@ def limit_sweep(
             raise HodographError(f"grid empty at alpha = {alpha}")
         dev_u = dev_v = dev_uv = 0.0
         for x, y in zip(*points.T.tolist()):
-            u, v = family._fields((x, y))
+            u, v = family._value_row((x, y))
             limit = -y / x
             dev_u = max(dev_u, abs(u - limit))
             dev_v = max(dev_v, abs(v - limit))

@@ -221,7 +221,7 @@ def _surface_q(structure, constants, theta_ref, p, tol, max_iter):
         return constants - (theta @ momenta[:, :, None])[:, :, 0]
 
     def row(i, q):
-        return structure._row(structure._finite(q + p_rows[i]))
+        return structure._value_row(structure._finite(q + p_rows[i]))
 
     def targets(running, rows):
         theta = structure._antisymmetric(np.array(rows, dtype=float))
@@ -785,7 +785,9 @@ def epsilon_sweep(
         rows.append(row)
     eps_arr = np.array([r["epsilon"] for r in rows])
     drift_arr = np.array([r["max_drift"] for r in rows])
-    if np.any(drift_arr <= 0.0):
+    # a fitted line needs two distinct epsilons (counted in a set: np.unique
+    # imports numpy.ma on first use)
+    if len(set(eps_arr.tolist())) < 2 or np.any(drift_arr <= 0.0):
         slope = float("nan")
     else:
         slope = float(np.polyfit(np.log(eps_arr), np.log(drift_arr), 1)[0])

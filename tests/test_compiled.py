@@ -24,6 +24,7 @@ from noncanon.expressions import (
     Name,
     Unary,
     UnboundNameError,
+    _reference_row,
     compile,
     evaluate,
     gradient,
@@ -182,9 +183,10 @@ def test_fixture_artifacts_match_tree_fallback(name, tmp_path, monkeypatch):
     calls = []
 
     def raising_row(structure, exprs):
+        # a generated row whose body always raises returns its fallback
         def disabled(x):
             calls.append(exprs)
-            raise DomainError("generated code disabled", "")
+            return _reference_row(structure, exprs, x)
 
         return disabled
 

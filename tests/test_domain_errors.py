@@ -11,8 +11,17 @@ import re
 
 import pytest
 
+from noncanon.brackets import canonical
 from noncanon.cli import EXIT_RUNTIME, main
-from noncanon.expressions import DomainError, compile, derivative, evaluate, parse
+from noncanon.expressions import (
+    DomainError,
+    _generate_row,
+    _reference_row,
+    compile,
+    derivative,
+    evaluate,
+    parse,
+)
 
 INF = math.inf
 
@@ -41,6 +50,33 @@ def test_leaving_the_domain_is_a_domain_error(src, x, message):
     for run in _tree_and_generated(src, x):
         with pytest.raises(DomainError, match=re.escape(message)):
             run()
+
+
+def test_a_row_called_directly_raises_the_tree_walkers_error():
+    # math.log raises a bare ValueError; the row's fallback raises the tree
+    # walker's DomainError instead
+    row = _generate_row(canonical(1), [parse("log(q1)")])
+    with pytest.raises(DomainError, match=re.escape("log of non-positive value in 'log(q1)'")):
+        row((-1.0, 0.0))
+
+
+@pytest.mark.parametrize("p1, message", [
+    (1.0, "sqrt derivative at zero in 'sqrt(q1)'"),
+    # the generated body meets sqrt's partial before log's value; the tree
+    # walker takes the whole value first
+    (-1.0, "log of non-positive value in 'log(p1)'"),
+])
+def test_a_dual_row_raises_a_partials_error_only_after_every_value(p1, message):
+    structure, exprs = canonical(1), [parse("sqrt(q1) + log(p1)")]
+    for run in (
+        _generate_row(structure, exprs, structure.variable_names),
+        lambda x: _reference_row(structure, exprs, x, structure.variable_names),
+    ):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            run((0.0, p1))
+    # where only the partial fails, the value row succeeds
+    if p1 > 0.0:
+        assert _generate_row(structure, exprs)((0.0, p1)) == (0.0,)
 
 
 @pytest.mark.parametrize("src", ["sin(x)", "cos(x)"])

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from noncanon import dynamics
+from noncanon import dynamics, expressions
 from noncanon.brackets import (
     canonical,
     constant_theta_f,
@@ -38,13 +38,12 @@ from noncanon.dynamics import (
     _generate_step,
     _midpoint_step,
     _monitor_pass,
-    _reference_row,
     _rk4_step,
     _Velocity,
     default_monitors,
     integrate,
 )
-from noncanon.expressions import EVALUATION_ERRORS, DomainError, parse
+from noncanon.expressions import EVALUATION_ERRORS, DomainError, _reference_row, parse
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -213,8 +212,8 @@ def test_generated_row_matches_reference_row(flow):
     if not isinstance(got, Exception):
         assert_same_outcome(got, want)
         return
-    # the row has no fallback; the pass redoes it on the tree walker, so
-    # the error that reaches the caller is the tree walker's
+    # the row redoes itself on the tree walker, so the error that reaches
+    # the caller of the pass is the tree walker's
     assert isinstance(want, Exception), (got, want)
     with np.errstate(all="ignore"), pytest.raises(type(want)) as raised:
         _monitor_pass(structure, _named(exprs), np.array([x]))
@@ -228,7 +227,7 @@ def test_raising_row_is_redone_once_by_the_tree_walker():
     exprs = _row_exprs(structure, h)
     states = np.array([[0.5, 0.25], [0.5, 0.0], [0.25, 0.0]])
     with (
-        mock.patch.object(dynamics, "_reference_row", wraps=_reference_row) as redo,
+        mock.patch.object(expressions, "_reference_row", wraps=_reference_row) as redo,
         pytest.raises(DomainError, match="division by zero"),
     ):
         _monitor_pass(structure, _named(exprs), states)
@@ -372,7 +371,7 @@ class _Disabled:
     def generate_row(self, structure, exprs):
         def disabled(x):
             self.calls.append("row")
-            raise DomainError("generated code disabled", "")
+            return _reference_row(structure, exprs, x)
 
         return disabled
 

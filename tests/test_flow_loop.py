@@ -12,6 +12,7 @@ time)."""
 import dis
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 
 from noncanon import dynamics, expressions
 from noncanon.brackets import canonical, constant_theta_f
-from noncanon.cli import EXIT_RUNTIME, main
+from noncanon.cli import EXIT_OK, EXIT_RUNTIME, main
 from noncanon.dynamics import (
     FlowProblem,
     IntegrationError,
@@ -154,6 +155,30 @@ def test_non_finite_state_truncates_there():
     problem = FlowProblem(constant_theta_f(1.0, 0.7), DIVERGING, [0.0] * 4, 0.01, 3.0)
     states, truncated = assert_matches_reference(problem)
     assert truncated and 1 < len(states) < 301
+
+
+def test_step_redone_where_a_division_overflows_prints_nothing(tmp_path, capsys):
+    # the partial of 1/q1 divides by q1*q1, which underflows to zero: the
+    # generated step raises, and its redo on numpy scalars divides by zero
+    doc = {
+        "version": 1,
+        "phase_space": {"n": 1},
+        "structure": {"kind": "canonical"},
+        "hamiltonian": "1/q1 + p1^2/2",
+        "initial_state": [1e-170, 0.0],
+        "integrator": {"method": "rk4", "dt": 0.1, "t_end": 0.5},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["integrate", "--config", str(path), "--out", str(out)])
+    assert [str(w.message) for w in caught] == []
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "integrate_report.json").read_text("utf-8"))
+    assert report["results"]["truncated"] is True
 
 
 def test_midpoint_that_does_not_converge_exits_3(tmp_path, capsys):

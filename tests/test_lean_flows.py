@@ -11,8 +11,10 @@ stored states; its drifts must equal ``integrate``'s bit for bit.  The
 parser's own recursion limit is a config error with its own message."""
 
 import json
+import math
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import pytest
@@ -186,6 +188,17 @@ def test_sweep_row_holds_only_the_combinations(monkeypatch):
     integrate(FlowProblem(structure, h, x0, 0.01, 1.0))
     (_, exprs), = calls
     assert exprs[0] == h and exprs[-len(structure.entries):] == list(structure.entries.values())
+
+
+@pytest.mark.parametrize("epsilons", [[0.3], [0.3, 0.3]])
+def test_a_sweep_without_two_distinct_epsilons_has_a_nan_slope(epsilons):
+    # np.polyfit warns on a single abscissa; the slope is NaN without a fit
+    h, x0 = parse(_HAMILTONIANS[0]), [1.0, 0.3, -0.2, -0.8]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweep = epsilon_sweep(1.0, h, x0, epsilons, dt=0.01, t_end=1.0)
+    assert len(sweep.rows) == len(epsilons) and sweep.rows[0]["max_drift"] > 0.0
+    assert math.isnan(sweep.fitted_slope)
 
 
 # --- a parser that runs out of stack ------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noncanon import brackets, cli, dynamics, reduction
+from noncanon import brackets, cli, dynamics, expressions, reduction
 from noncanon.brackets import (
     StructureError,
     constant_theta_f,
@@ -161,7 +161,7 @@ def test_a_raising_row_is_redone_once_per_point_by_the_tree_walker(monkeypatch):
         calls.append(args)
         return _reference_row(*args)
 
-    monkeypatch.setattr(brackets, "_reference_row", spy)
+    monkeypatch.setattr(expressions, "_reference_row", spy)
     block = np.array([[1.0, 0.5, 0.2, 0.8], [1.0, 0.5, 0.2, 0.0], [0.3, 0.1, 0.2, 0.0]])
     with pytest.raises(DomainError, match=r"division by zero in '-q1/p2'"):
         structure.jacobi_report(block)

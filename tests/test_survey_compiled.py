@@ -35,6 +35,7 @@ from noncanon.cli import load_config, run
 from noncanon.expressions import (
     EVALUATION_ERRORS,
     DomainError,
+    _reference_row,
     derivative,
     evaluate,
     gradient,
@@ -362,11 +363,11 @@ def test_survey_artifacts_match_tree_fallback(name, tmp_path, monkeypatch):
     calls = []
 
     def raising_row(structure, exprs, variables=()):
-        # a generated row whose body always raises: every point is redone
-        # by the tree walker
+        # a generated row whose body always raises: every point returns the
+        # row's fallback, the tree walker
         def disabled(x):
             calls.append(exprs)
-            raise DomainError("generated code disabled", "")
+            return _reference_row(structure, exprs, x, variables)
 
         return disabled
 
