@@ -99,8 +99,6 @@ def _compiled(x, dt, k, n, out):
             if s - s != 0.0 or k == n:
                 return k
 {advance}\
-    except _overflow:
-        return _ieee(({state},), dt, k, k + 1, out)
     except _errors as err:
         err.steps = k
         raise
@@ -178,9 +176,8 @@ def _generate_step(
     component by component (a finite sum needs every component finite, but
     finite components can overflow their sum).  A step that raises
     writes nothing, and its error leaves the call with ``steps`` set to the
-    index of the last stored state.  A step in which ``_pow`` overflows is
-    rerun alone on ``_ieee`` (``_Codegen.define``), and the call returns
-    after it.  A midpoint iteration that does not converge raises
+    index of the last stored state; an overflowing ``_pow`` is such an
+    error.  A midpoint iteration that does not converge raises
     :class:`IntegrationError`.
 
     An ``"rk4"`` step runs four velocity stages and their combination, a
@@ -253,7 +250,6 @@ def _generate_step(
     stores = [f"out[i + {j}] = {z}" if j else f"out[i] = {z}" for j, z in enumerate(new)]
     source = _LOOP.format(
         unpack=unpack,
-        state=", ".join(x),
         dim=len(x),
         step=step,
         store=block(stores, 12),
@@ -291,12 +287,16 @@ class FlowProblem:
             raise ValueError("t_end must exceed dt and be finite")
         if self.method not in ("rk4", "midpoint"):
             raise ValueError(f"unknown method '{self.method}'")
-        if not np.isfinite(np.asarray(self.x0, dtype=float)).all():
+        x0 = np.asarray(self.x0, dtype=float)
+        if not np.isfinite(x0).all():
             raise ValueError("x0 must be finite")
         allowed = set(self.structure.variable_names) | set(self.structure.parameters)
         unknown = free_names(self.hamiltonian) - allowed
         if unknown:
             raise ValueError(f"hamiltonian references undeclared names {sorted(unknown)}")
+        dim = len(self.structure.variable_names)
+        if x0.shape != (dim,):
+            raise ValueError(f"x0 must have length {dim}")
 
 
 @dataclass(eq=False)
@@ -487,10 +487,7 @@ def _flow_states(problem: FlowProblem) -> tuple[np.ndarray, np.ndarray, bool]:
 
     dim = len(structure.variable_names)
     states = np.empty((n_steps + 1, dim))
-    x = np.array(problem.x0, dtype=float)
-    if x.shape != (dim,):
-        raise ValueError(f"x0 must have length {dim}")
-    states[0] = x
+    states[0] = problem.x0
     count = _flow_step(structure, problem.hamiltonian, problem.method)(states, dt)
     return dt * np.arange(count), states[:count], count <= n_steps
 

@@ -40,16 +40,15 @@ Powers in generated code: a fixed integer exponent ``c >= 0`` is a bare
 ``math.pow`` call, and the partial of ``x^2`` is ``2.0 * x`` times the dual
 part, because ``math.pow(x, 1.0)`` is ``x`` bit for bit; negative and
 variable exponents keep the checked helpers.  ``math.pow`` raises
-``OverflowError`` where the tree walker yields a signed infinity, so each
-generated function is one code object run in two namespaces: the fast
-one binds bare ``math.pow``, and on an overflow it reruns the other, which
-binds :func:`_pow_ieee`.  An overflow therefore stays in generated code and
-never reaches the tree walker.
+``OverflowError`` where the tree walker yields a signed infinity
+(:func:`_pow_ieee`); that is an evaluation error like any other, so the
+row or ``compile`` function reruns on the tree walker and a flow step is
+redone there, and the result is the tree walker's signed infinity.
 
-For the same reason the emitter leaves out what IEEE arithmetic makes an
-exact no-op: a factor spelled as the literal 1.0, the test ``1.0 != 0.0``
-of a variable's own dual part, and a line whose right-hand side the
-function has already emitted.  It folds nothing that could move a bit:
+The emitter leaves out what IEEE arithmetic makes an exact no-op: a
+factor spelled as the literal 1.0, the test ``1.0 != 0.0`` of a
+variable's own dual part, and a line whose right-hand side the function
+has already emitted.  It folds nothing that could move a bit:
 not ``0.0 + y`` (``-0.0`` would become ``+0.0``), not ``(2.0*x)/2.0``
 (which differs from ``x`` on overflow), and no reassociation.
 
@@ -631,6 +630,7 @@ EVALUATION_ERRORS = (ExpressionError, ArithmeticError, LookupError, TypeError, V
 
 _GENERATED_GLOBALS = {
     "_float": float,
+    "_pow": math.pow,
     "_errors": EVALUATION_ERRORS,
     "_exp": _exp,
     "_log": math.log,
@@ -723,16 +723,14 @@ class _Codegen:
 
     def function(self, params: str, result: str, fallback: Callable) -> Callable:
         """``def (params)`` running the emitted lines and returning ``result``.
-        A call that overflows reruns its arguments on ``_ieee`` (:meth:`define`),
-        and any other evaluation error reruns them on ``fallback``."""
+        A call that raises an evaluation error, an overflowing ``_pow``
+        included, reruns its arguments on ``fallback``."""
         body = "".join(f"        {line}\n" for line in self.lines)
         source = (
             f"def _compiled({params}):\n"
             "    try:\n"
             f"{body}"
             f"        return {result}\n"
-            "    except _overflow:\n"
-            f"        return _ieee({params})\n"
             "    except _errors:\n"
             f"        return _fallback({params})\n"
         )
@@ -740,27 +738,13 @@ class _Codegen:
 
     def define(self, source: str, **names) -> Callable:
         """The function ``_compiled`` that ``source`` defines, over the globals
-        of the emitted lines and ``names``.
-
-        ``_pow`` is bare ``math.pow``, whose only error for a fixed exponent
-        is ``OverflowError``.  The source catches ``_overflow`` and reruns on
-        ``_ieee``, the same code with ``_pow`` bound to :func:`_pow_ieee` and
-        an ``_overflow`` that catches nothing, so the result keeps the tree
-        walker's signed infinities without reaching any fallback."""
+        of the emitted lines and ``names``."""
         code = builtins.compile(source, "<noncanon.expressions.compile>", "exec")
         namespace = dict(_GENERATED_GLOBALS, **self.namespace, **names)
-
-        def variant(**names) -> Callable:
-            bound = dict(namespace, **names)
-            exec(code, bound)
-            # popped, so the function and its globals form no cycle and are
-            # freed by reference counting as soon as the caller drops it
-            return bound.pop("_compiled")
-
-        ieee = variant(_pow=_pow_ieee, _overflow=())  # ``except ()`` catches nothing
-        if "_pow(" not in source:
-            return ieee
-        return variant(_pow=math.pow, _overflow=OverflowError, _ieee=ieee)
+        exec(code, namespace)
+        # popped, so the function and its globals form no cycle and are
+        # freed by reference counting as soon as the caller drops it
+        return namespace.pop("_compiled")
 
     def emit(self, e: Expression) -> tuple[str, dict[str, str]]:
         """Emit ``e``; return the atom holding its value and, per variable
@@ -821,8 +805,9 @@ class _Codegen:
             if _is_integer(c):
                 # a fixed integer exponent settles _pow's exponent tests now;
                 # math.pow raises a ValueError for a zero base when c < 0,
-                # and otherwise only overflows, which ``function`` reruns
-                # with a pow that cannot raise, so the line counts as pure
+                # and otherwise only overflows, which is no error on the
+                # tree walker, so dropping an unused line hides no error
+                # and the line counts as pure
                 if c >= 0.0:
                     v = self.assign(f"_pow({l}, {r})", True)
                 else:

@@ -757,8 +757,9 @@ def epsilon_sweep(
 
     At eps = 0 the combinations are exact invariants; their drift over a
     fixed horizon is expected to scale linearly with eps, and the log-log
-    slope of max drift against eps is reported.  ``parameters`` are bound
-    in every swept structure.
+    slope of max drift against eps is reported, or NaN where an epsilon
+    or a drift is not positive.  ``parameters`` are bound in every swept
+    structure.
 
     Each flow is stepped as :func:`integrate` steps it, and its stored
     states are read for the combinations alone: the drifts are those of
@@ -786,8 +787,8 @@ def epsilon_sweep(
     eps_arr = np.array([r["epsilon"] for r in rows])
     drift_arr = np.array([r["max_drift"] for r in rows])
     # a fitted line needs two distinct epsilons (counted in a set: np.unique
-    # imports numpy.ma on first use)
-    if len(set(eps_arr.tolist())) < 2 or np.any(drift_arr <= 0.0):
+    # imports numpy.ma on first use), and its logarithms positive ones
+    if len(set(eps_arr.tolist())) < 2 or np.any(eps_arr <= 0.0) or np.any(drift_arr <= 0.0):
         slope = float("nan")
     else:
         slope = float(np.polyfit(np.log(eps_arr), np.log(drift_arr), 1)[0])

@@ -67,6 +67,11 @@ def test_flow_problem_rejects_a_non_finite_start(x0):
         FlowProblem(canonical(1), "(p1^2 + q1^2)/2", x0, 0.1, 1.0)
 
 
+def test_flow_problem_rejects_a_start_of_the_wrong_length():
+    with pytest.raises(ValueError, match="x0 must have length 2"):
+        FlowProblem(canonical(1), "p1^2/2", [0.0] * 3, 0.1, 1.0)
+
+
 def test_reduced_flow_rejects_a_non_finite_start():
     system = build_reduced(constant_theta_f(2.0, 0.5), HARMONIC, reference=[1.0, 0.0, 0.0, -0.5])
     with pytest.raises(ValueError, match="x0 must be finite"):

@@ -121,25 +121,35 @@ def test_raising_step_leaves_its_row_untouched(monkeypatch):
     assert np.isfinite(states[: k + 1]).all() and (states[k + 1 :] == 7.0).all()
 
 
-def test_pow_overflow_at_a_later_step_stays_in_generated_code(monkeypatch):
+def test_pow_overflow_at_a_later_step_is_redone_on_the_tree_walker(monkeypatch):
     # q1^4 overflows once q1 passes about 1.3e77, while q1^3 and 1/q1^4 stay
-    # finite: the overflow-safe rerun stores finite states without the tree
-    # walker
-    calls = []
+    # finite: exactly the steps in which a pow overflows are redone on the
+    # tree walker, whose overflow-safe pow stores finite states
+    overflowed = []
     ieee = expressions._pow_ieee
 
-    def counted(lv, rv):
-        calls.append(lv)
+    def spied(lv, rv):
+        try:
+            math.pow(lv, rv)
+        except OverflowError:
+            overflowed.append(lv)
         return ieee(lv, rv)
 
-    monkeypatch.setattr(expressions, "_pow_ieee", counted)
+    monkeypatch.setattr(expressions, "_pow_ieee", spied)
     problem = FlowProblem(canonical(1), "p1^2/2 + 1/q1^4", [1e76, 1e78], 0.1, 2.0)
     redone = _counting_redo(monkeypatch)
     states, truncated = assert_matches_reference(problem)
     assert not truncated and len(states) == 21
-    assert redone == []
     assert abs(states[1, 0]) < 1.3e77 < abs(states[-1, 0])
-    assert any(abs(lv) > 1.3e77 for lv in calls)
+    velocity = _Velocity(problem.structure, problem.hamiltonian)
+    overflowing = []
+    for x in states[:-1]:
+        overflowed.clear()
+        with np.errstate(all="ignore"):
+            _rk4_step(velocity, x, 0.1)
+        if overflowed:
+            overflowing.append(x.tolist())
+    assert overflowing and [x.tolist() for x in redone] == overflowing
 
 
 def test_finite_state_whose_sum_overflows_is_stored():

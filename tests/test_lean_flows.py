@@ -201,6 +201,23 @@ def test_a_sweep_without_two_distinct_epsilons_has_a_nan_slope(epsilons):
     assert math.isnan(sweep.fitted_slope)
 
 
+@pytest.mark.parametrize("limit", [0.0, -0.1])
+def test_a_sweep_with_an_epsilon_not_above_zero_has_a_nan_slope(limit, capfd):
+    # the log of such an epsilon is not finite, and a fit through it fails
+    # inside LAPACK; the slope is NaN without a fit, and the rows stand
+    h, x0 = parse(_HAMILTONIANS[0]), [1.0, 0.3, -0.2, -0.8]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweep = epsilon_sweep(1.0, h, x0, [limit, 0.1], dt=0.01, t_end=1.0)
+        (want,) = epsilon_sweep(1.0, h, x0, [0.1], dt=0.01, t_end=1.0).rows
+    assert math.isnan(sweep.fitted_slope)
+    assert [row["epsilon"] for row in sweep.rows] == [limit, 0.1]
+    assert sweep.rows[0]["max_drift"] > 0.0
+    assert sweep.rows[1].keys() == want.keys()
+    assert all(_same(sweep.rows[1][key], want[key]) for key in want)
+    assert capfd.readouterr().err == ""
+
+
 # --- a parser that runs out of stack ------------------------------------------------
 
 

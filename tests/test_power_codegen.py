@@ -2,14 +2,16 @@
 
 A power with a fixed integer exponent ``c >= 0`` is generated as a bare
 ``math.pow`` call, and the partial of ``x^2`` as ``2.0 * x`` times the dual
-part, because ``math.pow(x, 1.0)`` is ``x`` bit for bit.  A call that
-overflows reruns the same code with an overflow-safe ``pow`` that returns
-the tree walker's signed infinity, never the tree walker itself.  On finite
-states of a quadratic Hamiltonian neither that wrapper nor ``_pow_value``
-is called."""
+part, because ``math.pow(x, 1.0)`` is ``x`` bit for bit.  An overflowing
+``math.pow`` is an evaluation error like any other: the call reruns on the
+tree walker, whose overflow-safe ``pow`` returns the signed infinity, and
+only there does the tree walker run.  On finite states of a quadratic
+Hamiltonian neither that wrapper nor ``_pow_value`` is called."""
 
 import math
 import struct
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +20,16 @@ from hypothesis import strategies as st
 
 from noncanon import expressions
 from noncanon.brackets import canonical
-from noncanon.dynamics import _generate_step, _monitor_pass, _rk4_step, _Velocity
-from noncanon.expressions import DomainError, compile, evaluate, gradient, parse
+from noncanon.dynamics import _flow_step, _generate_step, _monitor_pass, _rk4_step, _Velocity
+from noncanon.expressions import (
+    DomainError,
+    _generate_row,
+    _reference_row,
+    compile,
+    evaluate,
+    gradient,
+    parse,
+)
 
 
 def _loop_step(loop, x, dt):
@@ -51,7 +61,7 @@ def test_pow_one_is_the_identity(x):
     assert _bits(math.pow(x, 1.0)) == _bits(x)
 
 
-# --- generated code against the tree walker, with the fallback disabled ---------
+# --- generated code against the tree walker, which reruns only overflows ---------
 
 _POINTS = sorted(
     {s * m * 10.0**k for s in (1.0, -1.0) for m in (1.0, 3.7) for k in range(50, 161, 10)}
@@ -67,16 +77,27 @@ def _same(a: float, b: float) -> bool:
 
 
 @pytest.fixture
-def no_fallback(monkeypatch):
-    def disabled(*_args):
-        raise AssertionError("the tree walker ran")
+def fallback_on_overflow(monkeypatch) -> list:
+    """The arguments of each rerun of a ``compile`` function on the tree
+    walker, which may run only where a ``math.pow`` of the call overflowed:
+    the rerun runs inside the generated function's ``except``, so the error
+    being handled is the one that sent it there."""
+    reruns = []
+    reference = expressions._reference
 
-    monkeypatch.setattr(expressions, "_reference", disabled)
+    def guarded(*args):
+        if not isinstance(sys.exc_info()[1], OverflowError):
+            raise AssertionError("the tree walker ran")
+        reruns.append(args)
+        return reference(*args)
+
+    monkeypatch.setattr(expressions, "_reference", guarded)
+    return reruns
 
 
 @pytest.mark.parametrize("source", _SOURCES)
 @pytest.mark.parametrize("c", range(7))
-def test_fixed_exponents_match_the_tree_walker(no_fallback, source, c):
+def test_fixed_exponents_match_the_tree_walker(fallback_on_overflow, source, c):
     e = parse(source.format(c=c))
     fn = compile(e, _NAMES)
     value_only = compile(e)
@@ -94,11 +115,31 @@ def test_fixed_exponents_match_the_tree_walker(no_fallback, source, c):
         assert all(map(_same, got_partials, partials)), (env, got_partials, partials)
 
 
-def test_overflow_gives_signed_infinities_without_the_tree_walker(no_fallback):
+def test_overflow_gives_signed_infinities_on_the_tree_walker(fallback_on_overflow):
     value, (partial,) = compile(parse("q1^3"), ("q1",))({"q1": -1e200})
     assert value == -math.inf and partial == math.inf
     value, (partial,) = compile(parse("q1^2"), ("q1",))({"q1": -1e160})
     assert value == math.inf and _bits(partial) == _bits(2.0 * -1e160)
+    assert len(fallback_on_overflow) == 2
+
+
+def test_an_overflowing_row_reruns_once_on_the_tree_walker():
+    row = _generate_row(canonical(1), [parse("q1^2")])
+    with mock.patch.object(expressions, "_reference_row", wraps=_reference_row) as redo:
+        assert list(row((1e200, 0.0))) == [math.inf]
+    assert redo.call_count == 1
+
+
+def test_generated_code_binds_bare_pow_and_no_overflow_variant():
+    structure, h = canonical(1), parse("q1^4/4 + p1^2/2")
+    for fn in (
+        compile(h, ("q1", "p1")),
+        _generate_row(structure, [h], ("q1",)),
+        _generate_step(structure, h, "rk4"),
+        _generate_step(structure, h, "midpoint"),
+    ):
+        assert fn.__globals__["_pow"] is math.pow
+        assert "_ieee" not in fn.__globals__ and "_overflow" not in fn.__globals__
 
 
 # --- no wrapper call on finite states ----------------------------------------------
@@ -107,9 +148,10 @@ _QUADRATIC = (canonical(1), parse("(p1^2 + q1^2)/2"))
 
 
 def _count_wrapper_calls(monkeypatch) -> dict:
-    """Counts of the overflow-safe pow and of ``_pow_value`` in code generated
-    from now on; the tree walker, which also calls them, must already have
-    run."""
+    """Counts of the overflow-safe pow, which generated code reaches only
+    through ``_pow_value`` or a rerun on the tree walker, and of
+    ``_pow_value`` in code generated from now on; a tree walk that must not
+    count has to run first."""
     calls = {"ieee": 0, "pow_value": 0}
     ieee, pow_value = expressions._pow_ieee, expressions._pow_value
 
@@ -142,13 +184,18 @@ def test_quadratic_flow_makes_no_wrapper_call(monkeypatch):
 
 def test_overflow_reruns_with_the_wrapper(monkeypatch):
     # the counters themselves work: a monitor row whose square overflows,
-    # and the quartic step from 1e80 whose third stage overflows, rerun
-    # with the overflow-safe pow
+    # and the quartic step from 1e80 whose third stage overflows, rerun on
+    # the tree walker, which calls the overflow-safe pow
     structure, h = _QUADRATIC
     calls = _count_wrapper_calls(monkeypatch)
     monitors, _ = _monitor_pass(structure, {"H": h}, np.array([[1e200, 0.0]]))
     assert monitors["H"].tolist() == [math.inf]
     assert calls == {"ieee": 2, "pow_value": 0}  # q1^2 and p1^2, in the rerun
-    got = _loop_step(_generate_step(structure, parse("q1^4/4 + p1^2/2"), "rk4"), [1e80, 0.0], 0.1)
-    assert not all(map(math.isfinite, got))
+    loop = _generate_step(structure, parse("q1^4/4 + p1^2/2"), "rk4")
+    with pytest.raises(OverflowError):
+        _loop_step(loop, [1e80, 0.0], 0.1)
+    assert calls == {"ieee": 2, "pow_value": 0}
+    states = np.array([[1e80, 0.0], [1e80, 0.0]])
+    _flow_step(structure, parse("q1^4/4 + p1^2/2"), "rk4")(states, 0.1)
+    assert not all(map(math.isfinite, states[1].tolist()))
     assert calls["ieee"] > 2 and calls["pow_value"] == 0
