@@ -731,9 +731,11 @@ def _cmd_hodograph(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
         min_uv = np.inf
         product_residual = 0.0
         # an overflowing product or exp stays silent, as the library's other
-        # overflows do; an inf - inf residual is NaN and never wins the max
+        # overflows do; an inf - inf residual is NaN and never wins the max.
+        # The loop reads Python floats from the columns; np.exp stays, for
+        # its overflow to inf where math.exp raises
         with np.errstate(over="ignore", invalid="ignore"):
-            for (x, y), (u, v) in zip(checks.points, checks.values):
+            for x, u, v in zip(checks.points[:, 0].tolist(), *checks.values.T.tolist()):
                 min_uv = min(min_uv, abs(u - v))
                 product_residual = max(
                     product_residual,

@@ -12,25 +12,28 @@ and walks the tree once per variable; it is the reference and the error
 reporter.  The emitter (``_Codegen``) unrolls those rules into generated
 straight-line code that returns the value and every partial in one pass,
 bit for bit equal to the tree walker.  The library runs it on a whole
-state tuple: each flow's stepping loop (``dynamics._generate_step``)
-and the one row generator (``_generate_row``), which every phase point,
-grid point, cloud point and generator runs.  A row holds the flows'
-monitors, a structure's entries (with their partials for bracket
-matrices, Jacobi and degeneracy checks and surface solves), a grid's or a
-cloud's domain filters over its coordinates, a hodograph family's u and v
-over (x, y), with their partials for the transport checks, or a custom
-generator's value and slope over (s,).  ``compile`` builds the same code
-for one expression over an env dict; no library module calls it.
+state tuple: each flow's stepping loop (``dynamics._generate_step``),
+each hodograph grid pass (``hodograph._grid_pass``), and the one row
+generator (``_generate_row``), which every phase point, cloud point and
+generator runs, and whose lines a grid pass runs at each grid point.  A
+row holds the flows' monitors, a structure's entries (with their partials
+for bracket matrices, Jacobi and degeneracy checks and surface solves), a
+grid's or a cloud's domain filters over its coordinates, a hodograph
+family's u and v over (x, y), with their partials for the transport
+checks, or a custom generator's value and slope over (s,).  ``compile``
+builds the same code for one expression over an env dict; no library
+module calls it.
 
 Rows and ``compile`` redo themselves: where the generated code raises,
 they rerun the tree walker on the same arguments (:func:`_reference_row`
 for a row), so the result or the error is the tree walker's.  Three
 callers keep a rule of their own, none of them a redo of a row: a flow
 step is redone by the tree walker on numpy scalars
-(``dynamics._flow_step``), a filter pass takes its filters one at a time
-so that a reject before an error wins (``hodograph.admission``), and a
-generator's value survives an error in its slope
-(``hodograph._GeneratorSolver``).
+(``dynamics._flow_step``), a raising filter point takes its filters one
+at a time so that a reject before an error wins (``hodograph._admitted``),
+and a generator's value survives an error in its slope
+(``hodograph._GeneratorSolver``).  A grid pass point whose lines raise
+takes the row's own redo, ``_reference_row``.
 
 Both evaluators call one set of helpers for the rules that branch on
 runtime values (``_exp``, ``_sqrt_partial`` and the ``_pow_*`` helpers), so
@@ -927,8 +930,7 @@ def _generate_row(structure, exprs, variables: Sequence[str] = ()) -> Callable:
     form a cycle (see :meth:`_Codegen.define`)."""
     gen, _ = _state_codegen(structure, variables)
     exprs, variables = tuple(exprs), tuple(variables)
-    emitted = [gen.emit(e) for e in exprs]
-    row = [v for value, d in emitted for v in (value, *(d.get(n, "0.0") for n in variables))]
+    row = _emit_row(gen, exprs, variables)
     space = SimpleNamespace(
         variable_names=structure.variable_names, parameters=structure.parameters
     )
@@ -937,6 +939,14 @@ def _generate_row(structure, exprs, variables: Sequence[str] = ()) -> Callable:
         return _reference_row(space, exprs, x, variables)
 
     return gen.function("x", f"({''.join(f'{v}, ' for v in row)})", fallback)
+
+
+def _emit_row(gen: _Codegen, exprs, variables: Sequence[str] = ()) -> list[str]:
+    """Emit ``exprs`` into ``gen``; return the atoms of their row, each
+    expression's value and then its partials with respect to ``variables``,
+    the order of :func:`_reference_row`."""
+    emitted = [gen.emit(e) for e in exprs]
+    return [v for value, d in emitted for v in (value, *(d.get(n, "0.0") for n in variables))]
 
 
 def _reference_row(structure, exprs, x, variables: Sequence[str] = ()) -> list:

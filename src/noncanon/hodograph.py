@@ -19,6 +19,8 @@ f = 1/theta = -p2/q1.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -34,8 +36,10 @@ from .expressions import (  # noqa: F401
     DomainError,
     Expression,
     Name,
+    _emit_row,
     _generate_row,
     _reference_row,
+    _state_codegen,
     as_expression,
     derivative,
     evaluate,
@@ -63,16 +67,21 @@ __all__ = [
 
 FAMILY_KINDS = ("linear", "log", "loglog", "custom-fg")
 
-# Grid points, cloud points, families and generators run the state-tuple row
-# of structures and flows (``expressions._generate_row``): a grid's or a
-# cloud's filters are one row over its coordinates, a closed-form family's
-# (x, y) is the state tuple of its (u, v) rows, and each generator is a row
-# over (s,).  A filter row is built once per grid pass or cloud, the others
-# once per family.  A row whose generated code raises redoes itself on the
-# tree walker, so outcomes and errors are the tree walker's.  Two rules stay
-# here: a filter pass that raises is redone filter by filter, so a reject
-# before an error wins, and a generator's value survives an error in its
-# slope.
+# Grids, clouds, families and generators run the state-tuple code of
+# structures and flows (``expressions._state_codegen``).  A grid is walked
+# by generated passes (:func:`_grid_pass`), each one function that loops
+# over the points itself and runs at each the lines a row would: the filter
+# pass of ``Grid2D.points`` over every grid point, then, over the kept
+# points of a closed-form family, the check pass of ``grid_checks`` and one
+# deviation pass per alpha in ``limit_sweep``, which fold their residuals
+# as they go.  A custom-fg family's checks stay a Python loop, one solve
+# per point.  A cloud's filters are one row over its coordinates
+# (:func:`admission`), a closed-form family's (u, v) rows serve single
+# points, and each generator is a row over (s,).  A point or a row whose generated code raises is
+# redone on the tree walker, so outcomes and errors are the tree walker's.
+# Two rules stay here: a filter point that raises is redone filter by
+# filter, so a reject before an error wins, and a generator's value survives
+# an error in its slope.
 
 _XY = ("x", "y")
 _S = ("s",)
@@ -108,6 +117,16 @@ class DomainFilter:
             or (self.minimum is not None and v < self.minimum)
         )
 
+    def keeps_source(self, v: str, bind: Callable[[object], str]) -> str:
+        """:meth:`keeps` as generated code, the test of the local ``v``;
+        ``bind`` names each bound in the code's globals."""
+        tests = [f"{v} != {v}"]
+        if self.min_abs is not None:
+            tests.append(f"abs({v}) < {bind(self.min_abs)}")
+        if self.minimum is not None:
+            tests.append(f"{v} < {bind(self.minimum)}")
+        return f"not ({' or '.join(tests)})"
+
     def admits(self, env: Mapping[str, float]) -> bool:
         """The filter at the point ``env`` by the tree walker, where leaving
         the domain is a reject and any other error propagates."""
@@ -117,15 +136,22 @@ class DomainFilter:
             return False
 
 
+def _admitted(filters: Sequence[DomainFilter], names, parameters, x) -> bool:
+    """Whether every filter admits the point ``x`` on the tree walker, taken
+    filter by filter, in order, by :meth:`DomainFilter.admits` up to the
+    first reject, so a reject before an error wins."""
+    env = {**parameters, **dict(zip(names, x))}
+    return all(f.admits(env) for f in filters)
+
+
 def admission(filters: Sequence[DomainFilter], names, parameters) -> Callable:
     """``admits(x) -> bool``: whether every filter admits the point ``x``, a
-    sequence of Python floats over ``names``.
+    sequence of Python floats over ``names``; a cloud's filter test.
 
     One generated row holds every filter's value.  A point whose row
-    raises, with the tree walker's error, is taken again filter by filter,
-    in order, by :meth:`DomainFilter.admits`, and stops at the first reject,
-    so its outcome and its error are those of the filters taken one at a
-    time."""
+    raises is taken again by :func:`_admitted`, so its outcome and its
+    error are those of the filters taken one at a time.  A grid runs the
+    same lines and the same redo in its filter pass (:meth:`Grid2D.points`)."""
     space = SimpleNamespace(variable_names=tuple(names), parameters=parameters)
     row = _generate_row(space, [f.expr for f in filters])
 
@@ -133,8 +159,7 @@ def admission(filters: Sequence[DomainFilter], names, parameters) -> Callable:
         try:
             values = row(x)
         except EVALUATION_ERRORS:
-            env = {**parameters, **dict(zip(space.variable_names, x))}
-            return all(f.admits(env) for f in filters)
+            return _admitted(filters, space.variable_names, parameters, x)
         return all(map(DomainFilter.keeps, filters, values))
 
     return admits
@@ -153,11 +178,20 @@ class Grid2D:
     filters: tuple[DomainFilter, ...] = ()
 
     def points(self, parameters: Mapping[str, float] | None = None) -> np.ndarray:
+        """The ``(k, 2)`` grid points that every filter keeps, x-major.
+
+        One generated pass (:func:`_filter_pass`) runs every filter's value
+        and test at every point, with no Python call per point.  A point
+        whose filter lines raise is taken again filter by filter on the
+        tree walker (:func:`_admitted`), as a cloud point is by
+        :func:`admission`, and the pass goes on at the next point."""
         xs = np.linspace(self.x_range[0], self.x_range[1], self.nx).tolist()
         ys = np.linspace(self.y_range[0], self.y_range[1], self.ny).tolist()
-        admits = admission(self.filters, _XY, dict(parameters or {}))
-        kept = list(filter(admits, product(xs, ys)))
-        return np.array(kept) if kept else np.empty((0, 2))
+        kept = np.empty((len(xs) * len(ys), 2))
+        count = _filter_pass(self.filters, dict(parameters or {}))(
+            xs, ys, memoryview(kept.reshape(-1))
+        )
+        return kept[:count].copy()
 
 
 def default_filters(kind: str, band: float = 1e-3):
@@ -177,6 +211,72 @@ def default_filters(kind: str, band: float = 1e-3):
             _filter("(y/alpha)^2 - 4*u0*v0*exp(x/alpha)", minimum=1e-6),
         )
     raise HodographError(f"unknown family kind '{kind}'")
+
+
+# ---------------------------------------------------------------------------
+# Generated grid passes
+
+# One pass over a grid: at each point the lines of the point's row, under
+# ``try``, then the fold of the row into the pass's results.  A point whose
+# lines raise takes its row from ``redo``, the row's tree-walker fallback,
+# which returns the tree walker's row or raises its error.
+_PASS = """\
+def _compiled(redo, xs, ys, out=None):
+{start}\
+    for x0, x1 in _points(xs, ys):
+        try:
+{lines}\
+        except _errors:
+            {results} = redo((x0, x1))
+{fold}\
+    return {returns}
+"""
+
+
+def _fold(acc: str, value: str, rule: str = ">") -> list[str]:
+    """Lines of a pass that fold ``value`` into ``acc`` as ``acc = max(acc,
+    value)`` (``rule`` ">") or ``min`` ("<") does, bit for bit: a NaN value
+    never replaces ``acc``, and a NaN ``acc`` is never replaced."""
+    return [f"r = {value}", f"if r {rule} {acc}: {acc} = r"]
+
+
+def _grid_pass(gen, results, row, start, fold, returns: str, points=zip) -> Callable:
+    """``pass(redo, xs, ys, out=None) -> returns``, one generated function
+    that loops over ``points(xs, ys)``: at each point, the lines emitted
+    into ``gen`` by ``expressions._state_codegen`` (the loop binds the
+    state tuple ``x0, x1`` that their first line would unpack), then
+    ``results = row``, or ``results = redo((x0, x1))`` where the lines
+    raise, and then the ``fold`` lines.  The ``start`` lines open the
+    pass."""
+
+    def block(lines, indent: int) -> str:
+        return "".join(f"{' ' * indent}{line}\n" for line in lines)
+
+    _, *lines = gen.lines
+    lines += map("{} = {}".format, results, row)
+    source = _PASS.format(
+        start=block(start, 4),
+        lines=block(lines, 12),
+        results=", ".join(results),
+        fold=block(fold, 8),
+        returns=returns,
+    )
+    return gen.define(source, _points=points)
+
+
+def _filter_pass(filters: Sequence[DomainFilter], parameters) -> Callable:
+    """``keep(xs, ys, out) -> k``: the filter pass over every point of ``xs``
+    x ``ys``, which writes the ``k`` kept points, x-major, into the flat
+    memoryview ``out``.  Every filter's value comes first, as in the row of
+    :func:`admission`, then every filter's test; a point whose lines raise
+    is taken by :func:`_admitted`."""
+    space = SimpleNamespace(variable_names=_XY, parameters=parameters)
+    gen, _ = _state_codegen(space)
+    values = _emit_row(gen, [f.expr for f in filters])
+    kept = " and ".join(f.keeps_source(v, gen.bind) for f, v in zip(filters, values))
+    fold = ["if kept:", "    out[i] = x0", "    out[i + 1] = x1", "    i += 2"]
+    keep = _grid_pass(gen, ["kept"], [kept or "True"], ["i = 0"], fold, "i // 2", product)
+    return functools.partial(keep, functools.partial(_admitted, filters, _XY, parameters))
 
 
 # ---------------------------------------------------------------------------
@@ -437,28 +537,72 @@ class GridChecks:
     jacobian_min: float  # min |u_x v_y - u_y v_x|
 
 
-def grid_checks(family: HodographFamily, grid: Grid2D) -> GridChecks:
-    """Both transport residuals, the hodograph Jacobian minimum and the field
-    values from one pass over the grid, each point evaluated once."""
-    points = grid.points(family.parameters)
-    if len(points) == 0:
-        raise HodographError("grid has no admissible points")
+_CHECK_FOLD = [
+    "out[i] = u",
+    "out[i + 1] = v",
+    "i += 2",
+    *_fold("res_u", "abs(ux - v * uy)"),
+    *_fold("res_v", "abs(vx - u * vy)"),
+    *_fold("j_min", "abs(ux * vy - uy * vx)", "<"),
+]
+
+
+def _check_pass(family: HodographFamily) -> Callable:
+    """``check(xs, ys, out) -> (res_u, res_v, j_min)``: the check pass over
+    the points ``zip(xs, ys)``, which writes each point's (u, v) into the
+    flat memoryview ``out``.  A closed-form family's pass is generated: it
+    runs the lines of the family's partials row (``_dual_row``) and redoes
+    a raising point on the tree walker.  A custom-fg family's solver is no
+    generated code, so its pass is :func:`_solved_checks`."""
+    if not family.closed_form:
+        return functools.partial(_solved_checks, family)
+    exprs = (family.u_expr, family.v_expr)
+    gen, _ = _state_codegen(family, _XY)
+    row = _emit_row(gen, exprs, _XY)
+    start = ["i = 0", "res_u = res_v = 0.0", f"j_min = {gen.bind(math.inf)}"]
+    results = ("u", "ux", "uy", "v", "vx", "vy")
+    check = _grid_pass(gen, results, row, start, _CHECK_FOLD, "res_u, res_v, j_min")
+    redo = functools.partial(_reference_row, family, exprs, variables=_XY)
+    return functools.partial(check, redo)
+
+
+def _solved_checks(family: HodographFamily, xs, ys, out):
+    """The check pass of a custom-fg family, point by point: one
+    :func:`_field_partials` call per point, folded by Python's ``max`` and
+    ``min``, the rule :func:`_fold` generates."""
     res_u = res_v = 0.0
-    j_min = np.inf
-    values = []
-    # Python floats from two columns, which holds fewer objects at once than
-    # a list per point
-    for x, y in zip(*points.T.tolist()):
+    j_min = math.inf
+    for i, (x, y) in enumerate(zip(xs, ys)):
         u, v, ux, uy, vx, vy = _field_partials(family, x, y)
-        values.append((u, v))
+        out[2 * i] = u
+        out[2 * i + 1] = v
         res_u = max(res_u, abs(ux - v * uy))
         res_v = max(res_v, abs(vx - u * vy))
         j_min = min(j_min, abs(ux * vy - uy * vx))
+    return res_u, res_v, j_min
+
+
+def grid_checks(family: HodographFamily, grid: Grid2D) -> GridChecks:
+    """Both transport residuals, the hodograph Jacobian minimum and the field
+    values from one pass over the admissible grid points, each point
+    evaluated once.
+
+    The pass (:func:`_check_pass`) folds ``res_u``, ``res_v`` and
+    ``j_min`` as Python's ``max`` and ``min`` do, so a NaN residual never
+    wins.  On a closed-form family it is generated code that loops over the
+    points and makes no Python call per point."""
+    points = grid.points(family.parameters)
+    if len(points) == 0:
+        raise HodographError("grid has no admissible points")
+    values = np.empty_like(points)
+    res_u, res_v, j_min = _check_pass(family)(
+        *points.T.tolist(), memoryview(values.reshape(-1))
+    )
     return GridChecks(
         points=points,
-        values=np.array(values),
-        pde={"max_res_u": float(res_u), "max_res_v": float(res_v)},
-        jacobian_min=float(j_min),
+        values=values,
+        pde={"max_res_u": res_u, "max_res_v": res_v},
+        jacobian_min=j_min,
     )
 
 
@@ -479,6 +623,28 @@ class SweepTable:
     fitted_order: float
 
 
+_DEVIATION_FOLD = [
+    "limit = -x1 / x0",
+    *_fold("dev_u", "abs(u - limit)"),
+    *_fold("dev_v", "abs(v - limit)"),
+    *_fold("dev_uv", "abs(u - v)"),
+]
+
+
+def _deviation_pass(family: HodographFamily) -> Callable:
+    """``deviations(xs, ys) -> (dev_u, dev_v, dev_uv)``: the largest
+    deviations of a closed-form family's u and v from -y/x, and of u from
+    v, over the points ``zip(xs, ys)``.  It runs the lines of the family's
+    value row (``_value_row``) and redoes a raising point on the tree
+    walker."""
+    exprs = (family.u_expr, family.v_expr)
+    gen, _ = _state_codegen(family)
+    row = _emit_row(gen, exprs)
+    start = ["dev_u = dev_v = dev_uv = 0.0"]
+    deviations = _grid_pass(gen, ("u", "v"), row, start, _DEVIATION_FOLD, "dev_u, dev_v, dev_uv")
+    return functools.partial(deviations, functools.partial(_reference_row, family, exprs))
+
+
 def limit_sweep(
     kind: str,
     parameters: Mapping[str, float],
@@ -486,7 +652,11 @@ def limit_sweep(
     grid: Grid2D,
 ) -> SweepTable:
     """Deviation of u and v from the degenerate limit -y/x as the scale
-    parameter grows, with the decay order fitted in 1/alpha."""
+    parameter grows, with the decay order fitted in 1/alpha.
+
+    Each alpha takes one filter pass over the grid and one generated
+    deviation pass over its kept points (:func:`_deviation_pass`), which
+    folds the three largest deviations as Python's ``max`` would."""
     if kind == "loglog":
         raise HodographError(
             "the loglog family never reaches u = v, so it has no "
@@ -501,13 +671,7 @@ def limit_sweep(
         points = grid.points(params)
         if len(points) == 0:
             raise HodographError(f"grid empty at alpha = {alpha}")
-        dev_u = dev_v = dev_uv = 0.0
-        for x, y in zip(*points.T.tolist()):
-            u, v = family._value_row((x, y))
-            limit = -y / x
-            dev_u = max(dev_u, abs(u - limit))
-            dev_v = max(dev_v, abs(v - limit))
-            dev_uv = max(dev_uv, abs(u - v))
+        dev_u, dev_v, dev_uv = _deviation_pass(family)(*points.T.tolist())
         rows.append(
             {
                 "alpha": float(alpha),

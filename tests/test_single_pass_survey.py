@@ -3,9 +3,11 @@
 A ``hodograph`` run takes the partials of its family once per admissible
 grid point and builds that grid once (``limit_sweep``'s grids, one per
 alpha, aside); both transport residuals and the Jacobian minimum come from
-that one pass.  A ``check-jacobi`` run evaluates the bracket entries once
-per cloud point: the cloud is checked in blocks of points, and the
-degeneracy report reads the matrix stack the Jacobi report was built from."""
+that one pass, the check pass: generated code for a closed-form family, one
+``_field_partials`` call per point for a custom-fg family.  A
+``check-jacobi`` run evaluates the bracket entries once per cloud point: the
+cloud is checked in blocks of points, and the degeneracy report reads the
+matrix stack the Jacobi report was built from."""
 
 import json
 from pathlib import Path
@@ -43,6 +45,25 @@ def _counted(monkeypatch, owner, name):
     return results
 
 
+def _check_points(monkeypatch):
+    """Wrap each check pass built; return the number of points each one
+    receives."""
+    received = []
+    build = hodograph._check_pass
+
+    def counted_build(family):
+        check = build(family)
+
+        def counted(xs, ys, out):
+            received.append(len(xs))
+            return check(xs, ys, out)
+
+        return counted
+
+    monkeypatch.setattr(hodograph, "_check_pass", counted_build)
+    return received
+
+
 HODOGRAPH_CONFIGS = [*sorted(p.name for p in FIXTURES.glob("hodograph_*.json")), "custom-fg"]
 
 
@@ -72,10 +93,12 @@ def test_hodograph_run_takes_partials_once_per_grid_point(tmp_path, monkeypatch,
     cfg = _hodograph_config(tmp_path, name)
     expected = _admissible_count(cfg)
     assert expected > 0
+    checked = _check_points(monkeypatch)
     partials = _counted(monkeypatch, hodograph, "_field_partials")
     grids = _counted(monkeypatch, hodograph.Grid2D, "points")
     report = run("hodograph", cfg, tmp_path / "out")
-    assert len(partials) == expected
+    assert checked == [expected]
+    assert len(partials) == (expected if name == "custom-fg" else 0)
     alphas = cfg.raw["hodograph"].get("alphas", [])
     assert len(grids) == 1 + len(alphas)
     assert len(grids[0]) == expected

@@ -5,10 +5,12 @@ Generated code must give the tree walker's numbers bit for bit and, where
 the tree walker raises, its error and message; fixture artifacts must not
 depend on which of the two ran, and a family copied with new expressions
 (``dataclasses.replace``) must run them, not its source's cached code.
-Every phase point, grid point, cloud point and generator runs the flows'
-state-tuple row (``expressions._generate_row``) and redoes a raising row on
-the tree walker: structures their entries, filters one row of every filter,
-closed-form families their (u, v) rows and generators a row over s."""
+Every phase point, cloud point and generator runs the flows' state-tuple
+row (``expressions._generate_row``) and redoes a raising row on the tree
+walker: structures their entries, filters one row of every filter,
+closed-form families their (u, v) rows and generators a row over s.  A grid
+runs the same lines in generated passes (``hodograph._grid_pass``) and
+redoes a raising point on the tree walker."""
 
 import dataclasses
 import math
@@ -371,7 +373,25 @@ def test_survey_artifacts_match_tree_fallback(name, tmp_path, monkeypatch):
 
         return disabled
 
+    build = hodograph._grid_pass
+
+    def raising_pass(gen, *args):
+        # a grid pass whose lines raise at every point: every point takes
+        # its redo, the tree walker
+        gen.lines.append("raise ArithmeticError")
+        return build(gen, *args)
+
+    def redo(fn):
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return counted
+
     monkeypatch.setattr(hodograph, "_generate_row", raising_row)
     monkeypatch.setattr(brackets, "_generate_row", raising_row)
+    monkeypatch.setattr(hodograph, "_grid_pass", raising_pass)
+    monkeypatch.setattr(hodograph, "_admitted", redo(hodograph._admitted))
+    monkeypatch.setattr(hodograph, "_reference_row", redo(hodograph._reference_row))
     assert _artifacts(name, tmp_path / "tree") == generated
     assert calls

@@ -1,14 +1,17 @@
 """Grids, clouds, hodograph fields and generators run the state-tuple row.
 
-A grid's or a cloud's filters are one generated row over its coordinates
+A cloud's filters are one generated row over its coordinates
 (``hodograph.admission``), a closed-form family has one (u, v) value row and
 one value-and-partials row over (x, y), and a custom-fg family one row per
 generator over (s,).  Each is built once and called once per point; a row
-that raises is redone on the tree walker.  These tests hold the rows to
-the one-expression-at-a-time evaluation they replace: each filter on its
-own with ``compile`` (whose fallback is the tree walker), taken in order
-until the first reject, and ``evaluate`` and ``derivative`` of each field
-and generator.  ``cli.sample_cloud`` draws in blocks and must give the
+that raises is redone on the tree walker.  A grid runs the same lines in
+generated passes: one filter pass per grid, one check pass per
+closed-form family and one deviation pass per sweep family, each built
+once per run and looping over the points itself.  These tests hold the
+rows to the one-expression-at-a-time evaluation they replace: each filter
+on its own with ``compile`` (whose fallback is the tree walker), taken in
+order until the first reject, and ``evaluate`` and ``derivative`` of each
+field and generator.  ``cli.sample_cloud`` draws in blocks and must give the
 points, the error and the random stream of one draw per attempt."""
 
 import json
@@ -256,9 +259,28 @@ def _row_spy(monkeypatch):
     return built
 
 
+def _pass_spy(monkeypatch):
+    """The results of each generated grid pass built."""
+    built = []
+    generate = hodograph._grid_pass
+
+    def spy(gen, results, *args):
+        built.append(tuple(results))
+        return generate(gen, results, *args)
+
+    monkeypatch.setattr(hodograph, "_grid_pass", spy)
+    return built
+
+
+FILTER_PASS = ("kept",)
+CHECK_PASS = ("u", "ux", "uy", "v", "vx", "vy")
+DEVIATION_PASS = ("u", "v")
+
+
 def test_a_hodograph_run_builds_each_row_once(tmp_path, monkeypatch):
-    # one filter row per grid pass, the family's partials row for the
-    # checks, and one value row per sweep family; none per point
+    # one filter pass per grid, the check pass over the family's partials
+    # and one deviation pass per sweep family, in place of the rows they
+    # run the lines of; none per point
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({
         "version": 1,
@@ -270,6 +292,7 @@ def test_a_hodograph_run_builds_each_row_once(tmp_path, monkeypatch):
         },
     }), encoding="utf-8")
     built = _row_spy(monkeypatch)
+    passes = _pass_spy(monkeypatch)
     reads = []
     evaluate_uv = HodographFamily.evaluate_uv
 
@@ -279,11 +302,11 @@ def test_a_hodograph_run_builds_each_row_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(HodographFamily, "evaluate_uv", counted)
     run("hodograph", load_config(path), tmp_path / "out")
-    filter_rows = [b for b in built if b == (("x", "y"), 3, ())]
-    assert len(filter_rows) == 4
-    assert built.count((("x", "y"), 2, ("x", "y"))) == 1
-    assert built.count((("x", "y"), 2, ())) == 3
-    assert len(built) == 8
+    assert built == []
+    assert passes.count(FILTER_PASS) == 4
+    assert passes.count(CHECK_PASS) == 1
+    assert passes.count(DEVIATION_PASS) == 3
+    assert len(passes) == 8
     assert reads == []
 
 
@@ -327,5 +350,8 @@ def test_a_custom_fg_run_builds_one_row_per_generator(tmp_path, monkeypatch):
                       "g": "-alpha*s", "grid": {"x": [0.4, 1.4, 4], "y": [-1.0, 1.0, 4]}},
     }), encoding="utf-8")
     built = _row_spy(monkeypatch)
+    passes = _pass_spy(monkeypatch)
     run("hodograph", load_config(path), tmp_path / "out")
-    assert sorted(built) == [(("s",), 1, ("s",))] * 2 + [(("x", "y"), 1, ())]
+    assert built == [(("s",), 1, ("s",))] * 2
+    # the solver is no generated code: its checks run point by point
+    assert passes == [FILTER_PASS]
