@@ -38,6 +38,7 @@ from .expressions import (  # noqa: F401
     Expression,
     Unary,
     _generate_row,
+    _row_pass,
     as_expression,
     evaluate,
     free_names,
@@ -186,15 +187,14 @@ class PoissonStructure:
 
     # -- evaluation ----------------------------------------------------------
     #
-    # Every point runs the row that the flows run on a state tuple
-    # (``expressions._generate_row``): one generated function per structure,
-    # built on first use, for every stored entry's value, or its value and
-    # then its partials.  A row whose generated code raises redoes itself
-    # on the tree walker, entry by entry, value before partials, so
-    # errors, and which of them wins, are the tree walker's.  A (k, dim)
-    # block of points is evaluated point by point in order, so its first
-    # raising point raises first, and read as stacks of k matrices; one
-    # point is a block of one.
+    # A (k, dim) block of points runs one generated pass over the state
+    # tuples the flows' rows read (``expressions._row_pass``), built on
+    # first use: every stored entry's value, or its value and then its
+    # partials, at each point in order; one point is a block of one.  A
+    # point whose generated code raises is redone on the tree walker, entry
+    # by entry, value before partials, so errors, and which of them wins,
+    # are the tree walker's.  The surface solve, which takes one point at a
+    # time, runs the value row (``expressions._generate_row``).
 
     @cached_property
     def _value_row(self):
@@ -202,21 +202,36 @@ class PoissonStructure:
         return _generate_row(self, self.entries.values())
 
     @cached_property
-    def _dual_row(self):
-        """Generated code for every stored entry's value and then its
-        partials with respect to every phase-space name."""
-        return _generate_row(self, self.entries.values(), self.variable_names)
+    def _value_pass(self):
+        """The value row's pass over a block of points."""
+        return _row_pass(self, self.entries.values())
+
+    @cached_property
+    def _dual_pass(self):
+        """A pass over a block of points for every stored entry's value and
+        then its partials with respect to every phase-space name."""
+        return _row_pass(self, self.entries.values(), self.variable_names)
 
     def _at_points(self, x, variables=()) -> tuple[bool, np.ndarray]:
         """Whether ``x`` is a block, and the (k, entries, 1 + len(variables))
         stack of every entry's value and partials with respect to
         ``variables`` (none, or every phase-space name) at its k points;
-        k = 1 for one point."""
+        k = 1 for one point.  The points before the first that
+        :meth:`_coordinates` refuses, of the wrong shape or not finite, are
+        evaluated before it is refused, so their errors win."""
         x = np.asarray(x, dtype=float)
-        row = self._dual_row if variables else self._value_row
-        rows = [row(self._coordinates(point)) for point in (x if x.ndim == 2 else x[None])]
-        shape = (len(rows), len(self.entries), 1 + len(variables))
-        return x.ndim == 2, np.array(rows, dtype=float).reshape(shape)
+        if x.ndim == 2:
+            valid = x.shape[1:] == (self.dim,) and np.isfinite(x).all(axis=1)
+            k = len(x) if np.all(valid) else int(np.argmin(valid))
+            points = zip(*x[:k].T.tolist())
+        else:
+            k, points = 1, [self._coordinates(x)]
+        rows = np.empty((k, len(self.entries), 1 + len(variables)))
+        fill = self._dual_pass if variables else self._value_pass
+        fill(points, memoryview(rows.reshape(-1)))
+        if x.ndim == 2 and k < len(x):
+            self._coordinates(x[k])
+        return x.ndim == 2, rows
 
     @cached_property
     def _flat_entries(self) -> tuple[np.ndarray, np.ndarray]:

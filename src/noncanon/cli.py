@@ -354,7 +354,7 @@ def sample_cloud(cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
     names = cfg.structure.variable_names
     lo, hi = np.array(_ranges(block, "ranges", names, [-1.5, 1.5], "$.cloud")).T
     filters = _filters_from_config(block, "$.cloud", {*names, *cfg.parameters})
-    admits = hg.admission(filters, names, cfg.parameters)
+    keep = hg._filter_pass(filters, names)
     blocks = []
     kept = attempts = 0
     while kept < count:
@@ -365,7 +365,9 @@ def sample_cloud(cfg: RunConfig, rng: np.random.Generator) -> np.ndarray:
             raise ConfigError("$.cloud", "domain filters rejected too many samples")
         attempts += k
         draws = lo + (hi - lo) * rng.random((k, len(names)))
-        blocks.append(draws[list(map(admits, draws.tolist()))])
+        # the pass writes the kept draws over the draws it has read
+        k = keep(cfg.parameters, zip(*draws.T.tolist()), memoryview(draws.reshape(-1)))
+        blocks.append(draws[:k])
         kept += len(blocks[-1])
     return np.concatenate(blocks)
 

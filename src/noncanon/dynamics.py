@@ -13,18 +13,18 @@ Each flow runs two pieces of code generated for it on Python floats: one
 stepping loop (:func:`_generate_step`), which holds the state in locals,
 takes every step (four RK4 stages and their combination, or the implicit
 midpoint's fixed-point iteration over one velocity stage) and writes each
-new state into the stored states, and one row per stored state, from the
-row generator that structures also evaluate their entries with
-(``expressions._generate_row``).  For :func:`integrate` the row holds
-every monitor and every stored bracket entry, and ``det Theta`` is taken
-over the structure's own assembly of those entries; an epsilon sweep's
-row holds only the frozen combinations it reports.  Both bind the state
-to locals, and the row loads each parameter once per call.  The tree
-walker stays the reference and is bit-identical where the generated code
-succeeds.  A row whose generated code raises redoes itself on it
-(``expressions._reference_row``); a step whose generated code raises is
-redone here, once, by ``_Velocity``, and the loop then resumes after the
-redone step.  Every flow, the reduced flow of
+new state into the stored states, and one pass over each block of stored
+states (``expressions._row_pass``), the pass that structures also
+evaluate their entries over a block of points with.  For
+:func:`integrate` the pass's row holds every monitor and every stored
+bracket entry, and ``det Theta`` is taken over the structure's own
+assembly of those entries; an epsilon sweep's row holds only the frozen
+combinations it reports.  Both bind the state to locals.  The tree walker
+stays the reference and is bit-identical where the generated code
+succeeds.  A stored state whose lines raise is redone on it
+(``expressions._reference_row``) and the pass goes on; a step whose
+generated code raises is redone here, once, by ``_Velocity``, and the
+loop then resumes after the redone step.  Every flow, the reduced flow of
 :mod:`reduction` included (its constant bracket on q1..qn read like any
 structure's, with no monitor row), is stepped by :func:`_flow_states`.
 """
@@ -53,9 +53,10 @@ from .expressions import (  # noqa: F401
     Dual,
     Expression,
     Name,
+    _block,
     _eval,
-    _generate_row,
     _product,
+    _row_pass,
     _state_codegen,
     as_expression,
     free_names,
@@ -194,8 +195,9 @@ def _generate_step(
     """
     names = structure.variable_names
     entries = list(structure.entries.items())
-    gen, x = _state_codegen(structure)
-    gen.namespace["_IntegrationError"] = IntegrationError
+    gen, _ = _state_codegen(names)
+    x = [gen.loads[name] for name in names]  # the state's locals
+    gen.namespace.update(env=structure.parameters, _IntegrationError=IntegrationError)
 
     def stage(state: list[str]) -> list[str]:
         gen.loads.update(zip(names, state))
@@ -227,34 +229,30 @@ def _generate_step(
     gen.prune(", ".join(new))
 
     unpack, *body = gen.lines
-
-    def block(lines, indent: int) -> str:
-        return "".join(f"{' ' * indent}{line}\n" for line in lines)
-
     if method == "midpoint":
         y = [f"y{i}" for i in range(len(names))]
         largest = ", ".join(f"abs({a})" for a in x)
         step = _MIDPOINT.format(
-            start=block(map("{} = {}".format, m, x), 12),
+            start=_block(map("{} = {}".format, m, x), 12),
             largest=f"max({largest})" if len(x) > 1 else largest,
-            body=block(body, 16),
+            body=_block(body, 16),
             converged=" and ".join(f"abs({z} - {a}) <= tol" for z, a in zip(new, y)),
-            iterate=block(
+            iterate=_block(
                 [*map("{} = {}".format, y, new), *map("{} = 0.5 * ({} + {})".format, m, x, y)],
                 16,
             ),
             message=_UNCONVERGED,
         )
     else:
-        step = block(body, 12)
+        step = _block(body, 12)
     stores = [f"out[i + {j}] = {z}" if j else f"out[i] = {z}" for j, z in enumerate(new)]
     source = _LOOP.format(
         unpack=unpack,
         dim=len(x),
         step=step,
-        store=block(stores, 12),
+        store=_block(stores, 12),
         total=" + ".join(new),
-        advance=block(map("{} = {}".format, x, new), 12),
+        advance=_block(map("{} = {}".format, x, new), 12),
     )
     return gen.define(source)
 
@@ -416,21 +414,21 @@ def default_monitors(structure: PoissonStructure) -> dict[str, Expression]:
 
 
 def _row_blocks(structure: PoissonStructure, exprs, states: np.ndarray):
-    """The rows of :func:`_generate_row` over ``exprs`` at the stored
-    states, as ``(start, rows)`` for each block of at most ``_DET_BLOCK``
-    states.
+    """The rows of ``exprs`` at the stored states, as ``(start, rows)`` for
+    each block of at most ``_DET_BLOCK`` states.
 
-    One generated function computes a state's row from the state tuple,
-    with parameters loaded once per call.  A state whose generated code
-    raises is redone inside the row by the tree walker, so errors are the
-    tree walker's, in the order of ``exprs``.  Every block is written into one
-    reused array, which keeps the extra memory to one block; read ``rows``
-    before the next block replaces it."""
-    row = _generate_row(structure, exprs)
+    Each block is one call of one generated pass over its states
+    (``expressions._row_pass``).  A state whose generated code raises is
+    redone by the tree walker, so errors are the tree walker's, in the order
+    of ``exprs``.  Every block is written into one reused array, which keeps
+    the extra memory to one block; read ``rows`` before the next block
+    replaces it."""
+    fill = _row_pass(structure, exprs)
     rows = np.empty((_DET_BLOCK, len(exprs)))
+    out = memoryview(rows.reshape(-1))
     for start in range(0, len(states), _DET_BLOCK):
         block = states[start : start + _DET_BLOCK]
-        rows[: len(block)] = list(map(row, block.tolist()))
+        fill(zip(*block.T.tolist()), out)
         yield start, rows[: len(block)]
 
 

@@ -10,30 +10,30 @@ Two evaluators apply the same dual-number rules.  The tree walker
 (``evaluate``, ``derivative``, ``gradient``) allocates a ``Dual`` per node
 and walks the tree once per variable; it is the reference and the error
 reporter.  The emitter (``_Codegen``) unrolls those rules into generated
-straight-line code that returns the value and every partial in one pass,
+straight-line code that returns the value and every partial in one go,
 bit for bit equal to the tree walker.  The library runs it on a whole
-state tuple: each flow's stepping loop (``dynamics._generate_step``),
-each hodograph grid pass (``hodograph._grid_pass``), and the one row
-generator (``_generate_row``), which every phase point, cloud point and
-generator runs, and whose lines a grid pass runs at each grid point.  A
-row holds the flows' monitors, a structure's entries (with their partials
-for bracket matrices, Jacobi and degeneracy checks and surface solves), a
-grid's or a cloud's domain filters over its coordinates, a hodograph
-family's u and v over (x, y), with their partials for the transport
-checks, or a custom generator's value and slope over (s,).  ``compile``
-builds the same code for one expression over an env dict; no library
-module calls it.
+state tuple, under one rule: one row per single point, one pass per block
+of points.  A row (:func:`_generate_row`) takes one point: a surface
+solve's point, a hodograph family's (u, v) at one (x, y), a custom
+generator's value and slope at one s.  A pass (:func:`_generate_pass`)
+is one generated function that loops over a block of points itself and
+runs at each the lines the row would: a structure's entries, with their
+partials for Jacobi checks (:func:`_row_pass`), the flows' monitors and
+frozen combinations over the stored states, a grid's or a cloud's domain
+filters, and a hodograph family's transport checks and limit deviations.
+Each flow's stepping loop (``dynamics._generate_step``) is generated code
+of its own.  ``compile`` builds the same code for one expression over an
+env dict; no library module calls it.
 
-Rows and ``compile`` redo themselves: where the generated code raises,
-they rerun the tree walker on the same arguments (:func:`_reference_row`
-for a row), so the result or the error is the tree walker's.  Three
-callers keep a rule of their own, none of them a redo of a row: a flow
-step is redone by the tree walker on numpy scalars
-(``dynamics._flow_step``), a raising filter point takes its filters one
-at a time so that a reject before an error wins (``hodograph._admitted``),
-and a generator's value survives an error in its slope
-(``hodograph._GeneratorSolver``).  A grid pass point whose lines raise
-takes the row's own redo, ``_reference_row``.
+Where the generated code raises, the tree walker takes over: a row and
+``compile`` rerun it on the same arguments (:func:`_reference_row` for a
+row), and a pass point takes its redo, the row's tree walker, and the pass
+goes on; so the result or the error is the tree walker's.  Three callers
+keep a rule of their own: a flow step is redone by the tree walker on
+numpy scalars (``dynamics._flow_step``), a raising filter point takes its
+filters one at a time so that a reject before an error wins
+(``hodograph._admitted``), and a generator's value survives an error in
+its slope (``hodograph._GeneratorSolver``).
 
 Both evaluators call one set of helpers for the rules that branch on
 runtime values (``_exp``, ``_sqrt_partial`` and the ``_pow_*`` helpers), so
@@ -728,11 +728,10 @@ class _Codegen:
         """``def (params)`` running the emitted lines and returning ``result``.
         A call that raises an evaluation error, an overflowing ``_pow``
         included, reruns its arguments on ``fallback``."""
-        body = "".join(f"        {line}\n" for line in self.lines)
         source = (
             f"def _compiled({params}):\n"
             "    try:\n"
-            f"{body}"
+            f"{_block(self.lines, 8)}"
             f"        return {result}\n"
             "    except _errors:\n"
             f"        return _fallback({params})\n"
@@ -892,29 +891,30 @@ def compile(e: Expression, variables: Sequence[str] = ()) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# Rows over the state tuple
+# Rows and passes over the state tuple
 #
 # A "structure" here is anything with the ``variable_names`` and
 # ``parameters`` of a Poisson structure: the flows' steps and monitor rows,
 # a structure's entry values at a phase point, a grid's or a cloud's
 # filters, a hodograph family's (u, v) at (x, y) and a generator at s all
 # read the state as one tuple of Python floats, which the caller converts
-# from numpy values.
+# from numpy values.  One point is a row; a block of points is a pass,
+# which loops over the block inside generated code.
 
 
-def _state_codegen(structure, variables: Sequence[str] = ()) -> tuple[_Codegen, list[str]]:
-    """A code generator for a function of the state tuple ``x`` and its
-    partials with respect to ``variables``, and the locals ``x0, x1, ...``
-    its first line unpacks ``x`` into.  The phase-space names load from
-    those locals, and each parameter is loaded once per call from
-    ``structure.parameters``."""
-    names = structure.variable_names
+def _state_codegen(names, exprs=(), variables: Sequence[str] = ()) -> tuple[_Codegen, list]:
+    """A code generator for a function of the state tuple ``x`` over
+    ``names`` and its partials with respect to ``variables``, whose first
+    line unpacks ``x`` into one local per name (``gen.loads[name]``), with
+    ``exprs`` emitted into it; and the atoms of their row: each
+    expression's value and then its partials, the order of
+    :func:`_reference_row`.  Each parameter loads from ``env`` where it is
+    first used."""
     gen = _Codegen(tuple(variables))
-    gen.namespace["env"] = structure.parameters
-    x = [f"x{i}" for i in range(len(names))]
-    gen.lines.append(f"{', '.join(x)}, = x")
-    gen.loads.update(zip(names, x))
-    return gen, x
+    gen.lines.append(f"{''.join(f'x{i}, ' for i in range(len(names)))}= x")
+    gen.loads.update((name, f"x{i}") for i, name in enumerate(names))
+    emitted = [gen.emit(e) for e in exprs]
+    return gen, [v for value, d in emitted for v in (value, *(d.get(n, "0.0") for n in variables))]
 
 
 def _generate_row(structure, exprs, variables: Sequence[str] = ()) -> Callable:
@@ -923,30 +923,23 @@ def _generate_row(structure, exprs, variables: Sequence[str] = ()) -> Callable:
     respect to ``variables``.  A call that succeeds is bit-identical to
     :func:`_reference_row`; a call whose generated code raises returns
     :func:`_reference_row` at ``x``, or raises the tree walker's first
-    error, as ``compile`` does.
+    error, as ``compile`` does."""
+    gen, row = _state_codegen(structure.variable_names, exprs, variables)
+    gen.namespace["env"] = env = structure.parameters
+    redo = _redo(structure.variable_names, exprs, variables)
+    return gen.function("x", f"({''.join(f'{v}, ' for v in row)})", functools.partial(redo, env))
 
-    The fallback holds the structure's names and parameters, not the
-    structure, which caches its rows: a row holding its structure would
-    form a cycle (see :meth:`_Codegen.define`)."""
-    gen, _ = _state_codegen(structure, variables)
+
+def _redo(names, exprs, variables: Sequence[str] = ()) -> Callable:
+    """``redo(env, x)``: :func:`_reference_row` over ``names`` at ``x``,
+    with the parameters ``env``; a pass point's redo, and with ``env``
+    bound a row's fallback.  It holds names, not a structure, which caches
+    its rows and passes: a row holding its structure would form a cycle
+    (see :meth:`_Codegen.define`)."""
     exprs, variables = tuple(exprs), tuple(variables)
-    row = _emit_row(gen, exprs, variables)
-    space = SimpleNamespace(
-        variable_names=structure.variable_names, parameters=structure.parameters
+    return lambda env, x: _reference_row(
+        SimpleNamespace(variable_names=names, parameters=env), exprs, x, variables
     )
-
-    def fallback(x):
-        return _reference_row(space, exprs, x, variables)
-
-    return gen.function("x", f"({''.join(f'{v}, ' for v in row)})", fallback)
-
-
-def _emit_row(gen: _Codegen, exprs, variables: Sequence[str] = ()) -> list[str]:
-    """Emit ``exprs`` into ``gen``; return the atoms of their row, each
-    expression's value and then its partials with respect to ``variables``,
-    the order of :func:`_reference_row`."""
-    emitted = [gen.emit(e) for e in exprs]
-    return [v for value, d in emitted for v in (value, *(d.get(n, "0.0") for n in variables))]
 
 
 def _reference_row(structure, exprs, x, variables: Sequence[str] = ()) -> list:
@@ -958,6 +951,73 @@ def _reference_row(structure, exprs, x, variables: Sequence[str] = ()) -> list:
     for e in exprs:
         row += [_eval(e, env), *(gradient(e, variables, env) if variables else ())]
     return row
+
+
+# One pass over a block of points: the ``for`` target unpacks each state
+# tuple into the locals of the state, the lines of the point's row run under
+# ``try``, then the row is folded into the pass's results.  A point whose
+# lines raise takes its row from ``redo(env, x)``, which returns the tree
+# walker's row or raises its error.  Unpacking in the target frees each
+# tuple before the next is made, so ``zip`` and ``product`` reuse theirs.
+# The ``for`` loop's back edge is an unconditional JUMP_BACKWARD, which
+# CPython 3.11 specializes (see ``dynamics._LOOP``).
+_PASS = """\
+def _compiled(redo, env, points, out=None):
+{start}\
+    for {state} in points:
+        try:
+{lines}\
+        except _errors:
+            {results} = redo(env, [{state}])
+{fold}\
+    return {returns}
+"""
+
+
+def _block(lines, indent: int) -> str:
+    """``lines`` as source, each indented by ``indent`` spaces."""
+    return "".join(f"{' ' * indent}{line}\n" for line in lines)
+
+
+def _fold(acc: str, value: str, rule: str = ">") -> list[str]:
+    """Lines of a pass that fold ``value`` into ``acc`` as ``acc = max(acc,
+    value)`` (``rule`` ">") or ``min`` ("<") does, bit for bit: a NaN value
+    never replaces ``acc``, and a NaN ``acc`` is never replaced."""
+    return [f"r = {value}", f"if r {rule} {acc}: {acc} = r"]
+
+
+def _generate_pass(gen: _Codegen, results, row, start, fold, returns: str) -> Callable:
+    """``pass(redo, env, points, out=None) -> returns``, one generated
+    function that loops over the state tuples of ``points``: at each ``x``,
+    the lines emitted into ``gen`` (:func:`_state_codegen`) and then
+    ``results = row``, or ``results = redo(env, x)`` where they raise, and
+    then the ``fold`` lines.  ``redo`` returns a sequence of as many values
+    as ``results``.  The ``start`` lines open the pass.  Parameters load
+    from the argument ``env``, so one pass serves any parameters."""
+    lines = [*gen.lines[1:], *map("{} = {}".format, results, row)] or ["pass"]
+    source = _PASS.format(
+        start=_block(start, 4),
+        state=gen.lines[0].split(" = ")[0],  # the targets of the unpack line
+        lines=_block(lines, 12),
+        results="".join(f"{r}, " for r in results) or "()",
+        fold=_block(fold, 8),
+        returns=returns,
+    )
+    return gen.define(source)
+
+
+def _row_pass(structure, exprs, variables: Sequence[str] = ()) -> Callable:
+    """``fill(points, out)``: the row of :func:`_generate_row` at every
+    state tuple of ``points``, written in order into the flat memoryview
+    ``out`` by one generated pass.  A point whose lines raise takes
+    :func:`_reference_row`, so the rows, the errors and the first of them
+    to be raised are the tree walker's."""
+    gen, row = _state_codegen(structure.variable_names, exprs, variables)
+    results = [f"r{j}" for j in range(len(row))]
+    fold = [*(f"out[i + {j}] = {r}" for j, r in enumerate(results)), f"i += {len(row)}"]
+    fill = _generate_pass(gen, results, row, ["i = 0"], fold, "i")
+    redo = _redo(structure.variable_names, exprs, variables)
+    return functools.partial(fill, redo, structure.parameters)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -36,8 +35,10 @@ from .expressions import (  # noqa: F401
     DomainError,
     Expression,
     Name,
-    _emit_row,
+    _fold,
+    _generate_pass,
     _generate_row,
+    _redo,
     _reference_row,
     _state_codegen,
     as_expression,
@@ -68,20 +69,20 @@ __all__ = [
 FAMILY_KINDS = ("linear", "log", "loglog", "custom-fg")
 
 # Grids, clouds, families and generators run the state-tuple code of
-# structures and flows (``expressions._state_codegen``).  A grid is walked
-# by generated passes (:func:`_grid_pass`), each one function that loops
-# over the points itself and runs at each the lines a row would: the filter
-# pass of ``Grid2D.points`` over every grid point, then, over the kept
-# points of a closed-form family, the check pass of ``grid_checks`` and one
-# deviation pass per alpha in ``limit_sweep``, which fold their residuals
-# as they go.  A custom-fg family's checks stay a Python loop, one solve
-# per point.  A cloud's filters are one row over its coordinates
-# (:func:`admission`), a closed-form family's (u, v) rows serve single
-# points, and each generator is a row over (s,).  A point or a row whose generated code raises is
-# redone on the tree walker, so outcomes and errors are the tree walker's.
-# Two rules stay here: a filter point that raises is redone filter by
-# filter, so a reject before an error wins, and a generator's value survives
-# an error in its slope.
+# structures and flows (``expressions._state_codegen``): one row per single
+# point, one generated pass per block of points.  The passes
+# (``expressions._generate_pass``) loop over the points themselves: the
+# filter pass (:func:`_filter_pass`) over every grid point or every drawn
+# cloud point, then, over the kept points of a closed-form family, the
+# check pass of ``grid_checks`` and the deviation pass of ``limit_sweep``,
+# one per sweep and run once per alpha, which fold their residuals as they
+# go.  A custom-fg family's checks stay a Python loop, one solve per point.
+# The rows serve single points: a closed-form family's (u, v) in
+# ``evaluate_uv``, and each generator's value and slope over (s,).  A point
+# or a row whose generated code raises is redone on the tree walker, so
+# outcomes and errors are the tree walker's.  Two rules stay here: a filter
+# point that raises is redone filter by filter, so a reject before an error
+# wins, and a generator's value survives an error in its slope.
 
 _XY = ("x", "y")
 _S = ("s",)
@@ -144,27 +145,6 @@ def _admitted(filters: Sequence[DomainFilter], names, parameters, x) -> bool:
     return all(f.admits(env) for f in filters)
 
 
-def admission(filters: Sequence[DomainFilter], names, parameters) -> Callable:
-    """``admits(x) -> bool``: whether every filter admits the point ``x``, a
-    sequence of Python floats over ``names``; a cloud's filter test.
-
-    One generated row holds every filter's value.  A point whose row
-    raises is taken again by :func:`_admitted`, so its outcome and its
-    error are those of the filters taken one at a time.  A grid runs the
-    same lines and the same redo in its filter pass (:meth:`Grid2D.points`)."""
-    space = SimpleNamespace(variable_names=tuple(names), parameters=parameters)
-    row = _generate_row(space, [f.expr for f in filters])
-
-    def admits(x) -> bool:
-        try:
-            values = row(x)
-        except EVALUATION_ERRORS:
-            return _admitted(filters, space.variable_names, parameters, x)
-        return all(map(DomainFilter.keeps, filters, values))
-
-    return admits
-
-
 def _filter(src, min_abs=None, minimum=None) -> DomainFilter:
     return DomainFilter(parse(src), min_abs=min_abs, minimum=minimum)
 
@@ -177,20 +157,22 @@ class Grid2D:
     ny: int
     filters: tuple[DomainFilter, ...] = ()
 
+    @cached_property
+    def _keep(self) -> Callable:
+        """The filter pass of :meth:`points`, built on first use."""
+        return _filter_pass(self.filters, _XY)
+
     def points(self, parameters: Mapping[str, float] | None = None) -> np.ndarray:
         """The ``(k, 2)`` grid points that every filter keeps, x-major.
 
         One generated pass (:func:`_filter_pass`) runs every filter's value
-        and test at every point, with no Python call per point.  A point
+        and test at every point, with no Python call per point; a point
         whose filter lines raise is taken again filter by filter on the
-        tree walker (:func:`_admitted`), as a cloud point is by
-        :func:`admission`, and the pass goes on at the next point."""
+        tree walker, and the pass goes on at the next point."""
         xs = np.linspace(self.x_range[0], self.x_range[1], self.nx).tolist()
         ys = np.linspace(self.y_range[0], self.y_range[1], self.ny).tolist()
         kept = np.empty((len(xs) * len(ys), 2))
-        count = _filter_pass(self.filters, dict(parameters or {}))(
-            xs, ys, memoryview(kept.reshape(-1))
-        )
+        count = self._keep(dict(parameters or {}), product(xs, ys), memoryview(kept.reshape(-1)))
         return kept[:count].copy()
 
 
@@ -214,69 +196,23 @@ def default_filters(kind: str, band: float = 1e-3):
 
 
 # ---------------------------------------------------------------------------
-# Generated grid passes
-
-# One pass over a grid: at each point the lines of the point's row, under
-# ``try``, then the fold of the row into the pass's results.  A point whose
-# lines raise takes its row from ``redo``, the row's tree-walker fallback,
-# which returns the tree walker's row or raises its error.
-_PASS = """\
-def _compiled(redo, xs, ys, out=None):
-{start}\
-    for x0, x1 in _points(xs, ys):
-        try:
-{lines}\
-        except _errors:
-            {results} = redo((x0, x1))
-{fold}\
-    return {returns}
-"""
+# Generated filter pass
 
 
-def _fold(acc: str, value: str, rule: str = ">") -> list[str]:
-    """Lines of a pass that fold ``value`` into ``acc`` as ``acc = max(acc,
-    value)`` (``rule`` ">") or ``min`` ("<") does, bit for bit: a NaN value
-    never replaces ``acc``, and a NaN ``acc`` is never replaced."""
-    return [f"r = {value}", f"if r {rule} {acc}: {acc} = r"]
-
-
-def _grid_pass(gen, results, row, start, fold, returns: str, points=zip) -> Callable:
-    """``pass(redo, xs, ys, out=None) -> returns``, one generated function
-    that loops over ``points(xs, ys)``: at each point, the lines emitted
-    into ``gen`` by ``expressions._state_codegen`` (the loop binds the
-    state tuple ``x0, x1`` that their first line would unpack), then
-    ``results = row``, or ``results = redo((x0, x1))`` where the lines
-    raise, and then the ``fold`` lines.  The ``start`` lines open the
-    pass."""
-
-    def block(lines, indent: int) -> str:
-        return "".join(f"{' ' * indent}{line}\n" for line in lines)
-
-    _, *lines = gen.lines
-    lines += map("{} = {}".format, results, row)
-    source = _PASS.format(
-        start=block(start, 4),
-        lines=block(lines, 12),
-        results=", ".join(results),
-        fold=block(fold, 8),
-        returns=returns,
-    )
-    return gen.define(source, _points=points)
-
-
-def _filter_pass(filters: Sequence[DomainFilter], parameters) -> Callable:
-    """``keep(xs, ys, out) -> k``: the filter pass over every point of ``xs``
-    x ``ys``, which writes the ``k`` kept points, x-major, into the flat
-    memoryview ``out``.  Every filter's value comes first, as in the row of
-    :func:`admission`, then every filter's test; a point whose lines raise
-    is taken by :func:`_admitted`."""
-    space = SimpleNamespace(variable_names=_XY, parameters=parameters)
-    gen, _ = _state_codegen(space)
-    values = _emit_row(gen, [f.expr for f in filters])
+def _filter_pass(filters: Sequence[DomainFilter], names) -> Callable:
+    """``keep(parameters, points, out) -> k``: the filter pass over the
+    state tuples ``points`` over ``names``, a grid's or a cloud's, with the
+    given ``parameters``, which writes the ``k`` kept points, in order,
+    into the flat memoryview ``out``.  Every filter's value comes first,
+    then every filter's test; a point whose lines raise is taken by
+    :func:`_admitted`, so its outcome and its error are those of the
+    filters taken one at a time."""
+    gen, values = _state_codegen(names, [f.expr for f in filters])
     kept = " and ".join(f.keeps_source(v, gen.bind) for f, v in zip(filters, values))
-    fold = ["if kept:", "    out[i] = x0", "    out[i + 1] = x1", "    i += 2"]
-    keep = _grid_pass(gen, ["kept"], [kept or "True"], ["i = 0"], fold, "i // 2", product)
-    return functools.partial(keep, functools.partial(_admitted, filters, _XY, parameters))
+    stores = [f"    out[i + {j}] = {gen.loads[name]}" for j, name in enumerate(names)]
+    fold = ["if kept:", *stores, f"    i += {len(names)}"]
+    keep = _generate_pass(gen, ["kept"], [kept or "True"], ["i = 0"], fold, f"i // {len(names)}")
+    return functools.partial(keep, lambda env, x: (_admitted(filters, names, env, x),))
 
 
 # ---------------------------------------------------------------------------
@@ -548,31 +484,29 @@ _CHECK_FOLD = [
 
 
 def _check_pass(family: HodographFamily) -> Callable:
-    """``check(xs, ys, out) -> (res_u, res_v, j_min)``: the check pass over
-    the points ``zip(xs, ys)``, which writes each point's (u, v) into the
-    flat memoryview ``out``.  A closed-form family's pass is generated: it
-    runs the lines of the family's partials row (``_dual_row``) and redoes
-    a raising point on the tree walker.  A custom-fg family's solver is no
+    """``check(points, out) -> (res_u, res_v, j_min)``: the check pass over
+    the (x, y) ``points``, which writes each point's (u, v) into the flat
+    memoryview ``out``.  A closed-form family's pass is generated: it runs
+    the lines of the family's partials row (``_dual_row``) and redoes a
+    raising point on the tree walker.  A custom-fg family's solver is no
     generated code, so its pass is :func:`_solved_checks`."""
     if not family.closed_form:
         return functools.partial(_solved_checks, family)
     exprs = (family.u_expr, family.v_expr)
-    gen, _ = _state_codegen(family, _XY)
-    row = _emit_row(gen, exprs, _XY)
+    gen, row = _state_codegen(_XY, exprs, _XY)
     start = ["i = 0", "res_u = res_v = 0.0", f"j_min = {gen.bind(math.inf)}"]
     results = ("u", "ux", "uy", "v", "vx", "vy")
-    check = _grid_pass(gen, results, row, start, _CHECK_FOLD, "res_u, res_v, j_min")
-    redo = functools.partial(_reference_row, family, exprs, variables=_XY)
-    return functools.partial(check, redo)
+    check = _generate_pass(gen, results, row, start, _CHECK_FOLD, "res_u, res_v, j_min")
+    return functools.partial(check, _redo(_XY, exprs, _XY), family.parameters)
 
 
-def _solved_checks(family: HodographFamily, xs, ys, out):
+def _solved_checks(family: HodographFamily, points, out):
     """The check pass of a custom-fg family, point by point: one
     :func:`_field_partials` call per point, folded by Python's ``max`` and
-    ``min``, the rule :func:`_fold` generates."""
+    ``min``, the rule ``expressions._fold`` generates."""
     res_u = res_v = 0.0
     j_min = math.inf
-    for i, (x, y) in enumerate(zip(xs, ys)):
+    for i, (x, y) in enumerate(points):
         u, v, ux, uy, vx, vy = _field_partials(family, x, y)
         out[2 * i] = u
         out[2 * i + 1] = v
@@ -595,9 +529,8 @@ def grid_checks(family: HodographFamily, grid: Grid2D) -> GridChecks:
     if len(points) == 0:
         raise HodographError("grid has no admissible points")
     values = np.empty_like(points)
-    res_u, res_v, j_min = _check_pass(family)(
-        *points.T.tolist(), memoryview(values.reshape(-1))
-    )
+    check = _check_pass(family)
+    res_u, res_v, j_min = check(zip(*points.T.tolist()), memoryview(values.reshape(-1)))
     return GridChecks(
         points=points,
         values=values,
@@ -632,17 +565,18 @@ _DEVIATION_FOLD = [
 
 
 def _deviation_pass(family: HodographFamily) -> Callable:
-    """``deviations(xs, ys) -> (dev_u, dev_v, dev_uv)``: the largest
-    deviations of a closed-form family's u and v from -y/x, and of u from
-    v, over the points ``zip(xs, ys)``.  It runs the lines of the family's
-    value row (``_value_row``) and redoes a raising point on the tree
-    walker."""
+    """``deviations(parameters, points) -> (dev_u, dev_v, dev_uv)``: the
+    largest deviations of a closed-form family's u and v from -y/x, and of
+    u from v, over the (x, y) ``points``.  It runs the lines of the
+    family's value row (``_value_row``) with the given ``parameters``, so
+    one pass serves every family with these u and v, and redoes a raising
+    point on the tree walker."""
     exprs = (family.u_expr, family.v_expr)
-    gen, _ = _state_codegen(family)
-    row = _emit_row(gen, exprs)
+    gen, row = _state_codegen(_XY, exprs)
     start = ["dev_u = dev_v = dev_uv = 0.0"]
-    deviations = _grid_pass(gen, ("u", "v"), row, start, _DEVIATION_FOLD, "dev_u, dev_v, dev_uv")
-    return functools.partial(deviations, functools.partial(_reference_row, family, exprs))
+    returns = "dev_u, dev_v, dev_uv"
+    deviations = _generate_pass(gen, ("u", "v"), row, start, _DEVIATION_FOLD, returns)
+    return functools.partial(deviations, _redo(_XY, exprs))
 
 
 def limit_sweep(
@@ -654,9 +588,11 @@ def limit_sweep(
     """Deviation of u and v from the degenerate limit -y/x as the scale
     parameter grows, with the decay order fitted in 1/alpha.
 
-    Each alpha takes one filter pass over the grid and one generated
-    deviation pass over its kept points (:func:`_deviation_pass`), which
-    folds the three largest deviations as Python's ``max`` would."""
+    Each alpha takes one filter pass over the grid and one run of the
+    sweep's generated deviation pass over its kept points
+    (:func:`_deviation_pass`), which folds the three largest deviations as
+    Python's ``max`` would.  The order is NaN unless there are two distinct
+    alphas, every alpha is positive and every deviation is positive."""
     if kind == "loglog":
         raise HodographError(
             "the loglog family never reaches u = v, so it has no "
@@ -665,13 +601,15 @@ def limit_sweep(
     if kind not in ("linear", "log"):
         raise HodographError(f"limit sweep supports linear and log, not '{kind}'")
     rows = []
+    deviations = None
     for alpha in alphas:
         params = {**parameters, "alpha": float(alpha)}
         family = build_family(kind, params)
         points = grid.points(params)
         if len(points) == 0:
             raise HodographError(f"grid empty at alpha = {alpha}")
-        dev_u, dev_v, dev_uv = _deviation_pass(family)(*points.T.tolist())
+        deviations = deviations or _deviation_pass(family)
+        dev_u, dev_v, dev_uv = deviations(family.parameters, zip(*points.T.tolist()))
         rows.append(
             {
                 "alpha": float(alpha),
@@ -682,7 +620,9 @@ def limit_sweep(
         )
     devs = np.array([max(r["max_dev_u"], r["max_dev_v"]) for r in rows])
     alphas_arr = np.array([r["alpha"] for r in rows])
-    if len(rows) >= 2 and np.all(devs > 0.0):
+    # a fitted line needs two distinct alphas, and its logarithms positive
+    # alphas and deviations, as in ``reduction.epsilon_sweep``
+    if len(set(alphas_arr.tolist())) >= 2 and np.all(alphas_arr > 0.0) and np.all(devs > 0.0):
         order = float(np.polyfit(np.log(1.0 / alphas_arr), np.log(devs), 1)[0])
     else:
         order = float("nan")

@@ -191,14 +191,17 @@ def test_fixture_artifacts_match_tree_fallback(name, tmp_path, monkeypatch):
     generated = _artifacts(name, tmp_path / "generated")
     calls = []
 
-    def raising_row(structure, exprs):
-        # a generated row whose body always raises returns its fallback
-        def disabled(x):
-            calls.append(exprs)
-            return _reference_row(structure, exprs, x)
+    def raising_pass(structure, exprs):
+        # a generated pass whose lines always raise takes every row from
+        # its redo, the tree walker
+        def disabled(points, out):
+            rows = [_reference_row(structure, exprs, x) for x in points]
+            calls.extend([exprs] * len(rows))
+            for j, value in enumerate(v for row in rows for v in row):
+                out[j] = value
 
         return disabled
 
-    monkeypatch.setattr(dynamics, "_generate_row", raising_row)
+    monkeypatch.setattr(dynamics, "_row_pass", raising_pass)
     assert _artifacts(name, tmp_path / "tree") == generated
     assert bool(calls) == FLOW_FIXTURES[name][1]

@@ -1,9 +1,10 @@
 """Generated flow code against the tree walker it replaces.
 
 Each flow runs one generated stepping loop (RK4, or the implicit midpoint
-iterating its velocity) and one generated monitor row.  Wherever the
-generated code succeeds it must give the tree walker's numbers bit for bit
-(``_rk4_step`` and the array-based implicit midpoint over ``_Velocity``,
+iterating its velocity) and one generated monitor pass per block of stored
+states, which runs the monitor row's lines.  Wherever the generated code
+succeeds it must give the tree walker's numbers bit for bit (``_rk4_step``
+and the array-based implicit midpoint over ``_Velocity``,
 ``_reference_row``); wherever it raises, the step or row is redone by the
 tree walker, so results and errors, with their messages, are the tree
 walker's.  Fixture artifacts must not depend on which of the two ran."""
@@ -34,7 +35,6 @@ from noncanon.dynamics import (
     FlowProblem,
     IntegrationError,
     _flow_step,
-    _generate_row,
     _generate_step,
     _midpoint_step,
     _monitor_pass,
@@ -43,7 +43,13 @@ from noncanon.dynamics import (
     default_monitors,
     integrate,
 )
-from noncanon.expressions import EVALUATION_ERRORS, DomainError, _reference_row, parse
+from noncanon.expressions import (
+    EVALUATION_ERRORS,
+    DomainError,
+    _generate_row,
+    _reference_row,
+    parse,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -220,6 +226,61 @@ def test_generated_row_matches_reference_row(flow):
     assert str(raised.value) == str(want)
 
 
+def _reference_rows(structure, exprs, states):
+    """The tree walker's row at each state in order, up to the first error,
+    which ends the list."""
+    rows = []
+    for x in states:
+        try:
+            rows.append(_reference_row(structure, exprs, x))
+        except EVALUATION_ERRORS as err:
+            return [*rows, err]
+    return rows
+
+
+def _block_rows(structure, exprs, states):
+    """The rows :func:`dynamics._row_blocks` gives at each state, read
+    before each next block replaces them, and the error ending them."""
+    rows = []
+    try:
+        for _, block in dynamics._row_blocks(structure, exprs, np.array(states)):
+            rows += block.tolist()
+    except EVALUATION_ERRORS as err:
+        return [*rows, err]
+    return rows
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(flows(), st.integers(1, 600), st.integers(0, 2**32 - 1), st.integers(0, 599))
+def test_row_blocks_equal_the_reference_rows_state_by_state(flow, count, seed, at):
+    # the drawn state sits among random ones, in blocks of up to 256; at
+    # q1 = 2, q1^1100 overflows in generated code, where the tree walker
+    # gives inf, and q1/p1 raises in both at p1 = 0
+    structure, h, x = flow
+    exprs = [*_row_exprs(structure, h), parse("q1^1100")]
+    states = np.random.default_rng(seed).uniform(-2.0, 2.0, (count, structure.dim)).tolist()
+    states[at % count] = x
+    states[-1][0] = 2.0
+    want = _reference_rows(structure, exprs, states)
+    got = _block_rows(structure, exprs, states)
+    if want and isinstance(want[-1], Exception):
+        # the blocks before the first error are given out whole
+        complete = (len(want) - 1) // dynamics._DET_BLOCK * dynamics._DET_BLOCK
+        want = [*want[:complete], want[-1]]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_outcome(g, w)
+
+
+def test_a_row_of_one_value_takes_the_redone_value():
+    # one expression is a pass result of one atom; at q1 = 2, q1^1100
+    # overflows in generated code and the tree walker's row is [inf]
+    structure, exprs = canonical(1), [parse("q1^1100")]
+    states = [[1.0, 0.5], [2.0, 0.5], [-2.0, 0.0]]
+    got = _block_rows(structure, exprs, states)
+    assert got == _reference_rows(structure, exprs, states) == [[1.0], [math.inf], [math.inf]]
+
+
 def test_raising_row_is_redone_once_by_the_tree_walker():
     # ``q1/p1`` divides by zero at p1 == 0, in the generated row and in the
     # tree walker alike: the state goes to ``_reference_row`` once
@@ -372,17 +433,19 @@ class _Disabled:
 
         return disabled
 
-    def generate_row(self, structure, exprs):
-        def disabled(x):
-            self.calls.append("row")
-            return _reference_row(structure, exprs, x)
+    def row_pass(self, structure, exprs):
+        def disabled(points, out):
+            rows = [_reference_row(structure, exprs, x) for x in points]
+            self.calls += ["row"] * len(rows)
+            for j, value in enumerate(v for row in rows for v in row):
+                out[j] = value
 
         return disabled
 
     def patches(self):
         return (
             mock.patch.object(dynamics, "_generate_step", self.generate_step),
-            mock.patch.object(dynamics, "_generate_row", self.generate_row),
+            mock.patch.object(dynamics, "_row_pass", self.row_pass),
         )
 
 

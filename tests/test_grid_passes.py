@@ -1,20 +1,23 @@
-"""The generated grid passes of ``hodograph`` against the loops they replace.
+"""The generated passes against the loops they replace.
 
-A closed-form family's grid runs in generated passes, each one function
-that loops over the points itself: the filter pass of ``Grid2D.points``,
-the check pass of ``grid_checks`` and one deviation pass per alpha in
-``limit_sweep``.  Each must give what the point-by-point loop gives on the
-tree walker, folded with Python's ``max`` and ``min``, bit for bit, NaN
-residuals included; redo a raising point on the tree walker once and go on;
-finish every filter before any field row; make no Python call per point;
-and compile no more sources per run than one row per filter pass, per
-partials row and per value row did."""
+Every block of points runs in a generated pass (``expressions._generate_pass``),
+one function that loops over the points itself.  A closed-form family's grid
+has the filter pass of ``Grid2D.points``, the check pass of ``grid_checks``
+and the deviation pass of ``limit_sweep``, run once per alpha.  Each must
+give what the point-by-point loop gives on the tree walker, folded with
+Python's ``max`` and ``min``, bit for bit, NaN residuals included; redo a
+raising point on the tree walker once and go on; finish every filter before
+any field row; make no Python call per point; and compile each distinct
+source once per run, no more than one row per filter pass, per partials row
+and per value row did.  No fixture takes a block point by point, and every
+pass loops with an unconditional back edge."""
 
 import builtins
 import dis
 import json
 import math
 import struct
+import warnings
 from itertools import product
 from pathlib import Path
 
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noncanon import hodograph
+from noncanon import expressions, hodograph
 from noncanon.cli import load_config, run
 from noncanon.expressions import EVALUATION_ERRORS, _reference_row, parse
 from noncanon.hodograph import (
@@ -36,6 +39,7 @@ from noncanon.hodograph import (
     grid_checks,
     limit_sweep,
 )
+from test_acceptance import FIXTURE_COMMANDS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 XY = ("x", "y")
@@ -170,19 +174,34 @@ def test_a_nan_residual_never_wins_the_fold():
     assert _outcome(pass_checks, family, grid) == _outcome(tree_checks, family, grid)
 
 
+@pytest.mark.parametrize("alphas", [[2.0], [2.0, 2.0], [2.0, -2.0], [-1.0, -3.0]])
+def test_a_sweep_without_two_distinct_positive_alphas_has_a_nan_order(alphas):
+    # the rule of ``reduction.epsilon_sweep``: no line is fitted through one
+    # abscissa, and no logarithm is taken of a non-positive alpha
+    grid = Grid2D((0.5, 1.5), (-1.0, 1.0), 5, 5, default_filters("linear"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = limit_sweep("linear", {"alpha": 1.0}, alphas, grid)
+    assert [r["alpha"] for r in table.rows] == alphas
+    assert all(r["max_dev_u"] > 0.0 for r in table.rows)
+    assert math.isnan(table.fitted_order)
+    assert limit_sweep("linear", {}, [2.0, 20.0], grid).fitted_order == pytest.approx(1.0)
+
+
 # --- a raising point is redone once, and the pass goes on -----------------------
 
 
-def _spy(monkeypatch, name):
-    """Wrap ``hodograph.<name>``; return the point of each call."""
+def _spy(monkeypatch, owner, name, at):
+    """Wrap ``owner.<name>``; return the point of each call, its argument
+    ``at``."""
     points = []
-    original = getattr(hodograph, name)
+    original = getattr(owner, name)
 
     def spy(*args, **kwargs):
-        points.append(args[-1])
+        points.append(tuple(args[at]))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(hodograph, name, spy)
+    monkeypatch.setattr(owner, name, spy)
     return points
 
 
@@ -191,7 +210,7 @@ def test_a_raising_point_is_redone_once_and_the_pass_goes_on(monkeypatch):
     # walker gives inf; the first x of the grid is 2
     family = HodographFamily("mixed", {}, parse("x^1100"), parse("y"))
     grid = Grid2D((2.0, 1.0), (-1.0, 1.0), 3, 2)
-    redone = _spy(monkeypatch, "_reference_row")
+    redone = _spy(monkeypatch, expressions, "_reference_row", 2)
     got = pass_checks(family, grid)
     assert redone == [(2.0, -1.0), (2.0, 1.0)]
     assert got == tree_checks(family, grid)
@@ -199,7 +218,7 @@ def test_a_raising_point_is_redone_once_and_the_pass_goes_on(monkeypatch):
 
     redone.clear()
     points = grid.points()
-    deviations = hodograph._deviation_pass(family)(*points.T.tolist())
+    deviations = hodograph._deviation_pass(family)(family.parameters, points.tolist())
     assert redone == [(2.0, -1.0), (2.0, 1.0)]
     assert _bits(deviations) == _bits(tree_deviations(family, points.tolist()))
 
@@ -217,7 +236,7 @@ def test_a_raising_filter_point_is_redone_once_and_the_pass_goes_on(
     monkeypatch, source, first
 ):
     grid = Grid2D((2.0, 1.0), (-1.0, 1.0), 3, 2, (DomainFilter(parse(source)),))
-    redone = _spy(monkeypatch, "_admitted")
+    redone = _spy(monkeypatch, hodograph, "_admitted", 3)
     points = grid.points()
     assert redone == [(2.0, -1.0), (2.0, 1.0)]
     xs = [x for x in (2.0, 1.5, 1.0) if x <= first]
@@ -277,6 +296,8 @@ def test_a_closed_form_run_makes_no_python_call_per_point(tmp_path, monkeypatch,
 
     for attr in ("_admitted", "_reference_row", "_field_partials", "_generate_row"):
         monkeypatch.setattr(hodograph, attr, never(attr))
+    # the passes' redo of a field point is ``expressions._reference_row``
+    monkeypatch.setattr(expressions, "_reference_row", never("_reference_row"))
     monkeypatch.setattr(DomainFilter, "admits", never("admits"))
     monkeypatch.setattr(HodographFamily, "evaluate_uv", never("evaluate_uv"))
     report = run("hodograph", _hodograph_config(tmp_path, name), tmp_path / "out")
@@ -303,17 +324,73 @@ def test_a_hodograph_run_compiles_no_more_than_one_row_per_pass(tmp_path, monkey
     monkeypatch.setattr(builtins, "compile", counted)
     run("hodograph", cfg, tmp_path / "out")
     assert len(compiled) <= rows
+    # each distinct source once: the grid's filter pass serves every alpha,
+    # and one deviation pass the whole sweep
+    assert len(compiled) == len(set(compiled))
+    assert len(compiled) == (3 if name == "custom-fg" or alphas else 2)
 
 
-def test_every_back_edge_of_a_pass_is_an_unconditional_jump():
+@pytest.mark.parametrize("name", sorted(FIXTURE_COMMANDS))
+def test_no_fixture_takes_a_block_point_by_point(tmp_path, monkeypatch, name):
+    # clouds, grids, stored states and structure blocks each run one
+    # generated pass per block: no redo and no generated row per point;
+    # only the surface solve of ``reduce`` runs a row, one point at a time
+    calls = []
+
+    def counted(label, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(label)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, attr in (
+        (expressions, "_reference_row"),
+        (hodograph, "_reference_row"),
+        (hodograph, "_admitted"),
+    ):
+        monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
+    # every generated row, and every ``compile`` function, is built here
+    function = expressions._Codegen.function
+
+    def spy(gen, params, result, fallback):
+        return counted("row", function(gen, params, result, fallback))
+
+    monkeypatch.setattr(expressions._Codegen, "function", spy)
+    command = FIXTURE_COMMANDS[name]
+    run(command, load_config(FIXTURES / name), tmp_path / "out")
+    assert set(calls) <= ({"row"} if command == "reduce" else set())
+
+
+# runs that build every kind of pass: a grid's and a cloud's filter pass,
+# the check and deviation passes, a structure's value and dual passes and
+# the monitor and drift passes over stored states
+_EVERY_PASS = {
+    "hodograph_linear_sweep.json": "hodograph",
+    "check_jacobi_singular_field.json": "check-jacobi",
+    "reduce_constant.json": "reduce",
+    "integrate_singular_field.json": "integrate",
+    "sweep_epsilon.json": "sweep",
+}
+
+
+def test_every_back_edge_of_a_pass_is_an_unconditional_jump(tmp_path, monkeypatch):
     # as in the flows' stepping loop: CPython 3.11 specializes a loop whose
     # back edge is JUMP_BACKWARD, which a ``for`` loop compiles to
-    family = build_family("log", {"alpha": 1.0})
-    passes = [
-        hodograph._filter_pass(default_filters("log"), family.parameters),
-        hodograph._check_pass(family),
-        hodograph._deviation_pass(family),
-    ]
-    for grid_pass in passes:
-        ops = {i.opname for i in dis.get_instructions(grid_pass.func)}
+    built = []
+    generate = expressions._generate_pass
+
+    def spy(*args):
+        built.append(generate(*args))
+        return built[-1]
+
+    monkeypatch.setattr(expressions, "_generate_pass", spy)
+    monkeypatch.setattr(hodograph, "_generate_pass", spy)
+    for name, command in _EVERY_PASS.items():
+        run(command, load_config(FIXTURES / name), tmp_path / name)
+    kinds = {tuple(f.__code__.co_varnames[:4]) for f in built}
+    assert kinds == {("redo", "env", "points", "out")}
+    assert len(built) >= 9
+    for generated in built:
+        ops = {i.opname for i in dis.get_instructions(generated)}
         assert {op for op in ops if "BACKWARD" in op} == {"JUMP_BACKWARD"}

@@ -169,13 +169,13 @@ def test_sweep_drifts_equal_integrate_drifts(theta, epsilons, x0, h, method):
 
 def test_sweep_row_holds_only_the_combinations(monkeypatch):
     calls = []
-    generate_row = dynamics._generate_row
+    row_pass = dynamics._row_pass
 
     def spy(structure, exprs):
         calls.append((structure, list(exprs)))
-        return generate_row(structure, exprs)
+        return row_pass(structure, exprs)
 
-    monkeypatch.setattr(dynamics, "_generate_row", spy)
+    monkeypatch.setattr(dynamics, "_row_pass", spy)
     h, x0 = parse(_HAMILTONIANS[0]), [1.0, 0.3, -0.2, -0.8]
     epsilon_sweep(1.0, h, x0, [0.1, 0.01], dt=0.01, t_end=1.0)
     assert len(calls) == 2

@@ -54,9 +54,10 @@ def _check_points(monkeypatch):
     def counted_build(family):
         check = build(family)
 
-        def counted(xs, ys, out):
-            received.append(len(xs))
-            return check(xs, ys, out)
+        def counted(points, out):
+            points = list(points)
+            received.append(len(points))
+            return check(points, out)
 
         return counted
 

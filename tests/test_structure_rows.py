@@ -1,12 +1,13 @@
-"""A structure evaluates its stored entries with the flows' row generator.
+"""A structure evaluates its stored entries with the flows' row code.
 
-``PoissonStructure`` builds at most two generated rows, the entry values
-and the entry values with their partials (``expressions._generate_row``),
-and runs one of them once per phase point.  A raising row is redone by the
-tree walker (``expressions._reference_row``), value before partials, entry
-by entry, so matrices, gradients and errors are those of evaluating each
-entry on its own with ``compile`` (whose fallback is the tree walker), bit
-for bit.  A structure with no stored entries gives zero matrices."""
+``PoissonStructure`` builds at most two generated passes over blocks of
+points, the entry values and the entry values with their partials
+(``expressions._row_pass``), and runs one of them once per block, a point
+being a block of one.  A raising point is redone by the tree walker
+(``expressions._reference_row``), value before partials, entry by entry, so
+matrices, gradients and errors are those of evaluating each entry on its
+own with ``compile`` (whose fallback is the tree walker), bit for bit.  A
+structure with no stored entries gives zero matrices."""
 
 import math
 import struct
@@ -31,6 +32,7 @@ from noncanon.expressions import (
     DomainError,
     _generate_row,
     _reference_row,
+    _row_pass,
     compile,
     parse,
 )
@@ -171,14 +173,29 @@ def test_a_raising_row_is_redone_once_per_point_by_the_tree_walker(monkeypatch):
     assert args[2] == block[1].tolist() and args[3] == structure.variable_names
 
 
+@pytest.mark.parametrize("partials", [False, True])
+def test_a_one_entry_pass_takes_the_redone_row(partials):
+    # one stored entry's value pass has a row of one atom; at q1 = 1e100,
+    # q1^4 overflows in generated code and the tree walker gives inf
+    structure = custom(1, {(1, 2): "q1^4"})
+    variables = structure.variable_names if partials else ()
+    block = np.array([[1e100, 0.0], [1.0, 2.0], [-1e100, 1.0]])
+    exprs = structure.entries.values()
+    want = [_reference_row(structure, exprs, x, variables) for x in block.tolist()]
+    for points in (block, block[0]):
+        many, rows = structure._at_points(points, variables)
+        assert _bits(rows) == _bits(want if many else want[:1])
+    assert _bits(structure.theta_matrix(block[0])) == _bits([[0.0, math.inf], [-math.inf, 0.0]])
+
+
 def _spy_rows(monkeypatch):
     calls = []
 
     def spy(structure, exprs, variables=()):
         calls.append((structure, tuple(variables)))
-        return _generate_row(structure, exprs, variables)
+        return _row_pass(structure, exprs, variables)
 
-    monkeypatch.setattr(brackets, "_generate_row", spy)
+    monkeypatch.setattr(brackets, "_row_pass", spy)
     return calls
 
 

@@ -5,12 +5,12 @@ Generated code must give the tree walker's numbers bit for bit and, where
 the tree walker raises, its error and message; fixture artifacts must not
 depend on which of the two ran, and a family copied with new expressions
 (``dataclasses.replace``) must run them, not its source's cached code.
-Every phase point, cloud point and generator runs the flows' state-tuple
-row (``expressions._generate_row``) and redoes a raising row on the tree
-walker: structures their entries, filters one row of every filter,
-closed-form families their (u, v) rows and generators a row over s.  A grid
-runs the same lines in generated passes (``hodograph._grid_pass``) and
-redoes a raising point on the tree walker."""
+A single point runs the flows' state-tuple row
+(``expressions._generate_row``): a surface solve's structure entries,
+closed-form families' (u, v) and generators a row over s.  A block of
+points, a structure's points, a cloud's or a grid's, runs the same lines in
+a generated pass (``expressions._generate_pass``).  A raising row or pass
+point is redone on the tree walker."""
 
 import dataclasses
 import math
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noncanon import brackets, hodograph
+from noncanon import brackets, expressions, hodograph
 from noncanon.brackets import (
     DELTA_KINDS,
     canonical,
@@ -373,11 +373,11 @@ def test_survey_artifacts_match_tree_fallback(name, tmp_path, monkeypatch):
 
         return disabled
 
-    build = hodograph._grid_pass
+    build = expressions._generate_pass
 
     def raising_pass(gen, *args):
-        # a grid pass whose lines raise at every point: every point takes
-        # its redo, the tree walker
+        # a pass whose lines raise at every point: every point takes its
+        # redo, the tree walker
         gen.lines.append("raise ArithmeticError")
         return build(gen, *args)
 
@@ -390,8 +390,10 @@ def test_survey_artifacts_match_tree_fallback(name, tmp_path, monkeypatch):
 
     monkeypatch.setattr(hodograph, "_generate_row", raising_row)
     monkeypatch.setattr(brackets, "_generate_row", raising_row)
-    monkeypatch.setattr(hodograph, "_grid_pass", raising_pass)
+    monkeypatch.setattr(hodograph, "_generate_pass", raising_pass)
+    monkeypatch.setattr(expressions, "_generate_pass", raising_pass)
     monkeypatch.setattr(hodograph, "_admitted", redo(hodograph._admitted))
     monkeypatch.setattr(hodograph, "_reference_row", redo(hodograph._reference_row))
+    monkeypatch.setattr(expressions, "_reference_row", redo(expressions._reference_row))
     assert _artifacts(name, tmp_path / "tree") == generated
     assert calls

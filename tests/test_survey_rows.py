@@ -1,17 +1,16 @@
-"""Grids, clouds, hodograph fields and generators run the state-tuple row.
+"""Grids, clouds, hodograph fields and generators run the state-tuple code.
 
-A cloud's filters are one generated row over its coordinates
-(``hodograph.admission``), a closed-form family has one (u, v) value row and
-one value-and-partials row over (x, y), and a custom-fg family one row per
-generator over (s,).  Each is built once and called once per point; a row
-that raises is redone on the tree walker.  A grid runs the same lines in
-generated passes: one filter pass per grid, one check pass per
-closed-form family and one deviation pass per sweep family, each built
-once per run and looping over the points itself.  These tests hold the
-rows to the one-expression-at-a-time evaluation they replace: each filter
-on its own with ``compile`` (whose fallback is the tree walker), taken in
-order until the first reject, and ``evaluate`` and ``derivative`` of each
-field and generator.  ``cli.sample_cloud`` draws in blocks and must give the
+A single point runs a row: a closed-form family has one (u, v) value row
+over (x, y), and a custom-fg family one row per generator over (s,).  A
+block of points runs a generated pass that loops over the points itself:
+one filter pass per grid and per cloud (``hodograph._filter_pass``), one
+check pass per closed-form family and one deviation pass per sweep, each
+built once per run.  A row or a pass point that raises is redone on the
+tree walker.  These tests hold the rows and passes to the
+one-expression-at-a-time evaluation they replace: each filter on its own
+with ``compile`` (whose fallback is the tree walker), taken in order until
+the first reject, and ``evaluate`` and ``derivative`` of each field and
+generator.  ``cli.sample_cloud`` draws in blocks and must give the
 points, the error and the random stream of one draw per attempt."""
 
 import json
@@ -20,7 +19,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noncanon import cli, hodograph
@@ -38,7 +37,6 @@ from noncanon.hodograph import (
     Grid2D,
     HodographFamily,
     _GeneratorSolver,
-    admission,
     build_family,
     default_filters,
 )
@@ -92,22 +90,37 @@ FILTERS = [
 ]
 
 
+def _cloud_kept(filters, names, parameters, points):
+    """The points that the cloud filter pass keeps, run as
+    ``cli.sample_cloud`` runs it on a block of draws."""
+    draws = np.array(points, dtype=float).reshape(-1, len(names))
+    keep = hodograph._filter_pass(filters, names)
+    count = keep(parameters, draws.tolist(), memoryview(draws.reshape(-1)))
+    return draws[:count]
+
+
 @settings(max_examples=200, deadline=None)
-@given(x=_coordinate, y=_coordinate, beta=st.sampled_from([0.0, 0.5, -1.5]))
-def test_filter_row_equals_the_filters_one_at_a_time(x, y, beta):
+@given(
+    points=st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=6),
+    beta=st.sampled_from([0.0, 0.5, -1.5]),
+)
+# 1/(x - y) and log(y) raise in generated code, a reject on the tree walker
+@example([(1.0, 1.0), (2.0, -1.0), (0.5, 1.0)], 0.5)
+def test_filter_row_equals_the_filters_one_at_a_time(points, beta):
     params = {"beta": beta}
-    admits = admission(FILTERS, ("x", "y"), params)
-    assert admits((x, y)) == _filters_one_at_a_time(FILTERS, ("x", "y"), params, (x, y))
+    want = [p for p in points if _filters_one_at_a_time(FILTERS, ("x", "y"), params, p)]
+    assert want == [p for p in points if hodograph._admitted(FILTERS, ("x", "y"), params, p)]
+    got = _cloud_kept(FILTERS, ("x", "y"), params, points)
+    assert _bits(got.ravel().tolist()) == _bits([v for p in want for v in p])
 
 
 def test_a_filter_error_is_raised_unless_an_earlier_filter_rejects():
     # ``gamma`` is unbound: only a domain error is a reject, so the point
     # raises, unless the filter before it has already rejected it
     filters = [DomainFilter(parse("x"), min_abs=0.5), DomainFilter(parse("gamma*y"))]
-    admits = admission(filters, ("x", "y"), {})
-    assert admits((0.1, 1.0)) is False
+    assert len(_cloud_kept(filters, ("x", "y"), {}, [(0.1, 1.0)])) == 0
     with pytest.raises(EVALUATION_ERRORS) as err:
-        admits((1.0, 1.0))
+        _cloud_kept(filters, ("x", "y"), {}, [(0.1, 1.0), (1.0, 1.0)])
     assert str(err.value) == "unbound name 'gamma'"
     with pytest.raises(type(err.value), match="unbound name 'gamma'"):
         _filters_one_at_a_time(filters, ("x", "y"), {}, (1.0, 1.0))
@@ -260,15 +273,15 @@ def _row_spy(monkeypatch):
 
 
 def _pass_spy(monkeypatch):
-    """The results of each generated grid pass built."""
+    """The results of each generated pass built."""
     built = []
-    generate = hodograph._grid_pass
+    generate = hodograph._generate_pass
 
     def spy(gen, results, *args):
         built.append(tuple(results))
         return generate(gen, results, *args)
 
-    monkeypatch.setattr(hodograph, "_grid_pass", spy)
+    monkeypatch.setattr(hodograph, "_generate_pass", spy)
     return built
 
 
@@ -278,9 +291,9 @@ DEVIATION_PASS = ("u", "v")
 
 
 def test_a_hodograph_run_builds_each_row_once(tmp_path, monkeypatch):
-    # one filter pass per grid, the check pass over the family's partials
-    # and one deviation pass per sweep family, in place of the rows they
-    # run the lines of; none per point
+    # one filter pass for the grid, the check pass over the family's
+    # partials and one deviation pass for the sweep, whose alphas enter as
+    # arguments; no row, and nothing per point
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({
         "version": 1,
@@ -303,19 +316,29 @@ def test_a_hodograph_run_builds_each_row_once(tmp_path, monkeypatch):
     monkeypatch.setattr(HodographFamily, "evaluate_uv", counted)
     run("hodograph", load_config(path), tmp_path / "out")
     assert built == []
-    assert passes.count(FILTER_PASS) == 4
+    assert passes.count(FILTER_PASS) == 1
     assert passes.count(CHECK_PASS) == 1
-    assert passes.count(DEVIATION_PASS) == 3
-    assert len(passes) == 8
+    assert passes.count(DEVIATION_PASS) == 1
+    assert len(passes) == 3
     assert reads == []
 
 
 def test_a_cloud_builds_one_filter_row(tmp_path, monkeypatch):
     filters = [{"expr": "q1", "min_abs": 0.2}, {"expr": "p2", "min_abs": 0.2}]
     cfg = _cloud_config(tmp_path, 100, filters)
-    built = _row_spy(monkeypatch)
+    rows = _row_spy(monkeypatch)
+    built = []
+    filter_pass = hodograph._filter_pass
+
+    def spy(filters, names):
+        built.append((tuple(names), len(filters)))
+        return filter_pass(filters, names)
+
+    monkeypatch.setattr(hodograph, "_filter_pass", spy)
+    passes = _pass_spy(monkeypatch)
     cli.sample_cloud(cfg, np.random.default_rng(1))
-    assert built == [(("q1", "q2", "p1", "p2"), 2, ())]
+    assert built == [(("q1", "q2", "p1", "p2"), 2)]
+    assert passes == [FILTER_PASS] and rows == []
 
 
 # --- generators ----------------------------------------------------------------------
