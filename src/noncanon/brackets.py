@@ -37,7 +37,6 @@ from .expressions import (  # noqa: F401
     Const,
     Expression,
     Unary,
-    _generate_row,
     _row_pass,
     as_expression,
     evaluate,
@@ -163,12 +162,7 @@ class PoissonStructure:
             raise StructureError(
                 f"phase point must have length {self.dim}, got shape {x.shape}"
             )
-        return self._finite(x.tolist())
-
-    @staticmethod
-    def _finite(values: list) -> list:
-        """``values``, one phase point's coordinates, once each is checked
-        finite."""
+        values = x.tolist()
         if not all(map(math.isfinite, values)):
             raise StructureError("phase point has non-finite entries")
         return values
@@ -190,20 +184,16 @@ class PoissonStructure:
     # A (k, dim) block of points runs one generated pass over the state
     # tuples the flows' rows read (``expressions._row_pass``), built on
     # first use: every stored entry's value, or its value and then its
-    # partials, at each point in order; one point is a block of one.  A
-    # point whose generated code raises is redone on the tree walker, entry
-    # by entry, value before partials, so errors, and which of them wins,
-    # are the tree walker's.  The surface solve, which takes one point at a
-    # time, runs the value row (``expressions._generate_row``).
-
-    @cached_property
-    def _value_row(self):
-        """Generated code for every stored entry's value, in entry order."""
-        return _generate_row(self, self.entries.values())
+    # partials, at each point in order; one point is a block of one, and
+    # so is each round of the surface solve's running points.  A point
+    # whose generated code raises is redone on the tree walker, entry by
+    # entry, value before partials, so errors, and which of them wins, are
+    # the tree walker's.
 
     @cached_property
     def _value_pass(self):
-        """The value row's pass over a block of points."""
+        """A pass over a block of points for every stored entry's value, in
+        entry order."""
         return _row_pass(self, self.entries.values())
 
     @cached_property

@@ -5,7 +5,8 @@
 Commands: check-jacobi, integrate, reduce, sweep, hodograph.  Every run is
 driven by a versioned JSON config, writes deterministic artifacts (CSV at
 17 significant digits, JSON with sorted keys) into the output directory,
-and evaluates the config's assertion list against the produced report.
+and evaluates the config's assertion list against the produced report
+before it writes any of them, so a run that fails leaves no artifact.
 
 Every config value is read through one typed reader, :func:`_read` (and
 :func:`_as` for a list element): a number is any finite JSON number and
@@ -466,7 +467,7 @@ def evaluate_assertions(specs: list[tuple[str, str, str, float]], results: dict)
 # Commands
 
 
-def _cmd_check_jacobi(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
+def _cmd_check_jacobi(cfg: RunConfig, rng) -> tuple[dict, dict]:
     structure = cfg.structure
     cloud = sample_cloud(cfg, rng)
     # a block's gradient stack holds dim**3 values per point
@@ -505,11 +506,10 @@ def _cmd_check_jacobi(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[st
         "inverse_pairing_max": pairing_max,
     }
     header = [*structure.variable_names, "generic_residual", "det"]
-    write_csv(out_dir / "jacobi_points.csv", header, blocks)
-    return results, ["jacobi_points.csv"]
+    return results, {"jacobi_points.csv": (write_csv, header, blocks)}
 
 
-def _cmd_integrate(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
+def _cmd_integrate(cfg: RunConfig, rng) -> tuple[dict, dict]:
     structure = cfg.structure
     names = {*structure.variable_names, *cfg.parameters}
     ham = _expr(_read(cfg.raw, "hamiltonian", str, "$"), "$.hamiltonian", names)
@@ -537,11 +537,10 @@ def _cmd_integrate(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
         "final_state": [float(v) for v in traj.states[-1]],
     }
     header, blocks = trajectory_rows(traj, structure.variable_names)
-    write_csv(out_dir / "trajectory.csv", header, blocks)
-    return results, ["trajectory.csv"]
+    return results, {"trajectory.csv": (write_csv, header, blocks)}
 
 
-def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
+def _cmd_reduce(cfg: RunConfig, rng) -> tuple[dict, dict]:
     structure = cfg.structure
     path = "$.reduction"
     block = _read(cfg.raw, "reduction", dict, "$", {})
@@ -611,17 +610,14 @@ def _cmd_reduce(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
             "levels": spec_rep.levels,
         }
 
-    # written once nothing can fail, so a failed run leaves no artifact
-    artifacts = []
+    artifacts = {}
     if len(points) > 0:
-        write_csv(out_dir / "surface_points.csv", list(structure.variable_names), [points])
-        artifacts.append("surface_points.csv")
-    write_json(out_dir / "reduction_report.json", results)
-    artifacts.append("reduction_report.json")
+        artifacts["surface_points.csv"] = (write_csv, list(structure.variable_names), [points])
+    artifacts["reduction_report.json"] = (write_json, results)
     return results, artifacts
 
 
-def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
+def _cmd_sweep(cfg: RunConfig, rng) -> tuple[dict, dict]:
     block = _read(cfg.raw, "sweep", dict, "$", {})
     theta = _read(block, "theta", float, "$.sweep", 1.0)
     if theta == 0.0:
@@ -653,8 +649,7 @@ def _cmd_sweep(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
     results["slope_error_from_unity"] = abs(sweep.fitted_slope - 1.0)
     header = ["epsilon", *(f"c_{m}_drift" for m in range(1, 3)), "max_drift"]
     rows = [[r[key] for key in header] for r in sweep.rows]
-    write_csv(out_dir / "epsilon_sweep.csv", header, [np.array(rows, dtype=float)])
-    return results, ["epsilon_sweep.csv"]
+    return results, {"epsilon_sweep.csv": (write_csv, header, [np.array(rows, dtype=float)])}
 
 
 def _grid_axis(grid_cfg: dict, key: str, path: str) -> tuple[float, float, int]:
@@ -690,7 +685,7 @@ _UNIT_TAGS = {
 }
 
 
-def _cmd_hodograph(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]:
+def _cmd_hodograph(cfg: RunConfig, rng) -> tuple[dict, dict]:
     path = "$.hodograph"
     block = _read(cfg.raw, "hodograph", dict, "$")
     kind = _read(block, "kind", str, path)
@@ -725,7 +720,7 @@ def _cmd_hodograph(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
     results["pde"] = pde = checks.pde
     pde["max_res"] = max(pde["max_res_u"], pde["max_res_v"])
     results["jacobian_min"] = checks.jacobian_min
-    artifacts = []
+    artifacts = {}
 
     if kind == "loglog":
         # the two root assignments swap u and v, and |u - v| and u*v are
@@ -755,8 +750,7 @@ def _cmd_hodograph(cfg: RunConfig, out_dir: Path, rng) -> tuple[dict, list[str]]
         results["sweep"] = asdict(sweep)
         header = ["alpha", "max_dev_u", "max_dev_v", "max_u_minus_v", "fitted_order"]
         rows = [[*(r[key] for key in header[:-1]), sweep.fitted_order] for r in sweep.rows]
-        write_csv(out_dir / "alpha_sweep.csv", header, [np.array(rows, dtype=float)])
-        artifacts.append("alpha_sweep.csv")
+        artifacts["alpha_sweep.csv"] = (write_csv, header, [np.array(rows, dtype=float)])
     return results, artifacts
 
 
@@ -772,8 +766,12 @@ _COMMAND_TABLE = {
 def run(command: str, cfg: RunConfig, out_dir, seed=None, tol=None) -> RunReport:
     """Execute one command; artifacts land in ``out_dir``.
 
-    The summary report (with wall time) goes to the caller; artifact files
-    contain no timing so fixed seeds give byte-identical output."""
+    A command returns its results and its artifacts, each file's name
+    mapped to its writer and the writer's arguments after the path.  They
+    are written, the report last, once the assertions have been evaluated,
+    so a run that fails leaves no artifact.  The summary report (with wall
+    time) goes to the caller; artifact files contain no timing so fixed
+    seeds give byte-identical output."""
     if command not in _COMMAND_TABLE:
         raise ConfigError("$", f"unknown command {command!r}")
     specs = read_assertions(cfg)
@@ -787,8 +785,10 @@ def run(command: str, cfg: RunConfig, out_dir, seed=None, tol=None) -> RunReport
     rng = np.random.default_rng(cfg.seed)
     if cfg.structure is None and command in ("check-jacobi", "integrate", "reduce"):
         raise ConfigError("$.structure", f"{command} needs a structure")
-    results, artifacts = _COMMAND_TABLE[command](cfg, out_dir, rng)
+    results, artifacts = _COMMAND_TABLE[command](cfg, rng)
     assertions = evaluate_assertions(specs, results)
+    for name, (write, *args) in artifacts.items():
+        write(out_dir / name, *args)
     report_doc = {
         "command": command,
         "config_digest": cfg.digest,
@@ -797,7 +797,7 @@ def run(command: str, cfg: RunConfig, out_dir, seed=None, tol=None) -> RunReport
         "tolerance": cfg.tol,
         "results": results,
         "assertions": assertions,
-        "artifacts": sorted(set(artifacts) | {f"{command}_report.json"}),
+        "artifacts": sorted({*artifacts, f"{command}_report.json"}),
     }
     write_json(out_dir / f"{command}_report.json", report_doc)
     wall = time.perf_counter() - started

@@ -12,22 +12,21 @@ and walks the tree once per variable; it is the reference and the error
 reporter.  The emitter (``_Codegen``) unrolls those rules into generated
 straight-line code that returns the value and every partial in one go,
 bit for bit equal to the tree walker.  The library runs it on a whole
-state tuple, under one rule: one row per single point, one pass per block
-of points.  A row (:func:`_generate_row`) takes one point: a surface
-solve's point, a hodograph family's (u, v) at one (x, y), a custom
-generator's value and slope at one s.  A pass (:func:`_generate_pass`)
-is one generated function that loops over a block of points itself and
-runs at each the lines the row would: a structure's entries, with their
-partials for Jacobi checks (:func:`_row_pass`), the flows' monitors and
-frozen combinations over the stored states, a grid's or a cloud's domain
-filters, and a hodograph family's transport checks and limit deviations.
-Each flow's stepping loop (``dynamics._generate_step``) is generated code
-of its own.  ``compile`` builds the same code for one expression over an
-env dict; no library module calls it.
+state tuple in one shape, the pass (:func:`_generate_pass`): one
+generated function that loops over a block of points itself and runs the
+same lines at each.  The passes evaluate a structure's entries, with
+their partials for Jacobi checks (:func:`_row_pass`), the flows' monitors
+and frozen combinations over the stored states, a grid's or a cloud's
+domain filters, and a hodograph family's transport checks and limit
+deviations.  A single point is a block of one: a row
+(:func:`_generate_row`), a hodograph family's (u, v) at one (x, y) or a
+custom generator's value and slope at one s, and ``compile``, one
+expression over an empty state with its names read from the env dict it
+is called with (no library module calls it).  Each flow's stepping loop
+(``dynamics._generate_step``) is generated code of its own.
 
-Where the generated code raises, the tree walker takes over: a row and
-``compile`` rerun it on the same arguments (:func:`_reference_row` for a
-row), and a pass point takes its redo, the row's tree walker, and the pass
+Where the generated code raises, the tree walker takes over: a pass point
+takes its redo, :func:`_reference_row` on the same arguments, and the pass
 goes on; so the result or the error is the tree walker's.  Three callers
 keep a rule of their own: a flow step is redone by the tree walker on
 numpy scalars (``dynamics._flow_step``), a raising filter point takes its
@@ -45,8 +44,8 @@ part, because ``math.pow(x, 1.0)`` is ``x`` bit for bit; negative and
 variable exponents keep the checked helpers.  ``math.pow`` raises
 ``OverflowError`` where the tree walker yields a signed infinity
 (:func:`_pow_ieee`); that is an evaluation error like any other, so the
-row or ``compile`` function reruns on the tree walker and a flow step is
-redone there, and the result is the tree walker's signed infinity.
+pass point takes its redo and a flow step is redone on the tree walker,
+and the result is the tree walker's signed infinity.
 
 The emitter leaves out what IEEE arithmetic makes an exact no-op: a
 factor spelled as the literal 1.0, the test ``1.0 != 0.0`` of a
@@ -724,25 +723,11 @@ class _Codegen:
                 kept.append(line)
         self.lines = kept[::-1]
 
-    def function(self, params: str, result: str, fallback: Callable) -> Callable:
-        """``def (params)`` running the emitted lines and returning ``result``.
-        A call that raises an evaluation error, an overflowing ``_pow``
-        included, reruns its arguments on ``fallback``."""
-        source = (
-            f"def _compiled({params}):\n"
-            "    try:\n"
-            f"{_block(self.lines, 8)}"
-            f"        return {result}\n"
-            "    except _errors:\n"
-            f"        return _fallback({params})\n"
-        )
-        return self.define(source, _fallback=fallback)
-
-    def define(self, source: str, **names) -> Callable:
+    def define(self, source: str) -> Callable:
         """The function ``_compiled`` that ``source`` defines, over the globals
-        of the emitted lines and ``names``."""
+        of the emitted lines."""
         code = builtins.compile(source, "<noncanon.expressions.compile>", "exec")
-        namespace = dict(_GENERATED_GLOBALS, **self.namespace, **names)
+        namespace = dict(_GENERATED_GLOBALS, **self.namespace)
         exec(code, namespace)
         # popped, so the function and its globals form no cycle and are
         # freed by reference counting as soon as the caller drops it
@@ -867,10 +852,6 @@ class _Codegen:
         return v, derivs
 
 
-def _reference(e: Expression, variables: tuple[str, ...], env: Mapping[str, float]):
-    return evaluate(e, env), tuple(gradient(e, variables, env))
-
-
 def compile(e: Expression, variables: Sequence[str] = ()) -> Callable:
     """Generate one straight-line function for the value of ``e`` and its
     partials with respect to ``variables``.
@@ -878,64 +859,60 @@ def compile(e: Expression, variables: Sequence[str] = ()) -> Callable:
     The result is ``fn(env) -> (value, partials)`` and equals
     ``(evaluate(e, env), tuple(gradient(e, variables, env)))`` bit for bit,
     signed zeros included (NaN payloads aside); with no variables it only
-    evaluates.  Names are read from ``env`` as floats.  Whenever the
-    generated code raises, ``fn`` reruns the tree walker, so the error and
-    its message are exactly the tree walker's.
+    evaluates.  It is a pass over a block of one empty state, whose every
+    name is read from ``env`` as a float.  Whenever the generated code
+    raises, ``fn`` redoes the call on the tree walker, so the error and its
+    message are exactly the tree walker's.
     """
     variables = tuple(variables)
-    gen = _Codegen(tuple(dict.fromkeys(variables)))
-    value, derivs = gen.emit(e)
-    partials = "".join(f"{derivs.get(n, '0.0')}, " for n in variables)
-    fallback = functools.partial(_reference, e, variables)
-    return gen.function("env", f"{value}, ({partials})", fallback)
+    one, redo = _point_pass((), [e], variables, lambda r: f"{r[0]}, {_tuple(r[1:])}")
+    return lambda env: one(redo, env, ((),))
 
 
 # ---------------------------------------------------------------------------
-# Rows and passes over the state tuple
+# Passes over the state tuple
 #
 # A "structure" here is anything with the ``variable_names`` and
 # ``parameters`` of a Poisson structure: the flows' steps and monitor rows,
 # a structure's entry values at a phase point, a grid's or a cloud's
 # filters, a hodograph family's (u, v) at (x, y) and a generator at s all
 # read the state as one tuple of Python floats, which the caller converts
-# from numpy values.  One point is a row; a block of points is a pass,
-# which loops over the block inside generated code.
+# from numpy values.  A block of points is a pass, which loops over the
+# block inside generated code; one point is a pass over a block of one.
 
 
 def _state_codegen(names, exprs=(), variables: Sequence[str] = ()) -> tuple[_Codegen, list]:
     """A code generator for a function of the state tuple ``x`` over
     ``names`` and its partials with respect to ``variables``, whose first
-    line unpacks ``x`` into one local per name (``gen.loads[name]``), with
+    line unpacks ``x`` into one local per name (``gen.loads[name]``; the
+    line is ``() = x`` for no names), with
     ``exprs`` emitted into it; and the atoms of their row: each
     expression's value and then its partials, the order of
     :func:`_reference_row`.  Each parameter loads from ``env`` where it is
     first used."""
-    gen = _Codegen(tuple(variables))
-    gen.lines.append(f"{''.join(f'x{i}, ' for i in range(len(names)))}= x")
+    gen = _Codegen(tuple(dict.fromkeys(variables)))
+    gen.lines.append(f"{''.join(f'x{i}, ' for i in range(len(names))) or '() '}= x")
     gen.loads.update((name, f"x{i}") for i, name in enumerate(names))
     emitted = [gen.emit(e) for e in exprs]
     return gen, [v for value, d in emitted for v in (value, *(d.get(n, "0.0") for n in variables))]
 
 
 def _generate_row(structure, exprs, variables: Sequence[str] = ()) -> Callable:
-    """Generated code for one row, ``row(x)``: for every expression of
-    ``exprs``, its value at the state tuple ``x`` and then its partials with
-    respect to ``variables``.  A call that succeeds is bit-identical to
-    :func:`_reference_row`; a call whose generated code raises returns
-    :func:`_reference_row` at ``x``, or raises the tree walker's first
-    error, as ``compile`` does."""
-    gen, row = _state_codegen(structure.variable_names, exprs, variables)
-    gen.namespace["env"] = env = structure.parameters
-    redo = _redo(structure.variable_names, exprs, variables)
-    return gen.function("x", f"({''.join(f'{v}, ' for v in row)})", functools.partial(redo, env))
+    """``row(x)``: for every expression of ``exprs``, its value at the state
+    tuple ``x`` and then its partials with respect to ``variables``, as a
+    tuple; a pass over the block of one ``x`` (:func:`_point_pass`), so it
+    equals :func:`_reference_row` bit for bit, or raises the tree walker's
+    first error."""
+    one, redo = _point_pass(structure.variable_names, exprs, variables, _tuple)
+    env = structure.parameters
+    return lambda x: one(redo, env, (x,))
 
 
 def _redo(names, exprs, variables: Sequence[str] = ()) -> Callable:
     """``redo(env, x)``: :func:`_reference_row` over ``names`` at ``x``,
-    with the parameters ``env``; a pass point's redo, and with ``env``
-    bound a row's fallback.  It holds names, not a structure, which caches
-    its rows and passes: a row holding its structure would form a cycle
-    (see :meth:`_Codegen.define`)."""
+    with the parameters ``env``; every pass point's redo.  It holds names,
+    not a structure, which caches its passes: a pass holding its structure
+    would form a cycle (see :meth:`_Codegen.define`)."""
     exprs, variables = tuple(exprs), tuple(variables)
     return lambda env, x: _reference_row(
         SimpleNamespace(variable_names=names, parameters=env), exprs, x, variables
@@ -944,8 +921,8 @@ def _redo(names, exprs, variables: Sequence[str] = ()) -> Callable:
 
 def _reference_row(structure, exprs, x, variables: Sequence[str] = ()) -> list:
     """The row of :func:`_generate_row` at one state, by tree walking.  Each
-    expression's value comes before its partials, as in ``compile``'s
-    fallback, so the first error raised is the tree walker's first."""
+    expression's value comes before its partials, so the first error raised
+    is the tree walker's first."""
     env = {**structure.parameters, **dict(zip(structure.variable_names, x))}
     row = []
     for e in exprs:
@@ -968,7 +945,7 @@ def _compiled(redo, env, points, out=None):
         try:
 {lines}\
         except _errors:
-            {results} = redo(env, [{state}])
+            {results} = redo(env, [{values}])
 {fold}\
     return {returns}
 """
@@ -977,6 +954,11 @@ def _compiled(redo, env, points, out=None):
 def _block(lines, indent: int) -> str:
     """``lines`` as source, each indented by ``indent`` spaces."""
     return "".join(f"{' ' * indent}{line}\n" for line in lines)
+
+
+def _tuple(atoms) -> str:
+    """The source of the tuple of ``atoms``."""
+    return f"({''.join(f'{a}, ' for a in atoms)})"
 
 
 def _fold(acc: str, value: str, rule: str = ">") -> list[str]:
@@ -995,15 +977,30 @@ def _generate_pass(gen: _Codegen, results, row, start, fold, returns: str) -> Ca
     as ``results``.  The ``start`` lines open the pass.  Parameters load
     from the argument ``env``, so one pass serves any parameters."""
     lines = [*gen.lines[1:], *map("{} = {}".format, results, row)] or ["pass"]
+    state = gen.lines[0].split(" = ")[0]  # the targets of the unpack line
     source = _PASS.format(
         start=_block(start, 4),
-        state=gen.lines[0].split(" = ")[0],  # the targets of the unpack line
+        state=state,
+        values=state.strip("()"),  # none for the empty state ``()``
         lines=_block(lines, 12),
-        results="".join(f"{r}, " for r in results) or "()",
+        results=_tuple(results),
         fold=_block(fold, 8),
         returns=returns,
     )
     return gen.define(source)
+
+
+def _point_pass(names, exprs, variables, returns: Callable) -> tuple[Callable, Callable]:
+    """The pass ``one(redo, env, (x,))`` and its redo: the row of ``exprs``
+    and their partials with respect to ``variables`` at the one state tuple
+    ``x`` over ``names``, with the parameters ``env``, returned as the
+    source ``returns(results)`` of the row's results.  The caller binds
+    the arguments in its own closure, one call fewer per point than a
+    ``functools.partial``."""
+    gen, row = _state_codegen(names, exprs, variables)
+    results = [f"r{j}" for j in range(len(row))]
+    one = _generate_pass(gen, results, row, [], [], returns(results))
+    return one, _redo(names, exprs, variables)
 
 
 def _row_pass(structure, exprs, variables: Sequence[str] = ()) -> Callable:

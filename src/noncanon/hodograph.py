@@ -69,20 +69,20 @@ __all__ = [
 FAMILY_KINDS = ("linear", "log", "loglog", "custom-fg")
 
 # Grids, clouds, families and generators run the state-tuple code of
-# structures and flows (``expressions._state_codegen``): one row per single
-# point, one generated pass per block of points.  The passes
-# (``expressions._generate_pass``) loop over the points themselves: the
-# filter pass (:func:`_filter_pass`) over every grid point or every drawn
-# cloud point, then, over the kept points of a closed-form family, the
-# check pass of ``grid_checks`` and the deviation pass of ``limit_sweep``,
-# one per sweep and run once per alpha, which fold their residuals as they
-# go.  A custom-fg family's checks stay a Python loop, one solve per point.
-# The rows serve single points: a closed-form family's (u, v) in
+# structures and flows (``expressions._state_codegen``), one generated pass
+# per block of points (``expressions._generate_pass``), which loops over the
+# points itself: the filter pass (:func:`_filter_pass`) over every grid
+# point or every drawn cloud point, then, over the kept points of a
+# closed-form family, the check pass of ``grid_checks`` and the deviation
+# pass of ``limit_sweep``, one per sweep and run once per alpha, which fold
+# their residuals as they go.  A custom-fg family's checks stay a Python
+# loop, one solve per point.  A single point is a block of one, a row
+# (``expressions._generate_row``): a closed-form family's (u, v) in
 # ``evaluate_uv``, and each generator's value and slope over (s,).  A point
-# or a row whose generated code raises is redone on the tree walker, so
-# outcomes and errors are the tree walker's.  Two rules stay here: a filter
-# point that raises is redone filter by filter, so a reject before an error
-# wins, and a generator's value survives an error in its slope.
+# whose generated code raises is redone on the tree walker, so outcomes and
+# errors are the tree walker's.  Two rules stay here: a filter point that
+# raises is redone filter by filter, so a reject before an error wins, and
+# a generator's value survives an error in its slope.
 
 _XY = ("x", "y")
 _S = ("s",)

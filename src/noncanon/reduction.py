@@ -130,7 +130,7 @@ class SurfaceSample:
     rejected: int = 0
 
 
-def _damped_fixed_point(row, targets, seeds, tol: float, max_iter: int):
+def _damped_fixed_point(targets, seeds, tol: float, max_iter: int):
     """Iterate x -> target(x) at each point of the (k, n) block ``seeds``
     until max |target - x| <= tol there, and keep that last target.
 
@@ -139,16 +139,17 @@ def _damped_fixed_point(row, targets, seeds, tol: float, max_iter: int):
     pass's first, or after ``max_iter`` steps; the point then restarts once
     from its seed with damping 0.5, and a second failure rejects it.
 
-    Each round calls ``row(i, x)`` at every running point i, in order, with
-    its iterate as a list of floats, and then ``targets(running, rows)`` for
-    the (m, n) targets of the m running points.  A point whose row raises
-    :class:`DomainError` is rejected and the others go on; any other error
-    propagates.  The arithmetic is silent on overflow, as on Python
-    floats.
+    Each round calls ``targets(running, x[running])`` once for the (m, n)
+    targets of the m running points at their (m, n) iterates.  A round
+    whose block raises :class:`DomainError` is taken again point by point,
+    as blocks of one: a point whose own block raises it is rejected and the
+    others go on; any other error propagates from the first point that
+    raises it.  The arithmetic is silent on overflow, as on Python floats.
 
     Returns ``(x, failed)``: ``x[i]`` is point i's last target, or its last
     iterate if it failed, and ``failed`` maps every failed point to the
-    DomainError its row raised, or to None if it did not converge."""
+    DomainError its block of one raised, or to None if it did not
+    converge."""
     seeds = np.asarray(seeds, dtype=float)
     x = seeds.copy()
     k = len(x)
@@ -159,18 +160,9 @@ def _damped_fixed_point(row, targets, seeds, tol: float, max_iter: int):
     running = np.arange(k)
     with np.errstate(over="ignore", invalid="ignore"):
         while len(running):
-            rows, live = [], []
-            for i, xi in zip(running.tolist(), x[running].tolist()):
-                try:
-                    rows.append(row(i, xi))
-                except DomainError as err:
-                    failed[i] = err
-                else:
-                    live.append(i)
-            running = np.array(live, dtype=np.intp)
+            running, target = _round(targets, running, x, failed)
             if not len(running):
                 break
-            target = targets(running, rows)
             current = x[running]
             delta = np.max(np.abs(target - current), axis=1)
             done = delta <= tol
@@ -200,6 +192,21 @@ def _damped_fixed_point(row, targets, seeds, tol: float, max_iter: int):
     return x, failed
 
 
+def _round(targets, running, x, failed: dict):
+    """The points of ``running`` that one round of
+    :func:`_damped_fixed_point` keeps, and their targets: all of them, or,
+    where the block raises :class:`DomainError`, each point taken alone,
+    those whose block of one raises it entered in ``failed``."""
+    try:
+        return running, targets(running, x[running])
+    except DomainError as err:
+        if len(running) == 1:
+            failed[running.item()] = err
+            return running[:0], x[:0]
+    rounds = [_round(targets, running[j : j + 1], x, failed) for j in range(len(running))]
+    return tuple(np.concatenate(part) for part in zip(*rounds))
+
+
 def _one_point(x, failed: dict, message: str):
     """The value that :func:`_damped_fixed_point` solved for a block of one
     point, or its failure raised with its last iterate."""
@@ -212,24 +219,22 @@ def _surface_q(structure, constants, theta_ref, p, tol, max_iter):
     """Solve q = c - theta(q, p) p at a (k, n) block of momenta ``p`` by
     :func:`_damped_fixed_point`, seeded with the reference bracket values so
     each iteration starts on the intended leaf.  Each round evaluates the
-    structure's value row at the running points only, every stored entry
-    included, and takes the theta blocks' products as one stack."""
+    structure's entries at the running points only, in one value pass over
+    their (m, 2n) block (``_at_points``), every stored entry included, and
+    takes the theta blocks' products as one stack."""
     n = structure.n
-    p_rows = p.tolist()
 
     def leaf(theta, momenta):
         return constants - (theta @ momenta[:, :, None])[:, :, 0]
 
-    def row(i, q):
-        return structure._value_row(structure._finite(q + p_rows[i]))
-
-    def targets(running, rows):
-        theta = structure._antisymmetric(np.array(rows, dtype=float))
-        return leaf(theta[:, :n, :n], p[running])
+    def targets(running, q):
+        momenta = p[running]
+        _, rows = structure._at_points(np.concatenate([q, momenta], axis=1))
+        return leaf(structure._antisymmetric(rows[..., 0])[:, :n, :n], momenta)
 
     with np.errstate(over="ignore", invalid="ignore"):
         seeds = leaf(theta_ref[None], p)
-    return _damped_fixed_point(row, targets, seeds, tol, max_iter)
+    return _damped_fixed_point(targets, seeds, tol, max_iter)
 
 
 def _solve_surface_q(structure, constants, theta_ref, p, tol, max_iter):
@@ -702,16 +707,14 @@ def implicit_theta(
     q1, q2, p1, p2 = (float(v) for v in np.asarray(x, dtype=float))
     env = dict(parameters or {})
 
-    def row(i, theta):
-        env["c1"] = q1 + theta[0] * p2
-        env["c2"] = q2 - theta[0] * p1
-        return (evaluate(phi, env),)
-
-    def targets(running, rows):
-        return np.array(rows, dtype=float)
+    def targets(running, theta):
+        (t,), = theta.tolist()
+        env["c1"] = q1 + t * p2
+        env["c2"] = q2 - t * p1
+        return np.array([[evaluate(phi, env)]], dtype=float)
 
     theta, failed = _damped_fixed_point(
-        row, targets, [[theta0]], _FIXED_POINT_TOL, _FIXED_POINT_MAX_ITER
+        targets, [[theta0]], _FIXED_POINT_TOL, _FIXED_POINT_MAX_ITER
     )
     return _one_point(theta[:, 0].tolist(), failed, "implicit bracket solve did not converge")
 

@@ -124,13 +124,12 @@ def test_an_error_other_than_a_domain_error_propagates():
 def test_failed_points_keep_their_last_iterate():
     # point 0 runs out of steps in both passes and fails with the damped
     # pass's last iterate; point 1 converges on its second step
-    def row(i, x):
-        return (3.0 * x[0] + 1.0 if i == 0 else 0.25,)
+    def targets(running, x):
+        return np.array(
+            [(3.0 * xi[0] + 1.0 if i == 0 else 0.25,) for i, xi in zip(running, x.tolist())]
+        )
 
-    def targets(running, rows):
-        return np.array(rows)
-
-    x, failed = _damped_fixed_point(row, targets, np.array([[1.0], [1.0]]), 1e-12, 3)
+    x, failed = _damped_fixed_point(targets, np.array([[1.0], [1.0]]), 1e-12, 3)
     assert failed == {0: None}
     last = 1.0
     for _ in range(3):

@@ -112,16 +112,21 @@ def test_bad_input_exits_before_the_run(tmp_path, capsys, nothing_runs, case):
     assert captured.out == ""  # no LAPACK message, no assertion lines
 
 
-def test_an_unknown_report_value_is_still_found_after_the_run(tmp_path, capsys):
+def test_an_unknown_report_value_is_still_found_after_the_run(tmp_path, capsys, monkeypatch):
     # the value path is resolved against the report, so it can only fail
-    # after the command has run
+    # after the command has run; the run's files are written after the
+    # assertions, so it leaves none
+    ran = []
+    sweep = reduction.epsilon_sweep
+    monkeypatch.setattr(reduction, "epsilon_sweep", lambda *a, **k: ran.append(a) or sweep(*a, **k))
     doc = _with(SWEEP, "assertions", value=[dict(_ASSERTION, value="no.such.key")])
     doc["sweep"]["epsilons"] = [0.1, 0.01]
     doc["integrator"]["t_end"] = 0.1
     code, captured = run_config(tmp_path, capsys, "sweep", doc)
     assert code == EXIT_CONFIG
     assert "$.assertions: no value at 'no.such.key'" in captured.err
-    assert (tmp_path / "out" / "epsilon_sweep.csv").exists()
+    assert len(ran) == 1
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize("name, command", [(SWEEP, "sweep"), (LINEAR, "hodograph")])

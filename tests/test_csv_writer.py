@@ -93,20 +93,16 @@ def test_trajectory_rows_across_blocks(length):
 
 def test_trajectory_export_streams(tmp_path):
     cfg = cli.load_config(FIXTURES / "integrate_singular_field.json")
-    captured = {}
-
-    def capture(path, header, rows):
-        captured.update(path=path, header=header, rows=rows)
-
-    with mock.patch.object(cli, "write_csv", capture):
-        cli._cmd_integrate(cfg, tmp_path, None)
+    _, artifacts = cli._cmd_integrate(cfg, None)
+    write, header, rows = artifacts["trajectory.csv"]
+    assert write is cli.write_csv
+    path = tmp_path / "trajectory.csv"
     tracemalloc.start()
     try:
-        write_csv(captured["path"], captured["header"], captured["rows"])
+        write_csv(path, header, rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    path = captured["path"]
     size = path.stat().st_size
     with path.open(encoding="utf-8") as fh:
         assert sum(1 for _ in fh) == 10_002

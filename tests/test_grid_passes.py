@@ -332,9 +332,9 @@ def test_a_hodograph_run_compiles_no_more_than_one_row_per_pass(tmp_path, monkey
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_COMMANDS))
 def test_no_fixture_takes_a_block_point_by_point(tmp_path, monkeypatch, name):
-    # clouds, grids, stored states and structure blocks each run one
-    # generated pass per block: no redo and no generated row per point;
-    # only the surface solve of ``reduce`` runs a row, one point at a time
+    # clouds, grids, stored states, structure blocks and the surface
+    # solve's rounds each run one generated pass per block: no redo and no
+    # generated row per point
     calls = []
 
     def counted(label, fn):
@@ -351,15 +351,16 @@ def test_no_fixture_takes_a_block_point_by_point(tmp_path, monkeypatch, name):
     ):
         monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
     # every generated row, and every ``compile`` function, is built here
-    function = expressions._Codegen.function
+    build = expressions._point_pass
 
-    def spy(gen, params, result, fallback):
-        return counted("row", function(gen, params, result, fallback))
+    def spy(*args):
+        one, redo = build(*args)
+        return counted("row", one), redo
 
-    monkeypatch.setattr(expressions._Codegen, "function", spy)
+    monkeypatch.setattr(expressions, "_point_pass", spy)
     command = FIXTURE_COMMANDS[name]
     run(command, load_config(FIXTURES / name), tmp_path / "out")
-    assert set(calls) <= ({"row"} if command == "reduce" else set())
+    assert calls == []
 
 
 # runs that build every kind of pass: a grid's and a cloud's filter pass,

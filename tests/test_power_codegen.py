@@ -79,19 +79,24 @@ def _same(a: float, b: float) -> bool:
 @pytest.fixture
 def fallback_on_overflow(monkeypatch) -> list:
     """The arguments of each rerun of a ``compile`` function on the tree
-    walker, which may run only where a ``math.pow`` of the call overflowed:
-    the rerun runs inside the generated function's ``except``, so the error
-    being handled is the one that sent it there."""
+    walker, its redo, which may run only where a ``math.pow`` of the call
+    overflowed: the redo runs inside the generated function's ``except``,
+    so the error being handled is the one that sent it there."""
     reruns = []
-    reference = expressions._reference
+    build = expressions._redo
 
-    def guarded(*args):
-        if not isinstance(sys.exc_info()[1], OverflowError):
-            raise AssertionError("the tree walker ran")
-        reruns.append(args)
-        return reference(*args)
+    def spy(*args):
+        redo = build(*args)
 
-    monkeypatch.setattr(expressions, "_reference", guarded)
+        def guarded(*args):
+            if not isinstance(sys.exc_info()[1], OverflowError):
+                raise AssertionError("the tree walker ran")
+            reruns.append(args)
+            return redo(*args)
+
+        return guarded
+
+    monkeypatch.setattr(expressions, "_redo", spy)
     return reruns
 
 
@@ -130,6 +135,13 @@ def test_an_overflowing_row_reruns_once_on_the_tree_walker():
     assert redo.call_count == 1
 
 
+def _generated(fn):
+    """The generated function behind ``fn``: ``fn`` itself, or the pass that
+    a row or a ``compile`` function runs over its block of one."""
+    cells = [cell.cell_contents for cell in fn.__closure__ or ()]
+    return next((c for c in cells if getattr(c, "__name__", "") == "_compiled"), fn)
+
+
 def test_generated_code_binds_bare_pow_and_no_overflow_variant():
     structure, h = canonical(1), parse("q1^4/4 + p1^2/2")
     for fn in (
@@ -138,6 +150,7 @@ def test_generated_code_binds_bare_pow_and_no_overflow_variant():
         _generate_step(structure, h, "rk4"),
         _generate_step(structure, h, "midpoint"),
     ):
+        fn = _generated(fn)
         assert fn.__globals__["_pow"] is math.pow
         assert "_ieee" not in fn.__globals__ and "_overflow" not in fn.__globals__
 

@@ -3,6 +3,9 @@ contract quietly.
 
 - A ``reduce`` whose reduced orbit fails exits 3 and leaves no artifact:
   the surface CSV is written only once every step has succeeded.
+- An assertion that names a value missing from the report exits 2 and
+  leaves no artifact, whatever the command: a run writes its files only
+  once its assertions have been evaluated.
 - An ``integrate`` whose monitors start infinite reports a NaN drift
   (inf - inf) without a numpy warning, and its assertion fails (exit 1).
 - A ``constant-theta-f`` structure needs a finite ``theta`` and ``f``; JSON
@@ -58,6 +61,34 @@ def test_a_successful_reduce_still_writes_its_surface(tmp_path, capsys):
     code, files = _main(tmp_path, "reduce", "reduce_constant.json", lambda doc: None)
     assert code == 0, capsys.readouterr().err
     assert files == ["reduce_report.json", "reduction_report.json", "surface_points.csv"]
+
+
+# one fixture per command that writes a file of its own besides the report,
+# the hodograph run with its alpha sweep; the flows shortened
+_ARTIFACT_RUNS = {
+    "check-jacobi": "check_jacobi_constant.json",
+    "integrate": "integrate_canonical_oscillator.json",
+    "reduce": "reduce_singular_field.json",
+    "sweep": "sweep_epsilon.json",
+    "hodograph": "hodograph_linear_sweep.json",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARTIFACT_RUNS))
+def test_an_assertion_on_a_missing_value_leaves_no_artifact(tmp_path, capsys, command):
+    def edit(doc):
+        doc["assertions"] = [
+            {"name": "x", "value": "no.such.value", "op": "<=", "threshold": 1.0}
+        ]
+        if "integrator" in doc:
+            doc["integrator"]["t_end"] = 0.05
+
+    code, files = _main(tmp_path, command, _ARTIFACT_RUNS[command], edit)
+    assert code == EXIT_CONFIG
+    message = "config error: $.assertions: no value at 'no.such.value' in the report\n"
+    assert capsys.readouterr().err == message
+    assert files == []
+    assert (tmp_path / "out").is_dir()
 
 
 def test_an_infinite_monitor_drifts_by_nan_quietly(tmp_path, capsys):

@@ -9,6 +9,7 @@ matrices, gradients and errors are those of evaluating each entry on its
 own with ``compile`` (whose fallback is the tree walker), bit for bit.  A
 structure with no stored entries gives zero matrices."""
 
+import builtins
 import math
 import struct
 from pathlib import Path
@@ -227,6 +228,24 @@ def test_check_jacobi_and_reduce_build_one_row_of_each_kind(monkeypatch, tmp_pat
     run("reduce", cfg, tmp_path / "reduce")
     assert sorted(variables for _, variables in calls) == [(), cfg.structure.variable_names]
     assert {structure for structure, _ in calls} == {cfg.structure}
+
+
+@pytest.mark.parametrize(
+    "name, sources", [("reduce_constant.json", 3), ("reduce_singular_field.json", 2)]
+)
+def test_a_reduce_run_compiles_each_source_once(monkeypatch, tmp_path, name, sources):
+    # the surface solve's rounds run the structure's value pass, which the
+    # reference point's theta block built, so no value row is compiled beside it
+    compiled = []
+    original = builtins.compile
+
+    def counted(*args, **kwargs):
+        compiled.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counted)
+    run("reduce", load_config(FIXTURES / name), tmp_path / "out")
+    assert len(compiled) == len(set(compiled)) == sources
 
 
 def test_monitor_pass_uses_the_structure_assembly(monkeypatch):

@@ -6,11 +6,11 @@ the tree walker raises, its error and message; fixture artifacts must not
 depend on which of the two ran, and a family copied with new expressions
 (``dataclasses.replace``) must run them, not its source's cached code.
 A single point runs the flows' state-tuple row
-(``expressions._generate_row``): a surface solve's structure entries,
-closed-form families' (u, v) and generators a row over s.  A block of
-points, a structure's points, a cloud's or a grid's, runs the same lines in
-a generated pass (``expressions._generate_pass``).  A raising row or pass
-point is redone on the tree walker."""
+(``expressions._generate_row``): closed-form families' (u, v) and
+generators a row over s.  A block of points, a structure's points, a
+surface solve's running points, a cloud's or a grid's, runs the same lines
+in a generated pass (``expressions._generate_pass``).  A raising row or
+pass point is redone on the tree walker."""
 
 import dataclasses
 import math
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noncanon import brackets, expressions, hodograph
+from noncanon import expressions, hodograph
 from noncanon.brackets import (
     DELTA_KINDS,
     canonical,
@@ -389,7 +389,6 @@ def test_survey_artifacts_match_tree_fallback(name, tmp_path, monkeypatch):
         return counted
 
     monkeypatch.setattr(hodograph, "_generate_row", raising_row)
-    monkeypatch.setattr(brackets, "_generate_row", raising_row)
     monkeypatch.setattr(hodograph, "_generate_pass", raising_pass)
     monkeypatch.setattr(expressions, "_generate_pass", raising_pass)
     monkeypatch.setattr(hodograph, "_admitted", redo(hodograph._admitted))
