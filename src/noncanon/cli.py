@@ -56,7 +56,7 @@ from .dynamics import (
     integrate,
     zero_crossing_frequency,
 )
-from .expressions import ExpressionError, ParseError, _depth, free_names, parse
+from .expressions import _SOURCE_TABLE, ExpressionError, ParseError, _depth, free_names, parse
 
 CONFIG_VERSION = 1
 COMMANDS = ("check-jacobi", "integrate", "reduce", "sweep", "hodograph")
@@ -785,7 +785,12 @@ def run(command: str, cfg: RunConfig, out_dir, seed=None, tol=None) -> RunReport
     rng = np.random.default_rng(cfg.seed)
     if cfg.structure is None and command in ("check-jacobi", "integrate", "reduce"):
         raise ConfigError("$.structure", f"{command} needs a structure")
-    results, artifacts = _COMMAND_TABLE[command](cfg, rng)
+    # one table of compiled sources per run (``expressions._Codegen.define``)
+    table = _SOURCE_TABLE.set({})
+    try:
+        results, artifacts = _COMMAND_TABLE[command](cfg, rng)
+    finally:
+        _SOURCE_TABLE.reset(table)
     assertions = evaluate_assertions(specs, results)
     for name, (write, *args) in artifacts.items():
         write(out_dir / name, *args)

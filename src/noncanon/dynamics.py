@@ -15,7 +15,11 @@ takes every step (four RK4 stages and their combination, or the implicit
 midpoint's fixed-point iteration over one velocity stage) and writes each
 new state into the stored states, and one pass over each block of stored
 states (``expressions._row_pass``), the pass that structures also
-evaluate their entries over a block of points with.  For
+evaluate their entries over a block of points with.  A constant bracket
+entry other than 1.0 is a local of the stepping loop, bound before it,
+not a literal in its lines, so flows that differ only in such constants
+(the flows of an epsilon sweep) generate one source, which a run compiles
+once (``expressions._Codegen.define``).  For
 :func:`integrate` the pass's row holds every monitor and every stored
 bracket entry, and ``det Theta`` is taken over the structure's own
 assembly of those entries; an epsilon sweep's row holds only the frozen
@@ -192,12 +196,23 @@ def _generate_step(
     computed), so a step that succeeds is bit-identical to the tree walker.
     The code does not fall back: the caller redoes a raising step on the
     tree walker.
+
+    An entry that is a constant other than 1.0 is read from a local
+    (``c3`` for the fourth entry) assigned on the loop's first line from a
+    bound name, so the source does not depend on its value; a local holds
+    the constant's float, so the arithmetic is the literal's, bit for bit.
+    A 1.0 entry stays a literal, which ``_product`` folds.
     """
     names = structure.variable_names
     entries = list(structure.entries.items())
     gen, _ = _state_codegen(names)
     x = [gen.loads[name] for name in names]  # the state's locals
     gen.namespace.update(env=structure.parameters, _IntegrationError=IntegrationError)
+    constants = {
+        j: (f"c{j}", gen.bind(expr.value))
+        for j, (_, expr) in enumerate(entries)
+        if isinstance(expr, Const) and expr.value != 1.0
+    }
 
     def stage(state: list[str]) -> list[str]:
         gen.loads.update(zip(names, state))
@@ -206,8 +221,8 @@ def _generate_step(
         grad = [grad.get(name, "0.0") for name in names]
         gen.variables = ()
         out = ["0.0"] * len(names)
-        for (a, b), expr in entries:
-            v = gen.emit(expr)[0]
+        for j, ((a, b), expr) in enumerate(entries):
+            v = constants[j][0] if j in constants else gen.emit(expr)[0]
             out[a] = gen.assign(f"{out[a]} + {_product(v, grad[b])}")
             out[b] = gen.assign(f"{out[b]} - {_product(v, grad[a])}")
         return out
@@ -247,7 +262,7 @@ def _generate_step(
         step = _block(body, 12)
     stores = [f"out[i + {j}] = {z}" if j else f"out[i] = {z}" for j, z in enumerate(new)]
     source = _LOOP.format(
-        unpack=unpack,
+        unpack="; ".join([unpack, *(f"{c} = {g}" for c, g in constants.values())]),
         dim=len(x),
         step=step,
         store=_block(stores, 12),
@@ -466,8 +481,10 @@ def _max_drift(
     for _, rows in _row_blocks(structure, exprs, states):
         if first is None:
             first = rows[0].copy()
-        # np.maximum and ndarray.max propagate a NaN, as dev.max() does
-        drift = np.maximum(drift, np.abs(rows - first).max(axis=0))
+        # a combination that starts infinite drifts by inf - inf, a NaN,
+        # silently; np.maximum and ndarray.max propagate it, as dev.max() does
+        with np.errstate(invalid="ignore"):
+            drift = np.maximum(drift, np.abs(rows - first).max(axis=0))
     return drift.tolist()
 
 

@@ -70,6 +70,7 @@ reserved for phase-space variables; any other name is a parameter.
 from __future__ import annotations
 
 import builtins
+import contextvars
 import functools
 import math
 import re
@@ -646,6 +647,9 @@ _GENERATED_GLOBALS = {
 }
 
 
+#: source text -> code object, for one run (see ``_Codegen.define``)
+_SOURCE_TABLE: contextvars.ContextVar[dict] = contextvars.ContextVar("noncanon_source_table")
+
 _LOCAL_RE = re.compile(r"\bt\d+\b")
 #: a text that names a value without computing it: a local, a bound global,
 #: a bare literal or a parenthesized constant
@@ -725,8 +729,20 @@ class _Codegen:
 
     def define(self, source: str) -> Callable:
         """The function ``_compiled`` that ``source`` defines, over the globals
-        of the emitted lines."""
-        code = builtins.compile(source, "<noncanon.expressions.compile>", "exec")
+        of the emitted lines.
+
+        While a table is set in :data:`_SOURCE_TABLE` (``cli.run`` sets one
+        for each run and clears it after), each distinct source is compiled
+        once and its code object taken from the table after that, so one run
+        compiles each source once.  The code is still executed into a fresh
+        namespace on every call: a function's globals, its bound names
+        included, are its own.  With no table set, every call compiles."""
+        table = _SOURCE_TABLE.get({})
+        code = table.get(source)
+        if code is None:
+            code = table[source] = builtins.compile(
+                source, "<noncanon.expressions.compile>", "exec"
+            )
         namespace = dict(_GENERATED_GLOBALS, **self.namespace)
         exec(code, namespace)
         # popped, so the function and its globals form no cycle and are

@@ -761,8 +761,8 @@ def epsilon_sweep(
     At eps = 0 the combinations are exact invariants; their drift over a
     fixed horizon is expected to scale linearly with eps, and the log-log
     slope of max drift against eps is reported, or NaN where an epsilon
-    or a drift is not positive.  ``parameters`` are bound in every swept
-    structure.
+    is not positive or a maximum drift is not positive and finite.
+    ``parameters`` are bound in every swept structure.
 
     Each flow is stepped as :func:`integrate` steps it, and its stored
     states are read for the combinations alone: the drifts are those of
@@ -785,13 +785,19 @@ def epsilon_sweep(
         row: dict[str, float] = {"epsilon": float(eps)}
         for name, drift in zip(combinations, drifts):
             row[f"{name}_drift"] = drift
-        row["max_drift"] = max(drifts)
+        # np.max propagates a NaN drift, where Python's max() may drop it
+        row["max_drift"] = float(np.max(drifts))
         rows.append(row)
     eps_arr = np.array([r["epsilon"] for r in rows])
     drift_arr = np.array([r["max_drift"] for r in rows])
     # a fitted line needs two distinct epsilons (counted in a set: np.unique
-    # imports numpy.ma on first use), and its logarithms positive ones
-    if len(set(eps_arr.tolist())) < 2 or np.any(eps_arr <= 0.0) or np.any(drift_arr <= 0.0):
+    # imports numpy.ma on first use), and its logarithms positive ones and
+    # finite drifts; each test is written so that a NaN fails it
+    if (
+        len(set(eps_arr.tolist())) < 2
+        or not np.all(eps_arr > 0.0)
+        or not np.all((drift_arr > 0.0) & (drift_arr < np.inf))
+    ):
         slope = float("nan")
     else:
         slope = float(np.polyfit(np.log(eps_arr), np.log(drift_arr), 1)[0])
