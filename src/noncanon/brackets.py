@@ -184,11 +184,12 @@ class PoissonStructure:
     # A (k, dim) block of points runs one generated pass over the state
     # tuples the flows' rows read (``expressions._row_pass``), built on
     # first use: every stored entry's value, or its value and then its
-    # partials, at each point in order; one point is a block of one, and
-    # so is each round of the surface solve's running points.  A point
-    # whose generated code raises is redone on the tree walker, entry by
-    # entry, value before partials, so errors, and which of them wins, are
-    # the tree walker's.
+    # partials, at each point in order; one point is a block of one.  A
+    # point whose generated code raises is redone on the tree walker, entry
+    # by entry, value before partials, so errors, and which of them wins,
+    # are the tree walker's.  Each round of the surface solve is one pass
+    # over its running points with a redo of its own, which rejects a
+    # point that leaves the domain (``reduction._surface_q``).
 
     @cached_property
     def _value_pass(self):
@@ -202,13 +203,15 @@ class PoissonStructure:
         then its partials with respect to every phase-space name."""
         return _row_pass(self, self.entries.values(), self.variable_names)
 
-    def _at_points(self, x, variables=()) -> tuple[bool, np.ndarray]:
+    def _at_points(self, x, variables=(), redo=None) -> tuple[bool, np.ndarray]:
         """Whether ``x`` is a block, and the (k, entries, 1 + len(variables))
         stack of every entry's value and partials with respect to
         ``variables`` (none, or every phase-space name) at its k points;
         k = 1 for one point.  The points before the first that
         :meth:`_coordinates` refuses, of the wrong shape or not finite, are
-        evaluated before it is refused, so their errors win."""
+        evaluated before it is refused, so their errors win.  A ``redo``
+        takes the place of the pass's own, the tree walker's row
+        (``expressions._redo``), at the points whose generated code raises."""
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
             valid = x.shape[1:] == (self.dim,) and np.isfinite(x).all(axis=1)
@@ -218,7 +221,7 @@ class PoissonStructure:
             k, points = 1, [self._coordinates(x)]
         rows = np.empty((k, len(self.entries), 1 + len(variables)))
         fill = self._dual_pass if variables else self._value_pass
-        fill(points, memoryview(rows.reshape(-1)))
+        fill.func(redo or fill.args[0], self.parameters, points, memoryview(rows.reshape(-1)))
         if x.ndim == 2 and k < len(x):
             self._coordinates(x[k])
         return x.ndim == 2, rows

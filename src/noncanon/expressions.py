@@ -27,12 +27,14 @@ is called with (no library module calls it).  Each flow's stepping loop
 
 Where the generated code raises, the tree walker takes over: a pass point
 takes its redo, :func:`_reference_row` on the same arguments, and the pass
-goes on; so the result or the error is the tree walker's.  Three callers
+goes on; so the result or the error is the tree walker's.  Four callers
 keep a rule of their own: a flow step is redone by the tree walker on
 numpy scalars (``dynamics._flow_step``), a raising filter point takes its
 filters one at a time so that a reject before an error wins
-(``hodograph._admitted``), and a generator's value survives an error in
-its slope (``hodograph._GeneratorSolver``).
+(``hodograph._admitted``), a surface round's point that leaves the domain
+is recorded as a reject and takes a NaN row (``reduction._surface_q``),
+and a generator's value survives an error in its slope
+(``hodograph._GeneratorSolver``).
 
 Both evaluators call one set of helpers for the rules that branch on
 runtime values (``_exp``, ``_sqrt_partial`` and the ``_pow_*`` helpers), so

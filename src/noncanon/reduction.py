@@ -130,7 +130,7 @@ class SurfaceSample:
     rejected: int = 0
 
 
-def _damped_fixed_point(targets, seeds, tol: float, max_iter: int):
+def _damped_fixed_point(targets, seeds, tol=_FIXED_POINT_TOL, max_iter=_FIXED_POINT_MAX_ITER):
     """Iterate x -> target(x) at each point of the (k, n) block ``seeds``
     until max |target - x| <= tol there, and keep that last target.
 
@@ -140,16 +140,14 @@ def _damped_fixed_point(targets, seeds, tol: float, max_iter: int):
     from its seed with damping 0.5, and a second failure rejects it.
 
     Each round calls ``targets(running, x[running])`` once for the (m, n)
-    targets of the m running points at their (m, n) iterates.  A round
-    whose block raises :class:`DomainError` is taken again point by point,
-    as blocks of one: a point whose own block raises it is rejected and the
-    others go on; any other error propagates from the first point that
-    raises it.  The arithmetic is silent on overflow, as on Python floats.
+    targets of the m running points at their (m, n) iterates; an error it
+    raises propagates.  A target equal to its iterate ends that point's
+    solve at once, with that iterate.  The arithmetic is silent on
+    overflow, as on Python floats.
 
     Returns ``(x, failed)``: ``x[i]`` is point i's last target, or its last
-    iterate if it failed, and ``failed`` maps every failed point to the
-    DomainError its block of one raised, or to None if it did not
-    converge."""
+    iterate if it failed, and ``failed`` maps every point that did not
+    converge to None."""
     seeds = np.asarray(seeds, dtype=float)
     x = seeds.copy()
     k = len(x)
@@ -160,10 +158,8 @@ def _damped_fixed_point(targets, seeds, tol: float, max_iter: int):
     running = np.arange(k)
     with np.errstate(over="ignore", invalid="ignore"):
         while len(running):
-            running, target = _round(targets, running, x, failed)
-            if not len(running):
-                break
             current = x[running]
+            target = targets(running, current)
             delta = np.max(np.abs(target - current), axis=1)
             done = delta <= tol
             x[running[done]] = target[done]
@@ -192,93 +188,107 @@ def _damped_fixed_point(targets, seeds, tol: float, max_iter: int):
     return x, failed
 
 
-def _round(targets, running, x, failed: dict):
-    """The points of ``running`` that one round of
-    :func:`_damped_fixed_point` keeps, and their targets: all of them, or,
-    where the block raises :class:`DomainError`, each point taken alone,
-    those whose block of one raises it entered in ``failed``."""
-    try:
-        return running, targets(running, x[running])
-    except DomainError as err:
-        if len(running) == 1:
-            failed[running.item()] = err
-            return running[:0], x[:0]
-    rounds = [_round(targets, running[j : j + 1], x, failed) for j in range(len(running))]
-    return tuple(np.concatenate(part) for part in zip(*rounds))
-
-
 def _one_point(x, failed: dict, message: str):
     """The value that :func:`_damped_fixed_point` solved for a block of one
-    point, or its failure raised with its last iterate."""
+    point, or its failure raised: the :class:`DomainError` that rejected it
+    (:func:`_surface_q`), or else a :class:`FixedPointError` with its last
+    iterate."""
     if failed:
         raise failed[0] or FixedPointError(message, x[0])
     return x[0]
 
 
-def _surface_q(structure, constants, theta_ref, p, tol, max_iter):
+def _surface_q(structure, constants, theta_ref, p, *limits):
     """Solve q = c - theta(q, p) p at a (k, n) block of momenta ``p`` by
-    :func:`_damped_fixed_point`, seeded with the reference bracket values so
-    each iteration starts on the intended leaf.  Each round evaluates the
-    structure's entries at the running points only, in one value pass over
-    their (m, 2n) block (``_at_points``), every stored entry included, and
-    takes the theta blocks' products as one stack."""
-    n = structure.n
+    :func:`_damped_fixed_point`, with its ``tol`` and ``max_iter``
+    (``limits``) or its defaults, seeded with the reference bracket values
+    so each iteration starts on the intended leaf.  Each round evaluates
+    the structure's entries at the running points only, in one value pass
+    over their (m, 2n) block (``_at_points``), every stored entry
+    included, and takes the theta blocks' products as one stack.
+
+    The pass's redo rejects a point whose row leaves the domain on the
+    tree walker: it records the point's state and its
+    :class:`DomainError` and gives it a NaN row, and any other error
+    propagates.  A rejected point's target is its iterate, so its solve
+    ends there with that iterate.  The pass takes the points in order and
+    equal bits give equal outcomes, so the recorded states map back to
+    the running points in order.  Returns :func:`_damped_fixed_point`'s
+    ``(x, failed)``, ``failed`` also mapping every rejected point to its
+    own DomainError."""
+    n, walk = structure.n, structure._value_pass.args[0]
+    rejects, rejected = [], {}
 
     def leaf(theta, momenta):
         return constants - (theta @ momenta[:, :, None])[:, :, 0]
 
+    def redo(env, x):
+        try:
+            return walk(env, x)
+        except DomainError as err:
+            rejects.append((bytes(np.array(x)), err))
+            return [np.nan] * len(structure.entries)
+
     def targets(running, q):
         momenta = p[running]
-        _, rows = structure._at_points(np.concatenate([q, momenta], axis=1))
-        return leaf(structure._antisymmetric(rows[..., 0])[:, :n, :n], momenta)
+        block = np.concatenate([q, momenta], axis=1)
+        _, rows = structure._at_points(block, redo=redo)
+        target = leaf(structure._antisymmetric(rows[..., 0])[:, :n, :n], momenta)
+        if rejects:
+            states, j = list(map(bytes, block)), -1
+            for state, err in rejects:
+                j = states.index(state, j + 1)
+                rejected[running[j].item()] = err
+                target[j] = q[j]
+            rejects.clear()
+        return target
 
     with np.errstate(over="ignore", invalid="ignore"):
         seeds = leaf(theta_ref[None], p)
-    return _damped_fixed_point(targets, seeds, tol, max_iter)
+    x, failed = _damped_fixed_point(targets, seeds, *limits)
+    return x, {**failed, **rejected}
 
 
-def _solve_surface_q(structure, constants, theta_ref, p, tol, max_iter):
+def _solve_surface_q(structure, constants, theta_ref, p, *limits):
     """The surface solve of :func:`_surface_q` at one momentum point: its q,
     or its failure raised."""
-    q, failed = _surface_q(structure, constants, theta_ref, np.asarray(p)[None], tol, max_iter)
+    q, failed = _surface_q(structure, constants, theta_ref, np.asarray(p)[None], *limits)
     return _one_point(q, failed, "surface solve did not converge")
 
 
 def surface_cloud(structure: PoissonStructure, reference, p_points) -> SurfaceSample:
     """Sample the constraint surface through ``reference``.
 
-    Momenta are chosen freely (``p_points``, shape (k, n)); coordinates are
-    solved from q_m = -theta_mn(q, p) p_n + c_m with the constants taken at
-    the reference point, in blocks of at most ``_DET_BLOCK`` momenta.
-    Points whose solve fails to converge or leaves the expression domain
-    are dropped and counted; the others keep their order."""
+    Momenta are chosen freely (``p_points``: shape (k, n), one n-vector,
+    or empty for an empty sample; any other width raises
+    :class:`StructureError`); coordinates are solved from
+    q_m = -theta_mn(q, p) p_n + c_m with the constants taken at the
+    reference point, in blocks of at most ``_DET_BLOCK`` momenta.  Points
+    whose solve fails to converge or leaves the expression domain are
+    dropped and counted; the others keep their order."""
     _require_delta_kind(structure, "surface sampling")
     reference = np.asarray(reference, dtype=float)
     constants = reduction_constants(structure, reference)
     theta_ref = structure.theta_block(reference)
-    p_points = np.atleast_2d(np.asarray(p_points, dtype=float))
+    p_points = np.asarray(p_points, dtype=float)
+    if p_points.ndim > 2 or (p_points.size and p_points.shape[-1:] != (structure.n,)):
+        raise StructureError(f"momenta must have {structure.n} columns, got {p_points.shape}")
+    p_points = p_points.reshape(-1, structure.n)
 
     def solve_q(p):
-        return _solve_surface_q(
-            structure, constants, theta_ref, p, _FIXED_POINT_TOL, _FIXED_POINT_MAX_ITER
-        )
+        return _solve_surface_q(structure, constants, theta_ref, p)
 
     points = [np.empty((0, structure.dim))]
-    rejected = 0
     for start in range(0, len(p_points), _DET_BLOCK):
         p = p_points[start : start + _DET_BLOCK]
-        q, failed = _surface_q(
-            structure, constants, theta_ref, p, _FIXED_POINT_TOL, _FIXED_POINT_MAX_ITER
-        )
-        keep = np.ones(len(p), dtype=bool)
-        keep[list(failed)] = False
-        points.append(np.concatenate([q[keep], p[keep]], axis=1))
-        rejected += len(failed)
+        q, failed = _surface_q(structure, constants, theta_ref, p)
+        points.append(np.delete(np.concatenate([q, p], axis=1), list(failed), axis=0))
+    points = np.concatenate(points)
     return SurfaceSample(
         reference=reference,
-        points=np.concatenate(points),
+        points=points,
         solve_q=solve_q,
-        rejected=rejected,
+        rejected=len(p_points) - len(points),
     )
 
 
@@ -702,7 +712,8 @@ def implicit_theta(
     ``phi`` is an expression in the surface labels c1, c2.  The solve is a
     block of one point of the surface solve's loop,
     :func:`_damped_fixed_point`: divergence triggers a damped retry, and
-    persistent failure raises with the last iterate attached."""
+    persistent failure raises with the last iterate attached.  Where
+    ``phi`` leaves the domain, its :class:`DomainError` propagates."""
     phi = as_expression(phi)
     q1, q2, p1, p2 = (float(v) for v in np.asarray(x, dtype=float))
     env = dict(parameters or {})
@@ -713,9 +724,7 @@ def implicit_theta(
         env["c2"] = q2 - t * p1
         return np.array([[evaluate(phi, env)]], dtype=float)
 
-    theta, failed = _damped_fixed_point(
-        targets, [[theta0]], _FIXED_POINT_TOL, _FIXED_POINT_MAX_ITER
-    )
+    theta, failed = _damped_fixed_point(targets, [[theta0]])
     return _one_point(theta[:, 0].tolist(), failed, "implicit bracket solve did not converge")
 
 
