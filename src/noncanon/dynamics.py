@@ -18,8 +18,11 @@ states (``expressions._row_pass``), the pass that structures also
 evaluate their entries over a block of points with.  A constant bracket
 entry other than 1.0 is a local of the stepping loop, bound before it,
 not a literal in its lines, so flows that differ only in such constants
-(the flows of an epsilon sweep) generate one source, which a run compiles
-once (``expressions._Codegen.define``).  For
+(the flows of an epsilon sweep) generate one source, which a run emits
+once, keyed by what the source depends on (:func:`_generate_step`), and
+compiles once (``expressions._Codegen.define``).  The lines of a step that
+read no state and cannot raise, ``0.5 * dt``, ``dt / 6.0`` and arithmetic
+on constants, run once, before the loop.  For
 :func:`integrate` the pass's row holds every monitor and every stored
 bracket entry, and ``det Theta`` is taken over the structure's own
 assembly of those entries; an epsilon sweep's row holds only the frozen
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -52,12 +56,14 @@ from .brackets import (
 )
 # ``parse`` stays bound here: perfbench/tracing.py wraps it under this name
 from .expressions import (  # noqa: F401
+    _SOURCE_TABLE,
     EVALUATION_ERRORS,
     Const,
     Dual,
     Expression,
     Name,
     _block,
+    _Codegen,
     _eval,
     _product,
     _row_pass,
@@ -87,6 +93,8 @@ __all__ = [
 DEGENERACY_WARNING_CUTOFF = 1e-8
 _DET_BLOCK = 256
 _UNCONVERGED = "implicit midpoint iteration did not converge"
+#: a local of generated code: a state's, a bound constant's or a line's
+_LOCALS = re.compile(r"\b[a-z]\d+\b")
 # The generated stepping loop (see ``_generate_step``).  Its back edge is
 # ``while True:``, an unconditional JUMP_BACKWARD: in CPython 3.11 the
 # conditional back edge of ``while k < n:`` never warms the code up.
@@ -95,6 +103,7 @@ def _compiled(x, dt, k, n, out):
     {unpack}
     try:
         i = k * {dim}
+{hoisted}\
         while True:
 {step}\
             k += 1
@@ -185,34 +194,72 @@ def _generate_step(
     error.  A midpoint iteration that does not converge raises
     :class:`IntegrationError`.
 
-    An ``"rk4"`` step runs four velocity stages and their combination, a
-    ``"midpoint"`` step the fixed-point iteration of :func:`_midpoint_step`
-    over one velocity stage.  Each stage binds the phase-space names to its
-    state's locals.  The float operations are those of :class:`_Velocity`
-    (entries accumulated in ``structure.entries`` order, ``0.0 +
-    v*grad[b]`` then ``- v*grad[a]``) and of :func:`_rk4_step` or
-    :func:`_midpoint_step`, in their order, less the exact no-ops that
-    ``_Codegen`` folds (a factor 1.0, a test ``1.0 != 0.0``, a line already
-    computed), so a step that succeeds is bit-identical to the tree walker.
-    The code does not fall back: the caller redoes a raising step on the
-    tree walker.
-
     An entry that is a constant other than 1.0 is read from a local
     (``c3`` for the fourth entry) assigned on the loop's first line from a
     bound name, so the source does not depend on its value; a local holds
     the constant's float, so the arithmetic is the literal's, bit for bit.
     A 1.0 entry stays a literal, which ``_product`` folds.
+
+    While a run's table is set (``expressions._SOURCE_TABLE``), a flow
+    whose source would be one already emitted in the run takes it from the
+    table instead of emitting it again.  The key holds everything the
+    source depends on: the variable names, the method, each entry's
+    indices and then its tree, or a mark for a bound constant, and the
+    Hamiltonian.  The trees are compared as trees and by their ``repr``:
+    ``Const(-0.0) == Const(0.0)``, but the two emit different literals,
+    and ``repr`` spells every NaN ``nan``, but a bound NaN keeps its bits
+    (two NaN constants are equal only as one object).  The table keeps the
+    source with its globals, which are the same for equal keys, except for
+    ``env`` and the bound constants: each flow executes the code into a
+    namespace of its own that holds its own.  Outside a run, every flow
+    emits its source.
     """
-    names = structure.variable_names
     entries = list(structure.entries.items())
+    bound = [j for j, (_, e) in enumerate(entries) if isinstance(e, Const) and e.value != 1.0]
+    shape = tuple((ab, j in bound or e) for j, (ab, e) in enumerate(entries))
+    key = (method, structure.variable_names, hamiltonian, shape, repr((hamiltonian, shape)))
+    table = _SOURCE_TABLE.get({})
+    known = table.get(key)
+    if known is None:
+        names = structure.variable_names
+        gen, source, constants = _step_source(names, entries, bound, hamiltonian, method)
+        # the emitted lines are not kept: about 30 kB for a sweep's loop
+        table[key] = source, dict(gen.namespace), constants
+    else:
+        source, namespace, constants = known
+        gen = _Codegen(())
+        gen.namespace = dict(namespace)
+    # equal keys emit equal globals, but for the parameters and the bound
+    # constants, which are this flow's own
+    gen.namespace["env"] = structure.parameters
+    gen.namespace.update((g, entries[j][1].value) for j, g in zip(bound, constants))
+    return gen.define(source)
+
+
+def _step_source(names, entries, bound, hamiltonian: Expression, method: str):
+    """``(gen, source, constants)`` of :func:`_generate_step`'s loop over
+    the phase-space ``names`` and the structure's ``entries``: the code
+    generator that holds the loop's globals but for ``env``, the source,
+    and the global name that holds each entry numbered in ``bound``.
+
+    An ``"rk4"`` step runs four velocity stages and their combination, a
+    ``"midpoint"`` step the fixed-point iteration of :func:`_midpoint_step`
+    over one velocity stage.  Each stage binds the phase-space names to its
+    state's locals.  The float operations are those of :class:`_Velocity`
+    (entries accumulated in ``entries`` order, ``0.0 + v*grad[b]`` then
+    ``- v*grad[a]``) and of :func:`_rk4_step` or :func:`_midpoint_step`, in
+    their order, less the exact no-ops that ``_Codegen`` folds (a factor
+    1.0, a test ``1.0 != 0.0``, a line already computed), so a step that
+    succeeds is bit-identical to the tree walker.  A line that reads no
+    state and cannot raise, such as ``0.5 * dt``, ``dt / 6.0`` or
+    arithmetic on constants, runs once, before the loop; a parameter load
+    can raise and stays in it.  The code does not fall back: the caller
+    redoes a raising step on the tree walker.
+    """
     gen, _ = _state_codegen(names)
     x = [gen.loads[name] for name in names]  # the state's locals
-    gen.namespace.update(env=structure.parameters, _IntegrationError=IntegrationError)
-    constants = {
-        j: (f"c{j}", gen.bind(expr.value))
-        for j, (_, expr) in enumerate(entries)
-        if isinstance(expr, Const) and expr.value != 1.0
-    }
+    gen.namespace.update(_IntegrationError=IntegrationError)
+    constants = {j: (f"c{j}", gen.bind(entries[j][1].value)) for j in bound}
 
     def stage(state: list[str]) -> list[str]:
         gen.loads.update(zip(names, state))
@@ -223,27 +270,38 @@ def _generate_step(
         out = ["0.0"] * len(names)
         for j, ((a, b), expr) in enumerate(entries):
             v = constants[j][0] if j in constants else gen.emit(expr)[0]
-            out[a] = gen.assign(f"{out[a]} + {_product(v, grad[b])}")
-            out[b] = gen.assign(f"{out[b]} - {_product(v, grad[a])}")
+            out[a] = gen.assign(f"{out[a]} + {_product(v, grad[b])}", True)
+            out[b] = gen.assign(f"{out[b]} - {_product(v, grad[a])}", True)
         return out
 
     if method == "midpoint":
         m = [f"m{i}" for i in range(len(names))]  # the midpoint's point
         new = [gen.assign(f"{a} + dt * {v}", True) for a, v in zip(x, stage(m))]
     else:
-        half = gen.assign("0.5 * dt")
+        half = gen.assign("0.5 * dt", True)
         k1 = stage(x)
         k2 = stage([gen.assign(f"{a} + {half} * {k}") for a, k in zip(x, k1)])
         k3 = stage([gen.assign(f"{a} + {half} * {k}") for a, k in zip(x, k2)])
         k4 = stage([gen.assign(f"{a} + dt * {k}") for a, k in zip(x, k3)])
-        sixth = gen.assign("dt / 6.0")
+        sixth = gen.assign("dt / 6.0", True)
         new = [
             gen.assign(f"{a} + {sixth} * ({p} + 2.0 * {q} + 2.0 * {r} + {t})", True)
             for a, p, q, r, t in zip(x, k1, k2, k3, k4)
         ]
     gen.prune(", ".join(new))
 
-    unpack, *body = gen.lines
+    unpack, *lines = gen.lines
+    # a pure line cannot raise, unless it calls math.pow, which can overflow
+    fixed = {c for c, _ in constants.values()}  # the locals that hold no state
+    hoisted, body = [], []
+    for line in lines:
+        target, _, text = line.partition(" = ")
+        once = (
+            target in gen.pure and "_pow(" not in text and fixed.issuperset(_LOCALS.findall(text))
+        )
+        (hoisted if once else body).append(line)
+        if once:
+            fixed.add(target)
     if method == "midpoint":
         y = [f"y{i}" for i in range(len(names))]
         largest = ", ".join(f"abs({a})" for a in x)
@@ -264,12 +322,13 @@ def _generate_step(
     source = _LOOP.format(
         unpack="; ".join([unpack, *(f"{c} = {g}" for c, g in constants.values())]),
         dim=len(x),
+        hoisted=_block(hoisted, 8),
         step=step,
         store=_block(stores, 12),
         total=" + ".join(new),
         advance=_block(map("{} = {}".format, x, new), 12),
     )
-    return gen.define(source)
+    return gen, source, [g for _, g in constants.values()]
 
 
 def velocity(structure: PoissonStructure, hamiltonian, x) -> np.ndarray:

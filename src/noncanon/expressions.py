@@ -51,10 +51,12 @@ and the result is the tree walker's signed infinity.
 
 The emitter leaves out what IEEE arithmetic makes an exact no-op: a
 factor spelled as the literal 1.0, the test ``1.0 != 0.0`` of a
-variable's own dual part, and a line whose right-hand side the function
-has already emitted.  It folds nothing that could move a bit:
-not ``0.0 + y`` (``-0.0`` would become ``+0.0``), not ``(2.0*x)/2.0``
-(which differs from ``x`` on overflow), and no reassociation.
+variable's own dual part, the test ``x != 0.0`` of the partial of a
+variable's own power ``x^c`` (see ``_Codegen._binary``), and a line whose
+right-hand side the function has already emitted.  It folds nothing that
+could move a bit: not ``0.0 + y`` (``-0.0`` would become ``+0.0``), not
+``(2.0*x)/2.0`` (which differs from ``x`` on overflow), and no
+reassociation.
 
 Grammar::
 
@@ -649,7 +651,8 @@ _GENERATED_GLOBALS = {
 }
 
 
-#: source text -> code object, for one run (see ``_Codegen.define``)
+#: for one run, source text -> code object (see ``_Codegen.define``), and a
+#: flow's key -> its emitted stepping loop (``dynamics._generate_step``)
 _SOURCE_TABLE: contextvars.ContextVar[dict] = contextvars.ContextVar("noncanon_source_table")
 
 _LOCAL_RE = re.compile(r"\bt\d+\b")
@@ -668,12 +671,6 @@ def _product(a: str, b: str) -> str:
     if b in _ONES:
         return a
     return f"{a} * {b}"
-
-
-def _nonzero_guard(d: str) -> str:
-    """The test ``d != 0.0 and `` of a dual part, empty where ``d`` is the
-    literal 1.0 and the test always holds."""
-    return "" if d in _ONES else f"{d} != 0.0 and "
 
 
 class _Codegen:
@@ -818,12 +815,18 @@ class _Codegen:
                 else:
                     v = self.assign(f"_pow_value({l}, {r}, {node})")
                 if c > 1.0:
-                    # pow(x, 1.0) is x bit for bit
-                    lower = l if c == 2.0 else f"_pow({l}, ({c - 1.0!r}))"
+                    # pow(x, 1.0) is x bit for bit.  A variable's own partial
+                    # (dual part 1.0) drops the test x != 0.0: at x = +-0,
+                    # c * pow(x, c - 1) is +-0 and plus 0.0 gives the +0.0
+                    # of _pow_partial, elsewhere IEEE addition commutes, and
+                    # pow(+-0, c - 1) cannot raise; a chain-rule partial
+                    # keeps its tests
+                    slope = _product(r, l if c == 2.0 else f"_pow({l}, ({c - 1.0!r}))")
                     return v, {
                         n: self.assign(
-                            f"0.0 + {_product(_product(r, lower), d)} "
-                            f"if {_nonzero_guard(d)}{l} != 0.0 else 0.0",
+                            f"{slope} + 0.0"
+                            if d in _ONES
+                            else f"0.0 + {slope} * {d} if {d} != 0.0 and {l} != 0.0 else 0.0",
                             True,
                         )
                         for n, d in dl.items()

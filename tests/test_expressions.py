@@ -2,9 +2,10 @@
 
 import math
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from noncanon.expressions import (
     Binary,
@@ -234,15 +235,24 @@ def test_print_parse_round_trip(e):
     assert parse(to_source(e)) == e
 
 
+def _same(a: float, b: float) -> bool:
+    # bit equality, so -0.0 is not 0.0; NaN payloads are not compared
+    if a != a and b != b:
+        return True
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_expr_strategy)
+# inf - inf: a NaN, which == would call a mismatch
+@example(parse("1.0/2.2250738585e-313 - 1.0/2.2250738585e-313"))
 def test_round_trip_preserves_values(e):
     env = {"q1": 0.7, "q2": -0.4, "p1": 1.2, "p2": 0.3, "alpha": 1.5}
     try:
         expected = evaluate(e, env)
     except DomainError:
         return
-    assert evaluate(parse(to_source(e)), env) == expected
+    assert _same(evaluate(parse(to_source(e)), env), expected)
 
 
 # --- misc ------------------------------------------------------------------

@@ -222,3 +222,30 @@ def test_every_back_edge_is_an_unconditional_jump(method):
     loop = _generate_step(constant_theta_f(0.8, 1.25), parse(DIVERGING), method)
     backward = {i.opname for i in dis.get_instructions(loop) if "BACKWARD" in i.opname}
     assert backward == {"JUMP_BACKWARD"}
+
+
+# --- the lines that run once --------------------------------------------------
+
+
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+def test_lines_that_read_no_state_run_before_the_loop(monkeypatch, method):
+    # 0.5 * dt, dt / 6.0 and constant-only arithmetic read no state and
+    # cannot raise; a parameter load can raise and stays in the loop
+    sources = []
+    define = expressions._Codegen.define
+
+    def spy(self, source):
+        sources.append(source)
+        return define(self, source)
+
+    monkeypatch.setattr(expressions._Codegen, "define", spy)
+    structure = canonical(1, {"a": 2.0})
+    problem = FlowProblem(structure, "a*q1^2/2 + 3*2*q1 + p1^2/2", [0.3, 0.1], 0.01, 1.0, method)
+    assert_matches_reference(problem)
+    (source,) = sources
+    before, loop = source.split("while True:")
+    assert "= (3.0) * (2.0)\n" in before and "(3.0) * (2.0)" not in loop
+    assert "env['a']" in loop and "env" not in before
+    if method == "rk4":
+        assert "= 0.5 * dt\n" in before and "= dt / 6.0\n" in before
+        assert "0.5 * dt" not in loop and "dt / 6.0" not in loop
