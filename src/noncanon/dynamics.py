@@ -22,7 +22,10 @@ not a literal in its lines, so flows that differ only in such constants
 once, keyed by what the source depends on (:func:`_generate_step`), and
 compiles once (``expressions._Codegen.define``).  The lines of a step that
 read no state and cannot raise, ``0.5 * dt``, ``dt / 6.0`` and arithmetic
-on constants, run once, before the loop.  For
+on constants, run once, before the loop.  Inside it, a power's partial
+leaves out the ``+ 0.0`` that only signs its zero, since a stage's
+velocity erases that sign, and each temporary that one later line reads is
+written into that line (:func:`_step_source`).  For
 :func:`integrate` the pass's row holds every monitor and every stored
 bracket entry, and ``det Theta`` is taken over the structure's own
 assembly of those entries; an epsilon sweep's row holds only the frozen
@@ -41,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -59,6 +63,7 @@ from .expressions import (  # noqa: F401
     _SOURCE_TABLE,
     EVALUATION_ERRORS,
     Const,
+    DomainError,
     Dual,
     Expression,
     Name,
@@ -95,6 +100,11 @@ _DET_BLOCK = 256
 _UNCONVERGED = "implicit midpoint iteration did not converge"
 #: a local of generated code: a state's, a bound constant's or a line's
 _LOCALS = re.compile(r"\b[a-z]\d+\b")
+#: a line's local, not a quoted parameter name such as 't1'
+_TEMP = re.compile(r"(?<!')\b(t\d+)\b")
+#: the deepest parenthesis nesting a fold may give a line of the loop
+#: (``_fold``); CPython rejects more than 200 nested parentheses
+_FOLD_NESTING = 16
 # The generated stepping loop (see ``_generate_step``).  Its back edge is
 # ``while True:``, an unconditional JUMP_BACKWARD: in CPython 3.11 the
 # conditional back edge of ``while k < n:`` never warms the code up.
@@ -255,8 +265,35 @@ def _step_source(names, entries, bound, hamiltonian: Expression, method: str):
     arithmetic on constants, runs once, before the loop; a parameter load
     can raise and stays in it.  The code does not fall back: the caller
     redoes a raising step on the tree walker.
+
+    H is emitted ``signless``: the own partial of ``x^c`` is
+    ``c * x^(c-1)``, not ``c * x^(c-1) + 0.0``, and a chain-rule partial
+    drops its leading ``0.0 + `` but keeps its ``!= 0.0`` tests, which
+    guard ``0 * inf``.  No bit of a state moves.  ``a + 0.0`` differs from
+    ``a`` only in the sign of a zero, and no zero sign of a partial reaches
+    a stage's ``k``: each partial of H and each entry value enters it only
+    as ``0.0 + v*g`` or ``0.0 - v*g``, and after that as ``acc + v*g`` or
+    ``acc - v*g``; in IEEE arithmetic ``0.0 +- y`` is never -0.0, and
+    ``acc +- y`` is -0.0 only where ``acc`` is.  A zero sign changes no
+    magnitude and no NaN on its way there: ``+``, ``-`` and ``*`` keep
+    both, a partial is never a divisor, and the helpers test partials only
+    by ``!= 0.0``.  Row passes and ``compile`` keep the
+    ``+ 0.0``, since there a partial is a result.
+
+    After pruning and hoisting, each temporary of the loop body that
+    exactly one later body line reads, and that is not one of ``new``, the
+    step's outputs (the midpoint iteration's, which its convergence test
+    reads), is written into that line in parentheses (:func:`_fold`).  The
+    parentheses keep every IEEE operation and its order; a step that raises
+    is redone on the tree walker, so which line raises first does not
+    matter, but whether a step raises does: a line that can raise is not
+    folded into a line with ``if``, which might skip it.  Hoisted lines
+    are never folded, and no fold nests a line's parentheses deeper than
+    ``_FOLD_NESTING`` (16): CPython rejects more than 200, which an
+    expression ``MAX_DEPTH`` deep would reach.
     """
     gen, _ = _state_codegen(names)
+    gen.signless = True  # H's partials reach the velocity only as v*g
     x = [gen.loads[name] for name in names]  # the state's locals
     gen.namespace.update(_IntegrationError=IntegrationError)
     constants = {j: (f"c{j}", gen.bind(entries[j][1].value)) for j in bound}
@@ -302,6 +339,7 @@ def _step_source(names, entries, bound, hamiltonian: Expression, method: str):
         (hoisted if once else body).append(line)
         if once:
             fixed.add(target)
+    body = _fold(body, set(new), gen.pure)
     if method == "midpoint":
         y = [f"y{i}" for i in range(len(names))]
         largest = ", ".join(f"abs({a})" for a in x)
@@ -329,6 +367,53 @@ def _step_source(names, entries, bound, hamiltonian: Expression, method: str):
         advance=_block(map("{} = {}".format, x, new), 12),
     )
     return gen, source, [g for _, g in constants.values()]
+
+
+def _nesting(text: str) -> int:
+    """The deepest parenthesis nesting of a line of source."""
+    depth = deepest = 0
+    for char in text:
+        if char == "(":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif char == ")":
+            depth -= 1
+    return deepest
+
+
+def _fold(lines: list[str], keep: set[str], pure: set[str]) -> list[str]:
+    """The loop body ``lines`` with each local that exactly one later line
+    reads, and that is not in ``keep``, written into that line in
+    parentheses, which keep every IEEE operation and its order.
+
+    A line that can raise (not in ``pure``, or holding such a fold) is
+    folded only into a line without ``if``, which evaluates it at every
+    step: a step raises wherever it raised before, and its redo makes the
+    order of the lines' errors the tree walker's.  No fold nests a line's
+    parentheses deeper than ``_FOLD_NESTING``."""
+    split = [line.partition(" = ")[::2] for line in lines]
+    reads = Counter(local for _, text in split for local in _TEMP.findall(text))
+    texts: dict[str, str] = {}  # each line's folded text, by its local
+    safe: dict[str, bool] = {}  # a local that may fold: whether its text cannot raise
+    folded = set()
+    for target, text in split:
+        pieces = _TEMP.split(text)  # a local at every odd index
+        branch = " if " in text
+        raises = target not in pure
+        for i in range(1, len(pieces), 2):
+            local = pieces[i]
+            if reads[local] != 1 or local not in safe or (branch and not safe[local]):
+                continue
+            wrapped = f"({texts[local]})"
+            if _nesting("".join([*pieces[:i], wrapped, *pieces[i + 1 :]])) > _FOLD_NESTING:
+                continue
+            pieces[i] = wrapped
+            folded.add(local)
+            raises = raises or not safe[local]
+        texts[target] = "".join(pieces)
+        if target not in keep:
+            safe[target] = not raises
+    return [f"{target} = {texts[target]}" for target, _ in split if target not in folded]
 
 
 def velocity(structure: PoissonStructure, hamiltonian, x) -> np.ndarray:
@@ -427,7 +512,9 @@ def _flow_step(structure: PoissonStructure, hamiltonian: Expression, method: str
     where the generated code succeeds, and the loop resumes after it; so
     values, errors and the error that wins are the tree walker's.  An error
     without the loop's ``steps`` counts as raised by the step after the
-    state the call started from."""
+    state the call started from.  A step that leaves the domain on the tree
+    walker too ends the flow: its :class:`DomainError` leaves the call with
+    ``steps`` set to the index of the last stored state."""
     loop = _generate_step(structure, hamiltonian, method)
     redo = functools.partial(
         _rk4_step if method == "rk4" else _midpoint_step, _Velocity(structure, hamiltonian)
@@ -443,8 +530,12 @@ def _flow_step(structure: PoissonStructure, hamiltonian: Expression, method: str
                 k = loop(states[k].tolist(), dt, k, n, out)
             except EVALUATION_ERRORS as err:
                 k = getattr(err, "steps", k)
-                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    states[k + 1] = redo(states[k], dt)
+                try:
+                    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                        states[k + 1] = redo(states[k], dt)
+                except DomainError as stop:
+                    stop.steps = k  # the flow ends at the last stored state
+                    raise
                 k += 1
             # the loop stops at a sum that is not finite; finite components
             # whose sum overflows make a finite state, stored, and it goes on
@@ -547,11 +638,17 @@ def _max_drift(
     return drift.tolist()
 
 
-def _flow_states(problem: FlowProblem) -> tuple[np.ndarray, np.ndarray, bool]:
+def _flow_states(
+    problem: FlowProblem, stop_in_domain: bool = False
+) -> tuple[np.ndarray, np.ndarray, object]:
     """``(times, states, truncated)`` of a fixed-step flow: the stored
     states up to the first one that is not finite, their times, and
     whether the flow stopped there.  Every flow steps here, in the loop
     that :func:`_flow_step` builds for it.
+
+    A step that leaves the domain on the tree walker raises its
+    :class:`DomainError`; with ``stop_in_domain`` the flow ends instead at
+    the last stored state, and ``truncated`` is that error.
 
     The step is adjusted by at most half a step so that an integer number
     of equal steps lands exactly on t_end."""
@@ -562,7 +659,12 @@ def _flow_states(problem: FlowProblem) -> tuple[np.ndarray, np.ndarray, bool]:
     dim = len(structure.variable_names)
     states = np.empty((n_steps + 1, dim))
     states[0] = problem.x0
-    count = _flow_step(structure, problem.hamiltonian, problem.method)(states, dt)
+    try:
+        count = _flow_step(structure, problem.hamiltonian, problem.method)(states, dt)
+    except DomainError as err:
+        if not stop_in_domain:
+            raise
+        return dt * np.arange(err.steps + 1), states[: err.steps + 1], err
     return dt * np.arange(count), states[:count], count <= n_steps
 
 
@@ -571,9 +673,10 @@ def integrate(
     extra_monitors: Mapping[str, Expression] | None = None,
 ) -> Trajectory:
     """Fixed-step integration (:func:`_flow_states`) with per-step monitor
-    sampling."""
+    sampling.  A flow that leaves the finite range or the domain is
+    truncated before it, with a warning that says which."""
     structure = problem.structure
-    times, states, truncated = _flow_states(problem)
+    times, states, stop = _flow_states(problem, stop_in_domain=True)
 
     monitor_exprs: dict[str, Expression] = {"H": problem.hamiltonian}
     monitor_exprs.update(default_monitors(structure))
@@ -585,8 +688,10 @@ def integrate(
     series, min_abs_det = _monitor_pass(structure, monitor_exprs, states)
 
     warnings = []
-    if truncated:
+    if stop is True:
         warnings.append("trajectory truncated: state left the finite range")
+    elif stop:
+        warnings.append(f"trajectory truncated: step left the domain: {stop}")
     if min_abs_det < DEGENERACY_WARNING_CUTOFF:
         warnings.append(
             "bracket matrix numerically degenerate along the trajectory "
@@ -596,7 +701,7 @@ def integrate(
         times=times,
         states=states,
         monitors=series,
-        truncated=truncated,
+        truncated=bool(stop),
         warnings=tuple(warnings),
     )
 

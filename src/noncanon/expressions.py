@@ -56,7 +56,10 @@ variable's own power ``x^c`` (see ``_Codegen._binary``), and a line whose
 right-hand side the function has already emitted.  It folds nothing that
 could move a bit: not ``0.0 + y`` (``-0.0`` would become ``+0.0``), not
 ``(2.0*x)/2.0`` (which differs from ``x`` on overflow), and no
-reassociation.
+reassociation.  The one exception is ``signless`` code, a stepping loop,
+whose velocity erases the sign of every zero partial: there a power's
+partial drops the ``+ 0.0`` or ``0.0 + `` that makes its zero +0.0 (see
+``dynamics._step_source``).
 
 Grammar::
 
@@ -684,6 +687,10 @@ class _Codegen:
         self.count = 0
         self.pure: set[str] = set()  # locals whose line cannot raise
         self.defined: dict[str, str] = {}  # right-hand side -> its local
+        # set where every partial reaches its result only through arithmetic
+        # that erases the sign of a zero (``dynamics._step_source``): a
+        # power's partial then leaves out the 0.0 that makes a zero +0.0
+        self.signless = False
 
     def bind(self, obj) -> str:
         """A global name for an object the source cannot spell."""
@@ -820,13 +827,16 @@ class _Codegen:
                     # c * pow(x, c - 1) is +-0 and plus 0.0 gives the +0.0
                     # of _pow_partial, elsewhere IEEE addition commutes, and
                     # pow(+-0, c - 1) cannot raise; a chain-rule partial
-                    # keeps its tests
+                    # keeps its tests, which guard 0 * inf.  Under
+                    # ``signless`` the partial's zero sign is erased by its
+                    # reader, so neither form adds 0.0
                     slope = _product(r, l if c == 2.0 else f"_pow({l}, ({c - 1.0!r}))")
+                    plus, lead = ("", "") if self.signless else (" + 0.0", "0.0 + ")
                     return v, {
                         n: self.assign(
-                            f"{slope} + 0.0"
+                            f"{slope}{plus}"
                             if d in _ONES
-                            else f"0.0 + {slope} * {d} if {d} != 0.0 and {l} != 0.0 else 0.0",
+                            else f"{lead}{slope} * {d} if {d} != 0.0 and {l} != 0.0 else 0.0",
                             True,
                         )
                         for n, d in dl.items()

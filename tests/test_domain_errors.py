@@ -2,17 +2,22 @@
 bare ``ValueError`` or ``OverflowError`` from ``math``: ``sin``/``cos`` of
 an infinite argument, and a negative base raised to an infinite or NaN
 exponent.  A NaN argument of ``sin``/``cos`` still passes through, in the
-tree walker and in generated code alike.  A flow that meets such a point
-ends as a runtime error, exit code 3, with no traceback."""
+tree walker and in generated code alike.  An ``integrate`` flow whose step
+meets such a point is truncated before that step, with a warning that
+quotes the tree walker's error; a sweep's flow ends as a runtime error,
+exit code 3, with that error's message and no traceback."""
 
 import json
 import math
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from noncanon.brackets import canonical
-from noncanon.cli import EXIT_RUNTIME, main
+from noncanon.cli import EXIT_OK, EXIT_RUNTIME, main
+from noncanon.dynamics import _rk4_step, _Velocity
 from noncanon.expressions import (
     DomainError,
     _generate_row,
@@ -23,6 +28,7 @@ from noncanon.expressions import (
     parse,
 )
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 INF = math.inf
 
 
@@ -88,8 +94,9 @@ def test_nan_argument_passes_through(src):
 
 
 @pytest.mark.parametrize("hamiltonian", ["p1^4 + sin(q1)", "p1^4 + cos(q1)"])
-def test_flow_through_an_overflowed_stage_is_a_runtime_error(tmp_path, capsys, hamiltonian):
-    # the first RK4 stage sends q1 to -inf
+def test_flow_through_an_overflowed_stage_is_truncated(tmp_path, capsys, hamiltonian):
+    # the first RK4 stage sends q1 to -inf, where the second stage's sin or
+    # cos leaves the domain: the trajectory ends at its initial state
     doc = {
         "version": 1,
         "phase_space": {"n": 1},
@@ -102,6 +109,72 @@ def test_flow_through_an_overflowed_stage_is_a_runtime_error(tmp_path, capsys, h
     path.write_text(json.dumps(doc), encoding="utf-8")
     code = main(["integrate", "--config", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
+    assert code == EXIT_OK, err
+    assert err == ""
+    report = json.loads((tmp_path / "out" / "integrate_report.json").read_text("utf-8"))
+    results = report["results"]
+    assert results["truncated"] is True and results["steps"] == 0
+    op = hamiltonian[-7:-4]
+    assert f"trajectory truncated: step left the domain: {op} of infinite value in '{op}(q1)'" in (
+        results["warnings"]
+    )
+
+
+def _tree_walker_flow(structure, h, x0, dt: float, n: int):
+    """The states that RK4 steps on the tree walker store from ``x0``, and
+    the error of the step that raised, if one did."""
+    velocity = _Velocity(structure, h)
+    states = [np.array(x0, dtype=float)]
+    with np.errstate(all="ignore"):
+        for _ in range(n):
+            try:
+                states.append(_rk4_step(velocity, states[-1], dt))
+            except DomainError as err:
+                return np.array(states), err
+    return np.array(states), None
+
+
+def _config(tmp_path, fixture: str, edit) -> str:
+    doc = json.loads((FIXTURES / fixture).read_text("utf-8"))
+    edit(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_integrate_that_leaves_the_domain_is_truncated_with_a_warning(tmp_path, capsys):
+    # q1 falls at unit rate from 1.0, so a stage near t = 1 takes the root
+    # of a negative q1; the energy assertion does not hold that close to
+    # the singular slope at q1 = 0, and is dropped
+    def edit(doc):
+        doc["hamiltonian"] = "sqrt(q1) - p1"
+        doc["integrator"]["t_end"] = 2.0
+        doc["assertions"] = []
+
+    config = _config(tmp_path, "integrate_canonical_oscillator.json", edit)
+    out = tmp_path / "out"
+    code = main(["integrate", "--config", config, "--out", str(out)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err == ""
+    results = json.loads((out / "integrate_report.json").read_text("utf-8"))["results"]
+    message = "sqrt of negative value in 'sqrt(q1)'"
+    assert results["truncated"] is True
+    assert results["warnings"] == [f"trajectory truncated: step left the domain: {message}"]
+    # the states up to the step the tree walker cannot take, bit for bit
+    states, error = _tree_walker_flow(canonical(1), parse("sqrt(q1) - p1"), [1.0, 0.0], 0.001, 2000)
+    assert str(error) == message
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert len(rows) == len(states) == results["steps"] + 1 < 2001
+    assert rows[:, 1:3].tobytes() == states.tobytes()
+
+
+def test_sweep_that_leaves_the_domain_exits_3(tmp_path, capsys):
+    def edit(doc):
+        doc["hamiltonian"] = "sqrt(q1) - p1"
+
+    config = _config(tmp_path, "sweep_epsilon.json", edit)
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", config, "--out", str(out)])
     assert code == EXIT_RUNTIME
-    assert "of infinite value in" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == "runtime error: sqrt of negative value in 'sqrt(q1)'\n"
+    assert not out.exists() or not any(out.iterdir())

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from noncanon import dynamics
 from noncanon.brackets import canonical, constant_theta_f, general_planar
-from noncanon.cli import EXIT_CONFIG, main
+from noncanon.cli import EXIT_CONFIG, MAX_DEPTH, main
 from noncanon.dynamics import (
     FlowProblem,
     IntegrationError,
@@ -31,8 +31,9 @@ from noncanon.dynamics import (
     constant_combination_expressions,
     integrate,
 )
-from noncanon.expressions import EVALUATION_ERRORS, _Codegen, compile, parse
+from noncanon.expressions import EVALUATION_ERRORS, _Codegen, _depth, compile, parse
 from noncanon.reduction import epsilon_sweep
+from test_flow_loop import assert_matches_reference
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -112,13 +113,97 @@ def test_compiled_expression_has_no_exact_no_ops(monkeypatch):
 def test_theta_f_one_shares_the_equal_velocities(monkeypatch):
     # at theta = f = 1 the velocities of q2 and p1 are both q1 + p2, and
     # each stage computes them once: 41 multiplies in all, and no zero test,
-    # since the partial of each x^2 is the guard-free 2.0 * x + 0.0
+    # since inside a stepping loop the partial of each x^2 is the
+    # guard-free, signless 2.0 * x
     built = _sources(monkeypatch)
     _generate_step(constant_theta_f(1.0, 1.0), parse(_HAMILTONIANS[0]), "rk4")
     lines, = built
     source = "\n".join(lines)
     assert source.count(" * ") == 41
     assert source.count("!= 0.0") == 0
+
+
+# --- the folded loop ------------------------------------------------------------
+
+# a local of a loop line, not a quoted parameter name
+_LOCAL = re.compile(r"(?<!')\bt\d+\b")
+
+
+def _loops(monkeypatch) -> list[str]:
+    """Every stepping loop's source passed to ``_Codegen.define`` from now
+    on, folded as it is compiled."""
+    loops = []
+    define = _Codegen.define
+
+    def spy(self, source):
+        if "while True:" in source:
+            loops.append(source)
+        return define(self, source)
+
+    monkeypatch.setattr(_Codegen, "define", spy)
+    return loops
+
+
+def _body(source: str) -> list[tuple[str, str]]:
+    """``(local, text)`` of each line of the loop's body, from ``while
+    True:`` to the step count."""
+    body = source.split("while True:\n")[1].split("k += 1\n")[0]
+    lines = [line.strip().partition(" = ") for line in body.splitlines()]
+    return [(target, text) for target, _, text in lines if _LOCAL.fullmatch(target)]
+
+
+def _single_use(source: str) -> dict[str, bool]:
+    """Each body local that the source reads exactly once, and whether
+    writing it into its reader would nest that line deeper than
+    ``_FOLD_NESTING``."""
+    body = _body(source)
+    texts = dict(body)
+    named = _LOCAL.findall(source)  # each local once where it is assigned
+    once = {local for local in texts if named.count(local) == 2}
+    stopped = {}
+    for target, text in body:
+        for local in once.intersection(_LOCAL.findall(text)):
+            folded = re.sub(rf"\b{local}\b", lambda _: f"({texts[local]})", text)
+            stopped[local] = dynamics._nesting(folded) > dynamics._FOLD_NESTING
+    return stopped
+
+
+def test_the_sweep_loop_reads_no_body_local_once(tmp_path, monkeypatch):
+    loops = _loops(monkeypatch)
+    config = str(FIXTURES / "sweep_epsilon.json")
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    (loop,) = set(loops)
+    assert _body(loop) and not any(" if " in text for _, text in _body(loop))
+    assert _single_use(loop) == {}
+    # the fold keeps the signless partials and the accumulators' 0.0
+    assert "((2.0) * x0) / (2.0)" in loop and "(0.0 + " in loop
+
+
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+def test_the_fold_stops_at_its_nesting_bound(monkeypatch, method):
+    # a chain of 0*q1 terms MAX_DEPTH deep: each partial of the chain is read
+    # once, and folding them all would nest past CPython's 200 parentheses
+    h = "(p1^2 + q1^2)/2" + " + 0*q1" * (MAX_DEPTH - 4)
+    assert _depth(parse(h)) == MAX_DEPTH
+    loops = _loops(monkeypatch)
+    assert_matches_reference(FlowProblem(canonical(1), h, [1.0, 0.5], 0.01, 0.05, method))
+    (loop,) = loops
+    stopped = _single_use(loop)
+    assert stopped and all(stopped.values())
+    assert max(dynamics._nesting(text) for _, text in _body(loop)) <= dynamics._FOLD_NESTING
+
+
+def test_a_line_that_can_raise_is_not_folded_into_a_branch(monkeypatch):
+    # exp's partial reads exp's value only where the partial of log(q1),
+    # 1/q1, is not zero.  Folded there, the log would not run at q1 = -inf,
+    # where 1/q1 is -0.0: the second stage would not raise, and the step
+    # would go on where the tree walker stops at the log
+    loops = _loops(monkeypatch)
+    h = "exp(log(q1)) + p1^2/2"
+    error, step = assert_matches_reference(FlowProblem(canonical(1), h, [1.0, -1e308], 10.0, 20.0))
+    assert str(error) == "log of non-positive value in 'log(q1)'" and step == 1
+    (loop,) = loops
+    assert re.search(r"^ +t\d+ = _exp\(\(_log\(x0\)\)\)$", loop, re.M), loop
 
 
 # --- the lean sweep -------------------------------------------------------------
