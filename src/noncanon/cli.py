@@ -724,23 +724,16 @@ def _cmd_hodograph(cfg: RunConfig, rng) -> tuple[dict, dict]:
 
     if kind == "loglog":
         # the two root assignments swap u and v, and |u - v| and u*v are
-        # symmetric bit for bit, so the grid pass gives both branches' numbers
-        min_uv = np.inf
-        product_residual = 0.0
-        # an overflowing product or exp stays silent, as the library's other
-        # overflows do; an inf - inf residual is NaN and never wins the max.
-        # The loop reads Python floats from the columns; np.exp stays, for
-        # its overflow to inf where math.exp raises
+        # symmetric bit for bit, so the grid pass gives both branches' numbers.
+        # An overflowing product or exp stays silent, as the library's other
+        # overflows do; an inf - inf is NaN, which np.fmin and np.fmax drop
+        x, (u, v) = checks.points[:, 0], checks.values.T
         with np.errstate(over="ignore", invalid="ignore"):
-            for x, u, v in zip(checks.points[:, 0].tolist(), *checks.values.T.tolist()):
-                min_uv = min(min_uv, abs(u - v))
-                product_residual = max(
-                    product_residual,
-                    abs(u * v - params["u0"] * params["v0"] * np.exp(x / params["alpha"])),
-                )
+            gaps = np.abs(u - v)
+            residuals = np.abs(u * v - params["u0"] * params["v0"] * np.exp(x / params["alpha"]))
         stats = {
-            "min_u_minus_v": float(min_uv),
-            "root_product_residual": float(product_residual),
+            "min_u_minus_v": float(np.fmin.reduce(gaps, initial=np.inf)),
+            "root_product_residual": float(np.fmax.reduce(residuals, initial=0.0)),
         }
         results["branches"] = {label: dict(stats) for label in ("+", "-")}
         results.update(stats)

@@ -895,9 +895,13 @@ def compile(e: Expression, variables: Sequence[str] = ()) -> Callable:
     raises, ``fn`` redoes the call on the tree walker, so the error and its
     message are exactly the tree walker's.
     """
-    variables = tuple(variables)
-    one, redo = _point_pass((), [e], variables, lambda r: f"{r[0]}, {_tuple(r[1:])}")
-    return lambda env: one(redo, env, ((),))
+    one, redo = _point_pass((), [e], tuple(variables))
+
+    def fn(env):
+        row = one(redo, env, ((),))
+        return row[0], row[1:]
+
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +938,7 @@ def _generate_row(structure, exprs, variables: Sequence[str] = ()) -> Callable:
     tuple; a pass over the block of one ``x`` (:func:`_point_pass`), so it
     equals :func:`_reference_row` bit for bit, or raises the tree walker's
     first error."""
-    one, redo = _point_pass(structure.variable_names, exprs, variables, _tuple)
+    one, redo = _point_pass(structure.variable_names, exprs, variables)
     env = structure.parameters
     return lambda x: one(redo, env, (x,))
 
@@ -1021,16 +1025,15 @@ def _generate_pass(gen: _Codegen, results, row, start, fold, returns: str) -> Ca
     return gen.define(source)
 
 
-def _point_pass(names, exprs, variables, returns: Callable) -> tuple[Callable, Callable]:
+def _point_pass(names, exprs, variables) -> tuple[Callable, Callable]:
     """The pass ``one(redo, env, (x,))`` and its redo: the row of ``exprs``
     and their partials with respect to ``variables`` at the one state tuple
-    ``x`` over ``names``, with the parameters ``env``, returned as the
-    source ``returns(results)`` of the row's results.  The caller binds
-    the arguments in its own closure, one call fewer per point than a
-    ``functools.partial``."""
+    ``x`` over ``names``, with the parameters ``env``, as one flat tuple.
+    The caller binds the arguments in its own closure, one call fewer per
+    point than a ``functools.partial``."""
     gen, row = _state_codegen(names, exprs, variables)
     results = [f"r{j}" for j in range(len(row))]
-    one = _generate_pass(gen, results, row, [], [], returns(results))
+    one = _generate_pass(gen, results, row, [], [], _tuple(results))
     return one, _redo(names, exprs, variables)
 
 

@@ -591,8 +591,9 @@ def limit_sweep(
     Each alpha takes one filter pass over the grid and one run of the
     sweep's generated deviation pass over its kept points
     (:func:`_deviation_pass`), which folds the three largest deviations as
-    Python's ``max`` would.  The order is NaN unless there are two distinct
-    alphas, every alpha is positive and every deviation is positive."""
+    Python's ``max`` would.  The order is the slope of each alpha's larger
+    deviation of u and v against ``1.0 / alpha``, NaN by
+    :func:`_loglog_slope`'s rule."""
     if kind == "loglog":
         raise HodographError(
             "the loglog family never reaches u = v, so it has no "
@@ -618,12 +619,20 @@ def limit_sweep(
                 "max_u_minus_v": dev_uv,
             }
         )
-    devs = np.array([max(r["max_dev_u"], r["max_dev_v"]) for r in rows])
-    alphas_arr = np.array([r["alpha"] for r in rows])
-    # a fitted line needs two distinct alphas, and its logarithms positive
-    # alphas and deviations, as in ``reduction.epsilon_sweep``
-    if len(set(alphas_arr.tolist())) >= 2 and np.all(alphas_arr > 0.0) and np.all(devs > 0.0):
-        order = float(np.polyfit(np.log(1.0 / alphas_arr), np.log(devs), 1)[0])
-    else:
-        order = float("nan")
+    order = _loglog_slope(
+        [1.0 / r["alpha"] for r in rows], [max(r["max_dev_u"], r["max_dev_v"]) for r in rows]
+    )
     return SweepTable(rows=rows, fitted_order=order)
+
+
+def _loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
+    """The least-squares slope of log y against log x: the fitted order of
+    :func:`limit_sweep` and the fitted slope of ``reduction.epsilon_sweep``.
+    It is NaN unless there are two distinct x (counted in a set: np.unique
+    imports numpy.ma on first use) and every x and y is positive and finite,
+    so that each logarithm is finite; each test is written so that a NaN
+    fails it."""
+    x, y = np.array(x, dtype=float), np.array(y, dtype=float)
+    if len(set(x.tolist())) < 2 or not np.all((x > 0.0) & (x < np.inf) & (y > 0.0) & (y < np.inf)):
+        return float("nan")
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])

@@ -53,6 +53,7 @@ from .expressions import (  # noqa: F401
     parse,
     substitute,
 )
+from .hodograph import _loglog_slope
 
 __all__ = [
     "ReductionError",
@@ -425,8 +426,8 @@ def check_reduction(
             (0, 1) in structure.entries or structure.kind in DELTA_KINDS
         ):
             theta_red = float(structure.theta_matrix(reference)[0, 1])
-            theta_values = thetas[:, 0, 1].tolist()
-            spread = max(theta_values) - min(theta_values)
+            # a delta kind without a theta_12 entry has theta_12 = 0 throughout
+            spread = entry_spreads.get("theta_12", 0.0)
 
     constants = None
     if structure.kind in DELTA_KINDS:
@@ -769,9 +770,9 @@ def epsilon_sweep(
 
     At eps = 0 the combinations are exact invariants; their drift over a
     fixed horizon is expected to scale linearly with eps, and the log-log
-    slope of max drift against eps is reported, or NaN where an epsilon
-    is not positive or a maximum drift is not positive and finite.
-    ``parameters`` are bound in every swept structure.
+    slope of max drift against eps is reported, NaN by
+    ``hodograph._loglog_slope``'s rule.  ``parameters`` are bound in every
+    swept structure.
 
     Each flow is stepped as :func:`integrate` steps it, and its stored
     states are read for the combinations alone: the drifts are those of
@@ -797,17 +798,5 @@ def epsilon_sweep(
         # np.max propagates a NaN drift, where Python's max() may drop it
         row["max_drift"] = float(np.max(drifts))
         rows.append(row)
-    eps_arr = np.array([r["epsilon"] for r in rows])
-    drift_arr = np.array([r["max_drift"] for r in rows])
-    # a fitted line needs two distinct epsilons (counted in a set: np.unique
-    # imports numpy.ma on first use), and its logarithms positive ones and
-    # finite drifts; each test is written so that a NaN fails it
-    if (
-        len(set(eps_arr.tolist())) < 2
-        or not np.all(eps_arr > 0.0)
-        or not np.all((drift_arr > 0.0) & (drift_arr < np.inf))
-    ):
-        slope = float("nan")
-    else:
-        slope = float(np.polyfit(np.log(eps_arr), np.log(drift_arr), 1)[0])
+    slope = _loglog_slope([r["epsilon"] for r in rows], [r["max_drift"] for r in rows])
     return EpsilonSweep(rows=rows, fitted_slope=slope)

@@ -88,7 +88,7 @@ CONFIGS = [
 ]
 
 POOL = [
-    None, True, False, "x", "0.5", "q1 +* p1", -1, 0, 2.5, 1e12, 1e308, 10**30,
+    None, True, False, "x", "0.5", "q1 +* p1", -1, 0, 2.5, 1e12, 1e308, 10**30, 5e-324,
     math.nan, math.inf, -math.inf, [], {}, [1.0], [0.5, "x"], [-1, 1, 3], [True, 0],
 ]
 DROP = object()

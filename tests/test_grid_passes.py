@@ -27,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noncanon import expressions, hodograph
-from noncanon.cli import load_config, run
+from noncanon.cli import load_config, main, run
 from noncanon.expressions import EVALUATION_ERRORS, _reference_row, parse
 from noncanon.hodograph import (
     DomainFilter,
@@ -176,8 +176,9 @@ def test_a_nan_residual_never_wins_the_fold():
 
 @pytest.mark.parametrize("alphas", [[2.0], [2.0, 2.0], [2.0, -2.0], [-1.0, -3.0]])
 def test_a_sweep_without_two_distinct_positive_alphas_has_a_nan_order(alphas):
-    # the rule of ``reduction.epsilon_sweep``: no line is fitted through one
-    # abscissa, and no logarithm is taken of a non-positive alpha
+    # the rule of ``_loglog_slope``, shared with ``reduction.epsilon_sweep``:
+    # no line is fitted through one abscissa, and no logarithm is taken of a
+    # non-positive alpha
     grid = Grid2D((0.5, 1.5), (-1.0, 1.0), 5, 5, default_filters("linear"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -186,6 +187,49 @@ def test_a_sweep_without_two_distinct_positive_alphas_has_a_nan_order(alphas):
     assert all(r["max_dev_u"] > 0.0 for r in table.rows)
     assert math.isnan(table.fitted_order)
     assert limit_sweep("linear", {}, [2.0, 20.0], grid).fitted_order == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([2.0, 2.0], [1.0, 3.0]),  # one distinct x
+        ([0.0, 1.0], [1.0, 3.0]),
+        ([-1.0, 1.0], [1.0, 3.0]),
+        ([1.0 / 5e-324, 1.0], [1.0, 3.0]),  # an overflowed reciprocal
+        ([math.nan, 1.0], [1.0, 3.0]),
+        ([1.0, 2.0], [math.nan, 3.0]),
+        ([1.0, 2.0], [math.inf, 3.0]),
+    ],
+)
+def test_a_log_log_slope_without_finite_logarithms_is_nan(capfd, x, y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(hodograph._loglog_slope(x, y))
+    assert hodograph._loglog_slope([1.0, 10.0], [2.0, 200.0]) == pytest.approx(2.0)
+    assert capfd.readouterr().err == ""
+
+
+def test_a_subnormal_alpha_gives_a_nan_order_through_main(tmp_path, capfd):
+    # 1/5e-324 overflows to inf, whose logarithm a fit cannot take: the run
+    # reports a NaN order, with no numpy warning and no LAPACK message
+    doc = {
+        "version": 1,
+        "hodograph": {
+            "kind": "linear",
+            "parameters": {"alpha": 1.0},
+            "grid": {"x": [-1.0, 1.0, 5], "y": [-1.0, 1.0, 5], "band": 0.05},
+            "alphas": [5e-324, 1.0],
+        },
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["hodograph", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert capfd.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "hodograph_report.json").read_text("utf-8"))
+    assert report["results"]["sweep"]["fitted_order"] == "NaN"
 
 
 # --- a raising point is redone once, and the pass goes on -----------------------
